@@ -18,7 +18,6 @@ from .brad import (
 )
 from .kernels import (
     cholesky_upper,
-    solve_lyapunov_general,
     solve_lyapunov_small,
     solve_sylvester_small,
     spectral_norm_gram,
@@ -31,7 +30,6 @@ from .oracle import (
 )
 from .problems import (
     ProblemSpec,
-    ShiftList,
     load_problem,
     read_matrix_market,
     read_shift_file,
@@ -48,7 +46,6 @@ __all__ = [
     "HamiltonianShifts",
     "PrecomputedShifts",
     "ProblemSpec",
-    "ShiftList",
     "SolveResult",
     "SolverOptions",
     "absorb_r2adi",
@@ -72,7 +69,6 @@ __all__ = [
     "smw_solve",
     "solve",
     "solve_factored",
-    "solve_lyapunov_general",
     "solve_lyapunov_small",
     "solve_sylvester_small",
     "spectral_norm_gram",

@@ -7,7 +7,7 @@ parallel or realified); absorption restores the normalization.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -18,10 +18,10 @@ from .errors import ExpansionDegenerateError, NotPositiveDefiniteError
 from .kernels import (
     cholesky_upper,
     eigenvalue_match_distance,
-    hermitian_part,
     solve_lyapunov_small,
     solve_sylvester_small,
 )
+from .shifts import admissible_shift
 
 
 @dataclass
@@ -101,61 +101,43 @@ def _expansion_solve(state, problem, mu, closed_loop):
     return shifted.solve_factored(f, state.R)
 
 
-def _require_admissible(mu):
-    mu = complex(mu)
-    if not mu.real > 0:
-        raise ValueError(f"shift real part must be positive: {mu}")
-    return mu
-
-
 def expand_simple(state, problem, mu, closed_loop=False):
     """Expand by a single shift: one system solve with the residual factor."""
-    mu = _require_admissible(mu)
-    p = state.p
-    W = _expansion_solve(state, problem, mu, closed_loop)
-    if mu.imag == 0 and not np.iscomplexobj(W):
-        D = mu.real * np.eye(p)
-    else:
-        D = mu * np.eye(p, dtype=complex)
-    return ExpansionBlock(
-        Ztil=W,
-        U1=np.eye(p, dtype=W.dtype if mu.imag == 0 else complex),
-        U2=state.h.conj().T.copy(),
-        D=D,
-        kind="simple",
-        poles=[mu] * p,
-        closed_loop=closed_loop,
-    )
+    return expand_parallel(state, problem, [mu], closed_loop)
 
 
 def expand_parallel(state, problem, shifts, closed_loop=False):
-    """Expand by several pairwise distinct shifts; solves run concurrently."""
-    shifts = [_require_admissible(mu) for mu in shifts]
+    """Expand by l >= 1 pairwise distinct shifts.
+
+    One system solve with the residual factor per shift; for l > 1 the
+    solves run concurrently, one thread per shift.
+    """
+    shifts = [admissible_shift(mu) for mu in shifts]
     for i, a in enumerate(shifts):
-        for b in shifts[i + 1:]:
-            if a == b:
-                raise ValueError(f"parallel shifts must be pairwise distinct: {a}")
-    p = state.p
-    l = len(shifts)
+        if a in shifts[i + 1:]:
+            raise ValueError(f"parallel shifts must be pairwise distinct: {a}")
+    p, l = state.p, len(shifts)
     if l == 1:
-        block = expand_simple(state, problem, shifts[0], closed_loop)
-        block.kind = "parallel"
-        return block
-    with ThreadPoolExecutor(max_workers=l) as pool:
-        Ws = list(pool.map(
-            lambda mu: _expansion_solve(state, problem, mu, closed_loop), shifts
-        ))
-    Ztil = np.hstack(Ws)
-    dtype = Ztil.dtype if all(mu.imag == 0 for mu in shifts) else np.complex128
-    U1 = np.hstack([np.eye(p)] * l).astype(dtype)
-    U2 = np.hstack([state.h.conj().T] * l).astype(dtype) if state.q else \
-        np.zeros((0, l * p), dtype=dtype)
-    D = sla.block_diag(*[complex(mu) * np.eye(p) for mu in shifts])
-    if all(mu.imag == 0 for mu in shifts):
-        D = D.real
+        Ztil = _expansion_solve(state, problem, shifts[0], closed_loop)
+    else:
+        with ThreadPoolExecutor(max_workers=l) as pool:
+            Ztil = np.hstack(list(pool.map(
+                lambda mu: _expansion_solve(state, problem, mu, closed_loop),
+                shifts)))
     poles = [mu for mu in shifts for _ in range(p)]
-    return ExpansionBlock(Ztil=Ztil, U1=U1, U2=U2, D=D, kind="parallel",
-                          poles=poles, closed_loop=closed_loop)
+    real = not np.iscomplexobj(Ztil) and all(mu.imag == 0 for mu in shifts)
+    dtype = np.float64 if real else np.complex128
+    # U1, U2 and D are built in C order: their layout sets the BLAS rounding
+    # of the absorption products, hence the iterates.
+    return ExpansionBlock(
+        Ztil=Ztil,
+        U1=np.tile(np.eye(p, dtype=dtype), l),
+        U2=np.tile(state.h.conj().T, l).astype(dtype, order="C"),
+        D=np.diag(np.array(poles).real if real else np.array(poles)),
+        kind="simple" if l == 1 else "parallel",
+        poles=poles,
+        closed_loop=closed_loop,
+    )
 
 
 def expand_realified(state, problem, mu, closed_loop=False):
@@ -165,24 +147,22 @@ def expand_realified(state, problem, mu, closed_loop=False):
     are interleaved per column so the new diagonal block of the small matrix
     is block diagonal with 2-by-2 rotation-like blocks. All outputs real.
     """
-    mu = _require_admissible(mu)
+    mu = admissible_shift(mu)
     if mu.imag == 0:
         raise ValueError("realified expansion requires a genuinely complex shift")
     if not problem.is_real or np.iscomplexobj(state.Z) or np.iscomplexobj(state.R):
         raise ValueError("realification requires real data")
-    p, q = state.p, state.q
-    a, b = mu.real, mu.imag
+    p = state.p
     W = _expansion_solve(state, problem, mu, closed_loop)
     Ztil = np.empty((state.n, 2 * p), dtype=np.float64)
     Ztil[:, 0::2] = W.real
     Ztil[:, 1::2] = W.imag
     U1 = np.zeros((p, 2 * p))
     U1[:, 0::2] = np.eye(p)
-    U2 = state.h.conj().T @ U1 if q else np.zeros((0, 2 * p))
-    D = np.kron(np.eye(p), np.array([[a, b], [-b, a]]))
-    poles = [mu, mu.conjugate()] * p
-    return ExpansionBlock(Ztil=Ztil, U1=U1, U2=U2, D=D, kind="realified",
-                          poles=poles, closed_loop=closed_loop)
+    D = np.kron(np.eye(p), np.array([[mu.real, mu.imag], [-mu.imag, mu.real]]))
+    return ExpansionBlock(Ztil=Ztil, U1=U1, U2=state.h.conj().T @ U1, D=D,
+                          kind="realified", poles=[mu, mu.conjugate()] * p,
+                          closed_loop=closed_loop)
 
 
 def _right_divide_upper(X, G):
@@ -213,50 +193,50 @@ def _append(state, problem, Zhat, U1hat, U2hat, Dhat, poles):
     return state
 
 
+def _absorb(state, problem, block, gram, Zt, U1t, U2t):
+    """Shared tail of both absorption bodies.
+
+    Divides the corrected block by the Cholesky factor G22 of its Gram matrix
+    and appends it to a new state; the input state is not mutated.
+    """
+    try:
+        G22 = cholesky_upper(gram)
+    except NotPositiveDefiniteError as exc:
+        raise ExpansionDegenerateError(
+            f"expansion degenerate (near-deflation or repeated pole): {exc}"
+        ) from exc
+    U1hat = _right_divide_upper(U1t, G22)
+    U2hat = _right_divide_upper(U2t, G22)
+    Dhat = _right_divide_upper(G22 @ block.D, G22)
+    Zhat = _right_divide_upper(Zt, G22)
+    # _append only rebinds fields, so a shallow copy keeps `state` intact.
+    return _append(replace(state), problem, Zhat, U1hat, U2hat,
+                   Dhat, block.poles)
+
+
 def absorb_r2adi(state, problem, block):
     """Absorb an open-loop expansion block (Riccati RAD iteration body)."""
-    state = state.copy()
-    B = problem.B
     Ztil, U1, U2, D = block.Ztil, block.U1, block.U2, block.D
-    BtZt = B.conj().T @ Ztil
+    BtZt = problem.B.conj().T @ Ztil
     Y12 = solve_sylvester_small(state.Hminus.conj().T, D,
                                 state.SB.conj().T @ BtZt)
     rhs22 = (BtZt.conj().T @ BtZt + U1.conj().T @ U1
              - Y12.conj().T @ U2 - U2.conj().T @ Y12)
     Y22 = solve_lyapunov_small(D, rhs22)
-    try:
-        G22 = cholesky_upper(Y22 - Y12.conj().T @ Y12)
-    except NotPositiveDefiniteError as exc:
-        raise ExpansionDegenerateError(
-            f"expansion degenerate (near-deflation or repeated pole): {exc}"
-        ) from exc
-    U1hat = _right_divide_upper(-state.h @ Y12 + U1, G22)
-    U2hat = _right_divide_upper(-state.Hminus @ Y12 + U2 + Y12 @ D, G22)
-    Dhat = _right_divide_upper(G22 @ D, G22)
-    Zhat = _right_divide_upper(-state.Z @ Y12 + Ztil, G22)
-    return _append(state, problem, Zhat, U1hat, U2hat, Dhat, block.poles)
+    return _absorb(state, problem, block, Y22 - Y12.conj().T @ Y12,
+                   -state.Z @ Y12 + Ztil, -state.h @ Y12 + U1,
+                   -state.Hminus @ Y12 + U2 + Y12 @ D)
 
 
 def absorb_radi(state, problem, block):
     """Absorb a closed-loop expansion block (Lyapunov RADI iteration body)."""
     if not block.closed_loop and state.m > 0 and np.any(state.K):
         raise ValueError("absorb_radi requires a closed-loop expansion block")
-    state = state.copy()
-    B = problem.B
     Ztil, U1, U2, D = block.Ztil, block.U1, block.U2, block.D
-    BtZt = B.conj().T @ Ztil
+    BtZt = problem.B.conj().T @ Ztil
     Y22 = solve_lyapunov_small(D, BtZt.conj().T @ BtZt + U1.conj().T @ U1)
-    try:
-        G22 = cholesky_upper(Y22)
-    except NotPositiveDefiniteError as exc:
-        raise ExpansionDegenerateError(
-            f"expansion degenerate (near-deflation or repeated pole): {exc}"
-        ) from exc
-    U1hat = _right_divide_upper(U1, G22)
-    U2hat = _right_divide_upper(U2 + state.SB.conj().T @ BtZt, G22)
-    Dhat = _right_divide_upper(G22 @ D, G22)
-    Zhat = _right_divide_upper(Ztil, G22)
-    return _append(state, problem, Zhat, U1hat, U2hat, Dhat, block.poles)
+    return _absorb(state, problem, block, Y22, Ztil, U1,
+                   U2 + state.SB.conj().T @ BtZt)
 
 
 def brad_residual_check(state, problem):

@@ -57,7 +57,7 @@ def run(argv=None):
     try:
         problem = load_problem(args.a, args.c, b_path=args.b, e_path=args.e)
         if args.shift_strategy == "precomputed":
-            source = PrecomputedShifts(read_shift_file(args.shifts).shifts)
+            source = PrecomputedShifts(read_shift_file(args.shifts))
         else:
             source = HamiltonianShifts(window=args.window)
         realify = {"on": True, "off": False, "auto": None}[args.realify]

@@ -14,6 +14,12 @@ from .errors import NotPositiveDefiniteError, SylvesterSingularError
 _PIVOT_TOL = 1e-13
 
 
+def singular_pivots(d):
+    """True when the smallest pivot magnitude in d is negligible."""
+    d = np.abs(d)
+    return bool(d.size and d.min() <= 1e-14 * max(d.max(), 1.0))
+
+
 def hermitian_part(M):
     """Return (M + M*)/2; inputs are expected Hermitian up to roundoff."""
     M = np.asarray(M)
@@ -75,8 +81,7 @@ def _solve_shifted(Hc, tri, tau, rhs):
     q = Hc.shape[0]
     M = Hc + tau * np.eye(q, dtype=np.result_type(Hc.dtype, type(tau)))
     if tri is not None:
-        d = np.abs(np.diag(M))
-        if d.size and d.min() <= 1e-14 * max(d.max(), 1.0):
+        if singular_pivots(np.diag(M)):
             raise SylvesterSingularError(
                 f"singular Sylvester operator: eigenvalue near {-tau}",
                 eigenvalue=-tau,
@@ -87,8 +92,7 @@ def _solve_shifted(Hc, tri, tau, rhs):
 
 def _lu_solve_checked(M, rhs, eigenvalue=None):
     lu, piv = sla.lu_factor(M)
-    d = np.abs(np.diag(lu))
-    if d.size and d.min() <= 1e-14 * max(d.max(), 1.0):
+    if singular_pivots(np.diag(lu)):
         raise SylvesterSingularError(
             f"singular Sylvester operator: eigenvalue near {eigenvalue}",
             eigenvalue=eigenvalue,
@@ -143,22 +147,6 @@ def solve_lyapunov_small(D, RHS):
     """Solve Y D + D* Y = RHS with Hermitian RHS; the result is Hermitian."""
     D = np.atleast_2d(np.asarray(D))
     Y = solve_sylvester_small(D.conj().T, D, hermitian_part(RHS))
-    return hermitian_part(Y)
-
-
-def solve_lyapunov_general(Hm, RHS):
-    """Solve Y Hm + Hm* Y = RHS for Hermitian Y.
-
-    Requires the spectra of Hm and -Hm* to be disjoint; a singular operator
-    is reported as a shift-condition violation.
-    """
-    Hm = np.atleast_2d(np.asarray(Hm))
-    try:
-        Y = solve_sylvester_small(Hm.conj().T, Hm, hermitian_part(RHS))
-    except SylvesterSingularError as exc:
-        raise SylvesterSingularError(
-            f"shift condition violated: {exc}", eigenvalue=exc.eigenvalue
-        ) from exc
     return hermitian_part(Y)
 
 

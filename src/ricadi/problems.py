@@ -2,13 +2,14 @@
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
 from .errors import MatrixMarketError
+from .shifts import admissible_shift
 
 
 def _entries_real(M):
@@ -78,25 +79,6 @@ class ProblemSpec:
         )
 
 
-@dataclass
-class ShiftList:
-    """Ordered list of shifts, each with strictly positive real part."""
-
-    shifts: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.shifts = [complex(s) for s in self.shifts]
-        for s in self.shifts:
-            if not s.real > 0:
-                raise ValueError(f"shift real part must be positive: {s}")
-
-    def __len__(self):
-        return len(self.shifts)
-
-    def __iter__(self):
-        return iter(self.shifts)
-
-
 def read_matrix_market(path):
     """Read a Matrix Market file; dense for array files, sparse for coordinate.
 
@@ -127,7 +109,7 @@ def write_matrix_market(M, path, comment=""):
 
 
 def read_shift_file(path):
-    """Read a shift file of "re im" lines; '#' starts a comment."""
+    """Read "re im" lines ('#' starts a comment) as a list of complex shifts."""
     shifts = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -140,16 +122,11 @@ def read_shift_file(path):
                     f"{path}:{lineno}: expected 're im', got {raw.rstrip()!r}"
                 )
             try:
-                re, im = float(parts[0]), float(parts[1])
+                shifts.append(admissible_shift(
+                    complex(float(parts[0]), float(parts[1]))))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            s = complex(re, im)
-            if not s.real > 0:
-                raise ValueError(
-                    f"{path}:{lineno}: shift real part must be positive: {s}"
-                )
-            shifts.append(s)
-    return ShiftList(shifts)
+    return shifts
 
 
 def write_shift_file(shifts, path):

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SingularShiftError, SMWSingularError
+from .kernels import singular_pivots
 
 DENSE_THRESHOLD = 500
 
@@ -30,8 +31,7 @@ class ShiftedFactor:
 
 
 def _check_diag(d, mu):
-    d = np.abs(d)
-    if d.size and d.min() <= 1e-14 * max(d.max(), 1.0):
+    if singular_pivots(d):
         raise SingularShiftError(
             f"shifted matrix A* - mu E* is singular for mu = {mu}", shift=mu
         )
@@ -54,6 +54,7 @@ def factorize(A, E=None, mu=0.0):
         Eh = E.conj().T
         shift_mat = Eh.tocsc() if sp.issparse(Eh) else Eh
     M = Ah - mu * shift_mat
+    dtype = np.complex128 if np.iscomplexobj(M) else np.float64
     if n < DENSE_THRESHOLD:
         Md = M.toarray() if sp.issparse(M) else np.asarray(M)
         lu, piv = sla.lu_factor(Md)
@@ -74,10 +75,10 @@ def factorize(A, E=None, mu=0.0):
         _check_diag(fac.U.diagonal(), mu)
 
         def solve(RHS, fac=fac):
+            if dtype == np.float64 and np.iscomplexobj(RHS):
+                # A real SuperLU factor accepts only real right-hand sides.
+                return fac.solve(RHS.real) + 1j * fac.solve(RHS.imag)
             return fac.solve(RHS)
-
-    dtype = np.complex128 if (np.iscomplexobj(M if not sp.issparse(M) else M.data)
-                              ) else np.float64
 
     def typed_solve(RHS, solve=solve, dtype=dtype, n=n):
         RHS = np.atleast_2d(np.asarray(RHS))
@@ -108,8 +109,7 @@ def smw_solve(f, K, B, RHS):
     L, N = LN[:, :k], LN[:, k:]
     cap = np.eye(m, dtype=LN.dtype) - B.conj().T @ N
     lu, piv = sla.lu_factor(cap)
-    d = np.abs(np.diag(lu))
-    if d.size and d.min() <= 1e-14 * max(d.max(), 1.0):
+    if singular_pivots(np.diag(lu)):
         raise SMWSingularError(
             f"SMW capacitance singular for mu = {f.shift}", shift=f.shift
         )

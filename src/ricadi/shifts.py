@@ -1,5 +1,7 @@
 """Shift supply: precomputed lists and the residual Hamiltonian strategy."""
 
+import cmath
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -7,6 +9,16 @@ import scipy.sparse.linalg as spla
 from .errors import ShiftsExhaustedError, ShiftStrategyError
 
 _SCORE_CLAMP = 1e12
+
+
+def admissible_shift(s):
+    """Return s as a complex shift; it must be finite with positive real part."""
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"shift must be finite: {s}")
+    if not s.real > 0:
+        raise ValueError(f"shift real part must be positive: {s}")
+    return s
 
 
 class PrecomputedShifts:
@@ -18,10 +30,7 @@ class PrecomputedShifts:
     """
 
     def __init__(self, shifts):
-        self.shifts = [complex(s) for s in shifts]
-        for s in self.shifts:
-            if not s.real > 0:
-                raise ValueError(f"shift real part must be positive: {s}")
+        self.shifts = [admissible_shift(s) for s in shifts]
         self.cursor = 0
 
     def next_shifts(self, state, problem, batch=1, pair_complex=False):
@@ -50,12 +59,10 @@ class HamiltonianShifts:
 
     def __init__(self, window=None):
         self.window = window
-        self.last_emitted = None
 
     def next_shifts(self, state, problem, batch=1, pair_complex=False):
         l = self.window if self.window is not None else 6 * problem.p
         mu = residual_hamiltonian_shift(state, problem, l)
-        self.last_emitted = mu
         if mu.imag != 0 and problem.is_real:
             return [mu, mu.conjugate()]
         return [mu]
@@ -131,11 +138,3 @@ def residual_hamiltonian_shift(state, problem, l):
     elif mu.imag < 0:
         mu = mu.conjugate()
     return mu
-
-
-def hamiltonian_defect(H):
-    """|| JH - (JH)* || for J = [[0, I], [-I, 0]]; zero iff H is Hamiltonian."""
-    u = H.shape[0] // 2
-    J = np.block([[np.zeros((u, u)), np.eye(u)], [-np.eye(u), np.zeros((u, u))]])
-    JH = J @ H
-    return float(np.linalg.norm(JH - JH.conj().T))

@@ -1,14 +1,13 @@
 """Top-level iteration: pull shifts, expand, absorb, track convergence."""
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import brad
 from .errors import ShiftsExhaustedError
 from .kernels import spectral_norm_gram
-from .problems import ShiftList
 from .shifts import PrecomputedShifts
 
 MODES = ("r2adi", "radi", "hybrid")
@@ -21,7 +20,6 @@ class SolverOptions:
     max_iter: int = 200
     parallel_width: int = 1
     realify: bool = None  # None = on iff the problem is real
-    hybrid_switch: int = None  # None = max(p, min(n // 20, 100))
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -60,30 +58,21 @@ def relative_residual(state, problem, norm_cc=None):
     return spectral_norm_gram(state.R) / norm_cc
 
 
-def _as_shift_source(shifts):
-    if hasattr(shifts, "next_shifts"):
-        return shifts
-    if isinstance(shifts, ShiftList):
-        return PrecomputedShifts(shifts.shifts)
-    return PrecomputedShifts(list(shifts))
-
-
 def solve(problem, options=None, shifts=None, callback=None):
     """Run the Riccati ADI iteration until the residual drops below tol.
 
-    shifts is a shift source (PrecomputedShifts / HamiltonianShifts), a
-    ShiftList or a plain list. The optional callback(state, record) is
-    invoked after every absorption step.
+    shifts is a shift source (PrecomputedShifts / HamiltonianShifts) or a
+    plain list of shifts. Hybrid mode switches from the open-loop to the
+    closed-loop body once q >= max(p, min(n // 20, 100)). The optional
+    callback(state, record) is invoked after every absorption step.
     """
     options = options or SolverOptions()
     if shifts is None:
         raise ValueError("a shift source is required")
-    source = _as_shift_source(shifts)
+    source = shifts if hasattr(shifts, "next_shifts") else PrecomputedShifts(shifts)
     realify = options.realify if options.realify is not None else problem.is_real
     realify = realify and problem.is_real
-    hybrid_switch = options.hybrid_switch
-    if hybrid_switch is None:
-        hybrid_switch = max(problem.p, min(problem.n // 20, 100))
+    hybrid_switch = max(problem.p, min(problem.n // 20, 100))
 
     state = brad.init_state(problem)
     norm_cc = spectral_norm_gram(state.R)
@@ -113,8 +102,6 @@ def solve(problem, options=None, shifts=None, callback=None):
             if mu.imag < 0:
                 mu = mu.conjugate()
             block = brad.expand_realified(state, problem, mu, closed_loop)
-        elif len(batch) == 1:
-            block = brad.expand_simple(state, problem, batch[0], closed_loop)
         else:
             block = brad.expand_parallel(state, problem, batch, closed_loop)
         t1 = time.perf_counter()

@@ -72,8 +72,11 @@ def test_expand_simple_generalized():
 
 def test_expand_simple_rejects_left_half_plane_shift():
     prob = scalar_problem()
-    with pytest.raises(ValueError, match="real part must be positive"):
-        rc.expand_simple(rc.init_state(prob), prob, -1.0)
+    for bad, match in ((-1.0, "real part must be positive"),
+                       (np.inf, "must be finite"),
+                       (complex(1.0, np.nan), "must be finite")):
+        with pytest.raises(ValueError, match=match):
+            rc.expand_simple(rc.init_state(prob), prob, bad)
 
 
 # --------------------------------------------------------- expand_parallel
@@ -110,6 +113,19 @@ def test_expand_parallel_matches_serial_solves():
         simple = rc.expand_simple(state, prob, mu)
         np.testing.assert_allclose(block.Ztil[:, 2 * i:2 * i + 2],
                                    simple.Ztil, atol=1e-14)
+
+
+def test_expansion_blocks_are_c_ordered():
+    # h* is a transposed view; a Fortran-ordered U2 changes the rounding of
+    # the absorption products and with it the iterates
+    prob = random_problem(33, n=20, m=2, p=2)
+    state = rc.init_state(prob)
+    state = rc.absorb_r2adi(state, prob, rc.expand_simple(state, prob, 1.0))
+    for block in (rc.expand_simple(state, prob, 2.0),
+                  rc.expand_parallel(state, prob, [2.0, 3.0]),
+                  rc.expand_simple(state, prob, 2.0 + 1.0j)):
+        for name in ("U1", "U2", "D"):
+            assert getattr(block, name).flags["C_CONTIGUOUS"], name
 
 
 # -------------------------------------------------------- expand_realified

@@ -206,24 +206,6 @@ def test_lyapunov_hermitian_output():
     np.testing.assert_allclose(Y @ D + D.conj().T @ Y, RHS, atol=1e-12)
 
 
-def test_lyapunov_general_scalar():
-    np.testing.assert_allclose(
-        rc.solve_lyapunov_general([[1.0]], [[2.0]]), [[1.0]])
-
-
-def test_lyapunov_general_triangular():
-    Hm = np.array([[1.0, 0.5], [0.0, 2.0]])
-    Y = rc.solve_lyapunov_general(Hm, np.eye(2))
-    np.testing.assert_allclose(Y @ Hm + Hm.conj().T @ Y, np.eye(2),
-                               atol=1e-13)
-
-
-def test_lyapunov_general_shift_condition_violation():
-    Hm = np.diag([1.0, -1.0])  # spectrum not disjoint from its negation
-    with pytest.raises(SylvesterSingularError, match="shift condition"):
-        rc.solve_lyapunov_general(Hm, np.eye(2))
-
-
 # ------------------------------------------------- eigenvalue match distance
 
 def test_eigenvalue_match_distance():

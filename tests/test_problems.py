@@ -95,9 +95,12 @@ def test_shift_file_pair(tmp_path):
 
 def test_shift_file_rejects_negative_real_part(tmp_path):
     path = tmp_path / "s.txt"
-    path.write_text("-1.0 0.0\n")
-    with pytest.raises(ValueError, match="real part must be positive"):
-        rc.read_shift_file(path)
+    for line, match in (("-1.0 0.0", "real part must be positive"),
+                        ("inf 0", "must be finite"),
+                        ("1 nan", "must be finite")):
+        path.write_text(f"1.0 0.0\n{line}\n")
+        with pytest.raises(ValueError, match=f":2: .*{match}"):
+            rc.read_shift_file(path)
 
 
 def test_shift_file_comments_and_blanks(tmp_path):
@@ -121,13 +124,6 @@ def test_shift_file_round_trip(tmp_path_factory, pairs):
     path = tmp_path_factory.mktemp("shifts") / "s.txt"
     write_shift_file(shifts, path)
     assert list(rc.read_shift_file(path)) == shifts
-
-
-def test_shift_list_validation():
-    with pytest.raises(ValueError, match="real part must be positive"):
-        rc.ShiftList([1.0, -2.0])
-    sl = rc.ShiftList([1, 2 + 1j])
-    assert len(sl) == 2
 
 
 def test_convergence_log_empty(tmp_path):

@@ -76,16 +76,18 @@ def test_solve_factored_wrong_rows():
 
 
 def test_factorize_sparse_path_matches_dense():
-    # n above the dense threshold exercises the sparse LU branch
+    # n above the dense threshold exercises the sparse LU branch; a complex
+    # block reaches the real factor after a complex shift with realify off
     n = 600
     A = stable_sparse(n, 5, density=0.01)
     mu = 2.5
     f = rc.factorize(A, mu=mu)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal((n, 2))
-    got = rc.solve_factored(f, rhs)
-    want = np.linalg.solve(A.toarray().conj().T - mu * np.eye(n), rhs)
-    np.testing.assert_allclose(got, want, atol=1e-9)
+    dense = A.toarray().conj().T - mu * np.eye(n)
+    for b in (rhs, rhs + 1j * rng.standard_normal((n, 2))):
+        np.testing.assert_allclose(rc.solve_factored(f, b),
+                                   np.linalg.solve(dense, b), atol=1e-9)
 
 
 def test_smw_rank_zero_update():

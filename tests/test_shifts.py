@@ -6,7 +6,15 @@ import pytest
 import ricadi as rc
 from conftest import random_problem, scalar_problem
 from ricadi.errors import ShiftsExhaustedError, ShiftStrategyError
-from ricadi.shifts import hamiltonian_defect, projected_hamiltonian
+from ricadi.shifts import projected_hamiltonian
+
+
+def hamiltonian_defect(H):
+    """|| JH - (JH)* || for J = [[0, I], [-I, 0]]; zero iff H is Hamiltonian."""
+    u = H.shape[0] // 2
+    J = np.block([[np.zeros((u, u)), np.eye(u)], [-np.eye(u), np.zeros((u, u))]])
+    JH = J @ H
+    return float(np.linalg.norm(JH - JH.conj().T))
 
 
 def scalar_state_after_step1():
@@ -56,8 +64,11 @@ def test_precomputed_no_pairing_by_default():
 
 
 def test_precomputed_rejects_bad_shift():
-    with pytest.raises(ValueError, match="real part must be positive"):
-        rc.PrecomputedShifts([1.0, -0.5])
+    for bad, match in ((-0.5, "real part must be positive"),
+                       (np.inf, "must be finite"),
+                       (complex(1.0, np.nan), "must be finite")):
+        with pytest.raises(ValueError, match=match):
+            rc.PrecomputedShifts([1.0, bad])
 
 
 # ------------------------------------------------------- adaptive strategy

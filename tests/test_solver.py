@@ -130,7 +130,7 @@ def test_records_are_consistent():
 def test_shift_list_and_plain_list_sources():
     prob = scalar_problem()
     a = rc.solve(prob, rc.SolverOptions(tol=1e-12),
-                 rc.ShiftList([1.0, np.sqrt(2)]))
+                 rc.PrecomputedShifts([1.0, np.sqrt(2)]))
     b = rc.solve(prob, rc.SolverOptions(tol=1e-12), [1.0, np.sqrt(2)])
     np.testing.assert_array_equal(a.Z, b.Z)
 
@@ -161,6 +161,19 @@ def test_realify_on_real_data_keeps_storage_real():
         assert not np.iscomplexobj(getattr(res.state, name)), name
     # the pair counts as one step
     assert len(res.records) == 2 and res.state.q == 3
+
+
+def test_realify_off_matches_on_sparse():
+    # n above the dense threshold: real shifts after a complex pair reach a
+    # real sparse factor with a complex residual factor when realify is off
+    prob = random_problem(61, n=520, m=2, p=2)
+    shifts = [2 + 1j, 2 - 1j, 1.0, 3.5 + 0.8j, 3.5 - 0.8j, 0.7,
+              5 + 2j, 5 - 2j, 4.1 + 3j, 4.1 - 3j, 1.3]
+    runs = [rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=30,
+                                            realify=realify), shifts)
+            for realify in (True, False)]
+    assert [r.state.q for r in runs] == [22, 22]
+    assert rel2(dense_x(runs[1]), dense_x(runs[0])) <= 1e-13
 
 
 def test_generalized_problem_converges():
