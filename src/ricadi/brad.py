@@ -49,14 +49,6 @@ class BradState:
     def q(self):
         return self.Z.shape[1]
 
-    def copy(self):
-        return BradState(
-            n=self.n, p=self.p, m=self.m,
-            Z=self.Z.copy(), h=self.h.copy(), Hminus=self.Hminus.copy(),
-            SB=self.SB.copy(), R=self.R.copy(), K=self.K.copy(),
-            poles=list(self.poles),
-        )
-
 
 @dataclass
 class ExpansionBlock:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 
 from .errors import RicadiError
-from .oracle import DENSE_THRESHOLD, dense_care
+from .oracle import DENSE_ORACLE_MAX_N, dense_care
 from .problems import (
     load_problem,
     read_shift_file,
@@ -33,7 +33,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--parallel-width", type=int, default=1)
-    p.add_argument("--realify", choices=["on", "off", "auto"], default="auto")
     p.add_argument("--shift-strategy", choices=["precomputed", "hamiltonian"],
                    default="precomputed")
     p.add_argument("--window", type=int, default=None,
@@ -60,11 +59,8 @@ def run(argv=None):
             source = PrecomputedShifts(read_shift_file(args.shifts))
         else:
             source = HamiltonianShifts(window=args.window)
-        realify = {"on": True, "off": False, "auto": None}[args.realify]
-        options = SolverOptions(
-            mode=args.mode, tol=args.tol, max_iter=args.max_iter,
-            parallel_width=args.parallel_width, realify=realify,
-        )
+        options = SolverOptions(mode=args.mode, tol=args.tol, max_iter=args.max_iter,
+                                parallel_width=args.parallel_width)
         result = solve(problem, options, source)
     except (RicadiError, OSError, ValueError) as exc:
         print(f"ricadi: error: {exc}", file=sys.stderr)
@@ -76,8 +72,8 @@ def run(argv=None):
     print(f"steps          : {steps}")
     print(f"subspace dim   : {result.state.q}")
     print(f"rel. residual  : {result.rel_residual:.6e}")
-    print(f"RAD exp.       : {exp_s:.3f} s")
-    print(f"misc.          : {abs_s:.3f} s")
+    print(f"shifts + expand: {exp_s:.3f} s")
+    print(f"absorption     : {abs_s:.3f} s")
     print(f"total          : {exp_s + abs_s:.3f} s")
     if not result.converged:
         print(f"status         : {result.message}")
@@ -88,8 +84,8 @@ def run(argv=None):
         write_matrix_market(np.asarray(result.Z), args.out_z)
 
     if args.verify:
-        if problem.n > DENSE_THRESHOLD:
-            print(f"verify         : skipped (n > {DENSE_THRESHOLD})")
+        if problem.n > DENSE_ORACLE_MAX_N:
+            print(f"verify         : skipped (n > {DENSE_ORACLE_MAX_N})")
         else:
             ref = dense_care(problem)
             X = result.Z @ result.Z.conj().T

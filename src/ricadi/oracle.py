@@ -12,7 +12,8 @@ import scipy.sparse as sp
 
 from .kernels import eigenvalue_match_distance
 
-DENSE_THRESHOLD = 500
+# Largest n the dense reference computations accept.
+DENSE_ORACLE_MAX_N = 500
 
 
 @dataclass
@@ -32,8 +33,8 @@ def dense_care(problem):
     Hamiltonian pencil. Requires (A, B) stabilizable and (C, A) detectable.
     """
     n = problem.n
-    if n > DENSE_THRESHOLD:
-        raise ValueError(f"dense solver limited to n <= {DENSE_THRESHOLD}")
+    if n > DENSE_ORACLE_MAX_N:
+        raise ValueError(f"dense solver limited to n <= {DENSE_ORACLE_MAX_N}")
     A = _dense(problem.A)
     B = np.asarray(problem.B)
     C = np.asarray(problem.C)
@@ -101,8 +102,8 @@ def rational_residual_factor(problem, poles, zeros):
     if problem.p != 1:
         raise ValueError("rational residual factor requires p = 1")
     n = problem.n
-    if n > DENSE_THRESHOLD:
-        raise ValueError(f"dense evaluation limited to n <= {DENSE_THRESHOLD}")
+    if n > DENSE_ORACLE_MAX_N:
+        raise ValueError(f"dense evaluation limited to n <= {DENSE_ORACLE_MAX_N}")
     poles = list(np.asarray(poles, dtype=complex).ravel())
     zeros = list(np.asarray(zeros, dtype=complex).ravel())
     if len(poles) != len(zeros):

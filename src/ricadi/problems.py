@@ -12,16 +12,15 @@ from .errors import MatrixMarketError
 from .shifts import admissible_shift
 
 
+def _entries(M):
+    return M.data if sp.issparse(M) else np.asarray(M)
+
+
 def _entries_real(M):
     if M is None:
         return True
-    if sp.issparse(M):
-        data = M.data
-    else:
-        data = np.asarray(M)
-    if not np.iscomplexobj(data):
-        return True
-    return bool(np.all(data.imag == 0))
+    data = _entries(M)
+    return not np.iscomplexobj(data) or bool(np.all(data.imag == 0))
 
 
 @dataclass
@@ -56,6 +55,10 @@ class ProblemSpec:
             raise ValueError("C must have at least one row")
         if self.E is not None and self.E.shape != (n, n):
             raise ValueError(f"E must be {n}x{n}, got {self.E.shape}")
+        for name in ("A", "B", "C", "E"):
+            M = getattr(self, name)
+            if M is not None and not np.all(np.isfinite(_entries(M))):
+                raise ValueError(f"{name} has a non-finite entry")
 
     @property
     def n(self):

@@ -15,7 +15,8 @@ import scipy.sparse.linalg as spla
 from .errors import SingularShiftError, SMWSingularError
 from .kernels import singular_pivots
 
-DENSE_THRESHOLD = 500
+# Shifted matrices with n below this are factored by dense LU, others by SuperLU.
+DENSE_LU_BELOW_N = 500
 
 
 @dataclass
@@ -40,8 +41,8 @@ def _check_diag(d, mu):
 def factorize(A, E=None, mu=0.0):
     """Factor A* - mu E* (E* omitted when E is None).
 
-    Sparse LU with fill-reducing ordering above the dense threshold, dense
-    LU below it. Deterministic for fixed input.
+    Dense LU for n < DENSE_LU_BELOW_N, sparse LU with fill-reducing
+    ordering otherwise. Deterministic for fixed input.
     """
     mu = complex(mu)
     if mu.imag == 0.0:
@@ -55,7 +56,7 @@ def factorize(A, E=None, mu=0.0):
         shift_mat = Eh.tocsc() if sp.issparse(Eh) else Eh
     M = Ah - mu * shift_mat
     dtype = np.complex128 if np.iscomplexobj(M) else np.float64
-    if n < DENSE_THRESHOLD:
+    if n < DENSE_LU_BELOW_N:
         Md = M.toarray() if sp.issparse(M) else np.asarray(M)
         lu, piv = sla.lu_factor(Md)
         _check_diag(np.diag(lu), mu)

@@ -25,27 +25,29 @@ class PrecomputedShifts:
     """Replays a fixed shift list in order; deterministic and order-preserving.
 
     Batches stop early at a duplicate (parallel expansion needs pairwise
-    distinct shifts) and, when conjugate pairing is requested, a complex
-    entry followed by its conjugate is emitted together as a pair.
+    distinct shifts). On a real problem a complex entry is emitted as a
+    conjugate pair in a batch of its own, positive imaginary part first; an
+    entry right after it that equals its conjugate is consumed with it.
     """
 
     def __init__(self, shifts):
         self.shifts = [admissible_shift(s) for s in shifts]
         self.cursor = 0
 
-    def next_shifts(self, state, problem, batch=1, pair_complex=False):
+    def next_shifts(self, state, problem, batch=1):
         if self.cursor >= len(self.shifts):
             raise ShiftsExhaustedError("no shifts remain")
         out = []
         while self.cursor < len(self.shifts) and len(out) < batch:
             s = self.shifts[self.cursor]
-            if pair_complex and s.imag != 0:
+            if s.imag != 0 and problem.is_real:
                 if out:
                     break  # a pair starts its own batch
                 self.cursor += 1
                 if (self.cursor < len(self.shifts)
                         and self.shifts[self.cursor] == s.conjugate()):
                     self.cursor += 1
+                s = s if s.imag > 0 else s.conjugate()
                 return [s, s.conjugate()]
             if s in out:
                 break
@@ -55,12 +57,12 @@ class PrecomputedShifts:
 
 
 class HamiltonianShifts:
-    """Adaptive residual Hamiltonian strategy; emits one shift or one pair."""
+    """Adaptive residual Hamiltonian strategy: one shift, or a pair on real data."""
 
     def __init__(self, window=None):
         self.window = window
 
-    def next_shifts(self, state, problem, batch=1, pair_complex=False):
+    def next_shifts(self, state, problem, batch=1):
         l = self.window if self.window is not None else 6 * problem.p
         mu = residual_hamiltonian_shift(state, problem, l)
         if mu.imag != 0 and problem.is_real:

@@ -19,19 +19,22 @@ class SolverOptions:
     tol: float = 1e-9
     max_iter: int = 200
     parallel_width: int = 1
-    realify: bool = None  # None = on iff the problem is real
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.parallel_width < 1:
             raise ValueError("parallel_width must be at least 1")
 
 
 @dataclass
 class ConvergenceRecord:
+    """One step's residual and times; expansion_s includes shift selection."""
+
     iter: int
     subspace_dim: int
     rel_residual: float
@@ -62,16 +65,16 @@ def solve(problem, options=None, shifts=None, callback=None):
     """Run the Riccati ADI iteration until the residual drops below tol.
 
     shifts is a shift source (PrecomputedShifts / HamiltonianShifts) or a
-    plain list of shifts. Hybrid mode switches from the open-loop to the
-    closed-loop body once q >= max(p, min(n // 20, 100)). The optional
-    callback(state, record) is invoked after every absorption step.
+    plain list of shifts. On a real state a batch that is one conjugate pair
+    is realified, every other batch expanded in parallel. Hybrid mode
+    switches from the open-loop to the closed-loop body once
+    q >= max(p, min(n // 20, 100)). The optional callback(state, record) is
+    invoked after every absorption step.
     """
     options = options or SolverOptions()
     if shifts is None:
         raise ValueError("a shift source is required")
     source = shifts if hasattr(shifts, "next_shifts") else PrecomputedShifts(shifts)
-    realify = options.realify if options.realify is not None else problem.is_real
-    realify = realify and problem.is_real
     hybrid_switch = max(problem.p, min(problem.n // 20, 100))
 
     state = brad.init_state(problem)
@@ -85,8 +88,7 @@ def solve(problem, options=None, shifts=None, callback=None):
             break
         t0 = time.perf_counter()
         try:
-            batch = source.next_shifts(state, problem, batch=options.parallel_width,
-                                       pair_complex=realify)
+            batch = source.next_shifts(state, problem, batch=options.parallel_width)
         except ShiftsExhaustedError:
             message = "not converged: shift source exhausted"
             break
@@ -97,10 +99,9 @@ def solve(problem, options=None, shifts=None, callback=None):
         else:
             closed_loop = state.q >= hybrid_switch
 
-        if realify and any(mu.imag != 0 for mu in batch):
-            mu = next(m for m in batch if m.imag != 0)
-            if mu.imag < 0:
-                mu = mu.conjugate()
+        if (len(batch) == 2 and batch[0].imag != 0
+                and batch[1] == batch[0].conjugate() and np.isrealobj(state.Z)):
+            mu = max(batch, key=lambda s: s.imag)
             block = brad.expand_realified(state, problem, mu, closed_loop)
         else:
             block = brad.expand_parallel(state, problem, batch, closed_loop)
@@ -111,7 +112,7 @@ def solve(problem, options=None, shifts=None, callback=None):
             state = brad.absorb_r2adi(state, problem, block)
         t2 = time.perf_counter()
 
-        relres = spectral_norm_gram(state.R) / norm_cc
+        relres = relative_residual(state, problem, norm_cc)
         rec = ConvergenceRecord(
             iter=it, subspace_dim=state.q, rel_residual=relres,
             expansion_s=t1 - t0, absorb_s=t2 - t1, total_s=t2 - t0,

@@ -80,12 +80,24 @@ class RecordingShifts:
         self.emitted = []
         self.batches = []
 
-    def next_shifts(self, state, problem, batch=1, pair_complex=False):
-        out = self.inner.next_shifts(state, problem, batch=batch,
-                                     pair_complex=pair_complex)
+    def next_shifts(self, state, problem, batch=1):
+        out = self.inner.next_shifts(state, problem, batch=batch)
         self.emitted.extend(out)
         self.batches.append(list(out))
         return out
+
+
+def one_shift_per_step(problem, shifts):
+    """Complex-storage reference: the r2adi state after the shifts, one per step.
+
+    Conjugate pairs are not realified: every complex shift costs its own
+    complex solve and the state of a real problem becomes complex.
+    """
+    state = rc.init_state(problem)
+    for mu in shifts:
+        block = rc.expand_parallel(state, problem, [mu])
+        state = rc.absorb_r2adi(state, problem, block)
+    return state
 
 
 def scalar_problem():

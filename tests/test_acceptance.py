@@ -16,6 +16,7 @@ from conftest import (
     RecordingShifts,
     assert_invariants,
     dense_x,
+    one_shift_per_step,
     random_problem,
     rel2,
     scalar_problem,
@@ -58,7 +59,7 @@ def random_runs():
         states = []
         res = rc.solve(
             problem, rc.SolverOptions(tol=1e-9, max_iter=60), rec,
-            callback=lambda s, r, states=states: states.append(s.copy()))
+            callback=lambda s, r, states=states: states.append(s))
         ref = rc.dense_care(problem)
         runs.append(SimpleNamespace(
             problem=problem, result=res, batches=list(rec.batches),
@@ -83,7 +84,7 @@ def parallel_runs():
                 rc.SolverOptions(tol=1e-280, max_iter=30,
                                  parallel_width=width),
                 rc.PrecomputedShifts(shifts),
-                callback=lambda s, r, states=states: states.append(s.copy()))
+                callback=lambda s, r, states=states: states.append(s))
             per_width[width] = SimpleNamespace(result=res, states=states)
         out.append(SimpleNamespace(problem=problem, per_width=per_width))
     return out
@@ -109,14 +110,11 @@ def realified_runs():
         real_states = []
         res_real = rc.solve(
             problem,
-            rc.SolverOptions(tol=1e-280, max_iter=30, realify=True), rec,
-            callback=lambda s, r: real_states.append(s.copy()))
+            rc.SolverOptions(tol=1e-280, max_iter=30), rec,
+            callback=lambda s, r: real_states.append(s))
         real_counts = dict(counts)
         counts["complex"] = counts["real"] = 0
-        res_cplx = rc.solve(
-            problem,
-            rc.SolverOptions(tol=1e-280, max_iter=30, realify=False),
-            rc.PrecomputedShifts(shifts))
+        res_cplx = one_shift_per_step(problem, shifts)
         cplx_counts = dict(counts)
     finally:
         shifted_mod.factorize = original
@@ -139,7 +137,7 @@ def lyapunov_runs():
         res = rc.solve(
             problem, rc.SolverOptions(mode=mode, tol=1e-280, max_iter=2),
             rc.PrecomputedShifts([1.0, 2.0]),
-            callback=lambda s, r, states=states: states.append(s.copy()))
+            callback=lambda s, r, states=states: states.append(s))
         per_mode[mode] = SimpleNamespace(result=res, states=states)
     return SimpleNamespace(problem=problem, per_mode=per_mode)
 
@@ -332,7 +330,7 @@ def test_criterion_08_rational_residual_factor():
     states = []
     rc.solve(problem, rc.SolverOptions(tol=1e-280, max_iter=5),
              rc.HamiltonianShifts(),
-             callback=lambda s, r: states.append(s.copy()))
+             callback=lambda s, r: states.append(s))
     worst = 0.0
     for state in states:
         zeros = projected_system_zeros(state)

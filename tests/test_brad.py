@@ -235,6 +235,19 @@ def test_absorb_does_not_mutate_input_state():
     rc.absorb_r2adi(state, prob, block)
     assert state.q == 0
     np.testing.assert_array_equal(state.R, [[1.0]])
+    # every field of a two-step state survives both absorption bodies
+    prob = random_problem(37, n=20, m=2, p=2)
+    state = rc.init_state(prob)
+    for mu in (1.0, 2.0):
+        state = rc.absorb_r2adi(state, prob, rc.expand_simple(state, prob, mu))
+    names = ("Z", "h", "Hminus", "SB", "R", "K")
+    snapshot = {k: getattr(state, k).copy() for k in names}
+    poles = list(state.poles)
+    rc.absorb_r2adi(state, prob, rc.expand_simple(state, prob, 3.0))
+    rc.absorb_radi(state, prob, rc.expand_simple(state, prob, 4.0, closed_loop=True))
+    for k in names:
+        np.testing.assert_array_equal(getattr(state, k), snapshot[k], err_msg=k)
+    assert state.poles == poles
 
 
 def test_invariants_random_complex_three_steps():

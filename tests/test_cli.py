@@ -124,10 +124,21 @@ def test_cli_main_raises_system_exit(tmp_path):
             sys.argv = argv
 
 
-def test_cli_realify_flag(tmp_path, capsys):
+def test_cli_rejects_realify_flag(tmp_path, capsys):
+    # realification follows the data; there is no option to switch it
+    with pytest.raises(SystemExit) as exc:
+        run(scalar_args(tmp_path) + ["--realify", "on"])
+    assert exc.value.code == 2
+    assert "--realify" in capsys.readouterr().err
+
+
+def test_cli_summary_labels(tmp_path, capsys):
+    # a real problem with a complex shift file: the pair is realified
     prob = random_problem(82, n=25, m=1, p=1)
     args = write_problem(prob, tmp_path,
                          shifts=[1 + 1j, 1 - 1j, 2.0, 3.0, 5.0])
-    code = run(args + ["--realify", "on", "--tol", "1e-12"])
-    capsys.readouterr()
-    assert code in (0, 2)
+    assert run(args + ["--tol", "1e-12"]) in (0, 2)
+    labels = [l.split(":")[0].strip()
+              for l in capsys.readouterr().out.splitlines() if ":" in l]
+    assert labels[:6] == ["steps", "subspace dim", "rel. residual",
+                          "shifts + expand", "absorption", "total"]

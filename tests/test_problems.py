@@ -174,6 +174,18 @@ def test_problem_spec_validation():
                        C=np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("name", ["A", "B", "C", "E"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_problem_spec_rejects_non_finite(name, bad):
+    mats = {"A": sp.csr_matrix(-np.eye(3)), "B": np.ones((3, 1)),
+            "C": np.ones((1, 3)), "E": sp.csr_matrix(np.eye(3))}
+    M = mats[name].astype(complex) if isinstance(bad, complex) else mats[name]
+    M[0, 0] = bad
+    mats[name] = M
+    with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+        rc.ProblemSpec(**mats)
+
+
 def test_problem_spec_is_real():
     A = sp.csr_matrix(-np.eye(2))
     assert rc.ProblemSpec(A=A, B=np.ones((2, 1)), C=np.ones((1, 2))).is_real

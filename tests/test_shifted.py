@@ -77,7 +77,8 @@ def test_solve_factored_wrong_rows():
 
 def test_factorize_sparse_path_matches_dense():
     # n above the dense threshold exercises the sparse LU branch; a complex
-    # block reaches the real factor after a complex shift with realify off
+    # block reaches a real factor when real A comes with complex C, or after
+    # a complex shift on a state stored in complex form
     n = 600
     A = stable_sparse(n, 5, density=0.01)
     mu = 2.5

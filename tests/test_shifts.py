@@ -30,21 +30,29 @@ def test_precomputed_order_and_pairing():
     src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j])
     prob = scalar_problem()
     state = rc.init_state(prob)
-    assert src.next_shifts(state, prob, batch=1, pair_complex=True) == [1 + 0j]
-    assert src.next_shifts(state, prob, batch=1, pair_complex=True) \
-        == [2 + 1j, 2 - 1j]
+    assert src.next_shifts(state, prob, batch=1) == [1 + 0j]
+    assert src.next_shifts(state, prob, batch=1) == [2 + 1j, 2 - 1j]
     with pytest.raises(ShiftsExhaustedError):
-        src.next_shifts(state, prob, batch=1, pair_complex=True)
+        src.next_shifts(state, prob, batch=1)
 
 
 def test_precomputed_pair_starts_own_batch():
     src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j, 3.0])
     prob = scalar_problem()
     state = rc.init_state(prob)
-    assert src.next_shifts(state, prob, batch=4, pair_complex=True) == [1 + 0j]
-    assert src.next_shifts(state, prob, batch=4, pair_complex=True) \
-        == [2 + 1j, 2 - 1j]
-    assert src.next_shifts(state, prob, batch=4, pair_complex=True) == [3 + 0j]
+    assert src.next_shifts(state, prob, batch=4) == [1 + 0j]
+    assert src.next_shifts(state, prob, batch=4) == [2 + 1j, 2 - 1j]
+    assert src.next_shifts(state, prob, batch=4) == [3 + 0j]
+
+
+def test_precomputed_pair_puts_positive_imaginary_first():
+    src = rc.PrecomputedShifts([2 - 1j, 2 + 1j, 3 - 1j, 4.0])
+    prob = scalar_problem()
+    state = rc.init_state(prob)
+    assert src.next_shifts(state, prob, batch=2) == [2 + 1j, 2 - 1j]
+    # an entry without its conjugate next to it is still emitted as a pair
+    assert src.next_shifts(state, prob, batch=2) == [3 + 1j, 3 - 1j]
+    assert src.next_shifts(state, prob, batch=2) == [4 + 0j]
 
 
 def test_precomputed_batching_stops_at_duplicate():
@@ -56,8 +64,9 @@ def test_precomputed_batching_stops_at_duplicate():
 
 
 def test_precomputed_no_pairing_by_default():
+    # complex data: conjugates are not paired
     src = rc.PrecomputedShifts([2 + 1j, 2 - 1j])
-    prob = scalar_problem()
+    prob = random_problem(5, n=4, complex_data=True)
     state = rc.init_state(prob)
     assert src.next_shifts(state, prob, batch=1) == [2 + 1j]
     assert src.next_shifts(state, prob, batch=1) == [2 - 1j]
@@ -131,7 +140,7 @@ def test_hamiltonian_pairs_on_real_problems():
     state = rc.init_state(prob)
     saw_pair = False
     for _ in range(8):
-        batch = src.next_shifts(state, prob, pair_complex=True)
+        batch = src.next_shifts(state, prob)
         if len(batch) == 2:
             saw_pair = True
             assert batch[1] == batch[0].conjugate()

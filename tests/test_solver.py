@@ -8,6 +8,7 @@ import ricadi as rc
 from conftest import (
     RecordingShifts,
     dense_x,
+    one_shift_per_step,
     random_problem,
     rel2,
     scalar_problem,
@@ -21,6 +22,12 @@ def test_options_validation():
         rc.SolverOptions(tol=0.0)
     with pytest.raises(ValueError, match="parallel_width"):
         rc.SolverOptions(parallel_width=0)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_options_reject_max_iter_below_one(max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        rc.SolverOptions(max_iter=max_iter)
 
 
 def test_solve_requires_shift_source():
@@ -164,16 +171,43 @@ def test_realify_on_real_data_keeps_storage_real():
 
 
 def test_realify_off_matches_on_sparse():
-    # n above the dense threshold: real shifts after a complex pair reach a
-    # real sparse factor with a complex residual factor when realify is off
+    # n above the dense threshold: in the complex-storage reference, real
+    # shifts after a complex pair reach a real sparse factor with a complex
+    # residual factor
     prob = random_problem(61, n=520, m=2, p=2)
     shifts = [2 + 1j, 2 - 1j, 1.0, 3.5 + 0.8j, 3.5 - 0.8j, 0.7,
               5 + 2j, 5 - 2j, 4.1 + 3j, 4.1 - 3j, 1.3]
-    runs = [rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=30,
-                                            realify=realify), shifts)
-            for realify in (True, False)]
-    assert [r.state.q for r in runs] == [22, 22]
-    assert rel2(dense_x(runs[1]), dense_x(runs[0])) <= 1e-13
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=30), shifts)
+    ref = one_shift_per_step(prob, shifts)
+    assert not np.iscomplexobj(res.Z) and np.iscomplexobj(ref.Z)
+    assert res.state.q == ref.q == 22
+    assert rel2(dense_x(ref), dense_x(res)) <= 1e-13
+
+
+class FixedBatches:
+    """Shift source that returns the given batches in turn."""
+
+    def __init__(self, *batches):
+        self.batches = list(batches)
+
+    def next_shifts(self, state, problem, batch=1):
+        return self.batches.pop(0)
+
+
+@pytest.mark.parametrize("batches", [
+    [[1.0, 2 + 1j, 2 - 1j]],
+    # the mixed batch makes the state complex, so the pair after it is
+    # expanded in parallel instead of being realified
+    [[1.0, 2 + 1j, 2 - 1j], [3 + 0.5j, 3 - 0.5j]],
+])
+def test_real_data_batches_keep_every_shift(batches):
+    prob = random_problem(62, n=30, m=1, p=1)
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=len(batches)),
+                   FixedBatches(*batches))
+    shifts = [mu for b in batches for mu in b]
+    assert res.state.q == len(shifts)
+    ref = one_shift_per_step(prob, shifts)
+    assert rel2(dense_x(res), dense_x(ref)) <= 1e-13
 
 
 def test_generalized_problem_converges():
