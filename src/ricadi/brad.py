@@ -18,6 +18,7 @@ from .errors import ExpansionDegenerateError, NotPositiveDefiniteError
 from .kernels import (
     cholesky_upper,
     eigenvalue_match_distance,
+    hermitian_part,
     solve_lyapunov_small,
     solve_sylvester_small,
 )
@@ -31,7 +32,10 @@ class BradState:
     Z holds the accumulated n-by-q basis, h and Hminus the small
     decomposition matrices, SB caches B*Z, R the rank-p residual factor and
     K the feedback E*Z(Z*B). Hminus is (quasi-)upper-triangular by
-    construction; its eigenvalues are the recorded poles.
+    construction; its eigenvalues are the recorded poles. gram_cancellation
+    is ||Y12* Y12||_2 / lambda_min(Y22 - Y12* Y12) of the open-loop
+    absorption that made the state (0 after a closed-loop one): the factor
+    by which that subtraction amplified roundoff in the new block.
     """
 
     n: int
@@ -44,6 +48,7 @@ class BradState:
     R: np.ndarray
     K: np.ndarray
     poles: list = field(default_factory=list)
+    gram_cancellation: float = 0.0
 
     @property
     def q(self):
@@ -112,6 +117,10 @@ def expand_parallel(state, problem, shifts, closed_loop=False):
     if l == 1:
         Ztil = _expansion_solve(state, problem, shifts[0], closed_loop)
     else:
+        # Each factor is made and dropped inside its worker. A SuperLU factor
+        # dropped on another thread than the one that made it leaves its
+        # memory unreusable (RSS grows by the factor's size every time), so
+        # no factor may be handed out of these threads or into them.
         with ThreadPoolExecutor(max_workers=l) as pool:
             Ztil = np.hstack(list(pool.map(
                 lambda mu: _expansion_solve(state, problem, mu, closed_loop),
@@ -185,7 +194,7 @@ def _append(state, problem, Zhat, U1hat, U2hat, Dhat, poles):
     return state
 
 
-def _absorb(state, problem, block, gram, Zt, U1t, U2t):
+def _absorb(state, problem, block, gram, Zt, U1t, U2t, cancellation=0.0):
     """Shared tail of both absorption bodies.
 
     Divides the corrected block by the Cholesky factor G22 of its Gram matrix
@@ -202,8 +211,8 @@ def _absorb(state, problem, block, gram, Zt, U1t, U2t):
     Dhat = _right_divide_upper(G22 @ block.D, G22)
     Zhat = _right_divide_upper(Zt, G22)
     # _append only rebinds fields, so a shallow copy keeps `state` intact.
-    return _append(replace(state), problem, Zhat, U1hat, U2hat,
-                   Dhat, block.poles)
+    return _append(replace(state, gram_cancellation=cancellation), problem,
+                   Zhat, U1hat, U2hat, Dhat, block.poles)
 
 
 def absorb_r2adi(state, problem, block):
@@ -215,9 +224,19 @@ def absorb_r2adi(state, problem, block):
     rhs22 = (BtZt.conj().T @ BtZt + U1.conj().T @ U1
              - Y12.conj().T @ U2 - U2.conj().T @ Y12)
     Y22 = solve_lyapunov_small(D, rhs22)
-    return _absorb(state, problem, block, Y22 - Y12.conj().T @ Y12,
+    YY = Y12.conj().T @ Y12
+    gram = Y22 - YY
+    return _absorb(state, problem, block, gram,
                    -state.Z @ Y12 + Ztil, -state.h @ Y12 + U1,
-                   -state.Hminus @ Y12 + U2 + Y12 @ D)
+                   -state.Hminus @ Y12 + U2 + Y12 @ D,
+                   _cancellation(YY, gram))
+
+
+def _cancellation(YY, gram):
+    """||YY||_2 / lambda_min(gram), inf when gram is not positive definite."""
+    low = np.linalg.eigvalsh(hermitian_part(gram))[0]
+    big = np.linalg.eigvalsh(hermitian_part(YY))[-1]
+    return float(big / low) if low > 0 else np.inf
 
 
 def absorb_radi(state, problem, block):
@@ -229,6 +248,17 @@ def absorb_radi(state, problem, block):
     Y22 = solve_lyapunov_small(D, BtZt.conj().T @ BtZt + U1.conj().T @ U1)
     return _absorb(state, problem, block, Y22, Ztil, U1,
                    U2 + state.SB.conj().T @ BtZt)
+
+
+def lyapunov_defect(state):
+    """||Hm + Hm* - (SB* SB + h* h)||_F / ||Hm||_F.
+
+    The q-by-q Lyapunov identity of the normalized state; while it holds,
+    R R* is the residual of X = Z Z*. Costs O((m + p) q^2), no n-sized work.
+    """
+    Hm, h = state.Hminus, state.h
+    lyap = Hm + Hm.conj().T - (state.SB.conj().T @ state.SB + h.conj().T @ h)
+    return float(np.linalg.norm(lyap) / max(np.linalg.norm(Hm), 1e-300))
 
 
 def brad_residual_check(state, problem):
@@ -250,10 +280,7 @@ def brad_residual_check(state, problem):
     scale = a_norm * z_norm + z_norm * np.linalg.norm(Hm) + 1e-300
     out["brad_identity"] = float(np.linalg.norm(defect) / scale)
 
-    gram = state.SB.conj().T @ state.SB + h.conj().T @ h
-    lyap = Hm + Hm.conj().T - gram
-    out["lyap_identity"] = float(
-        np.linalg.norm(lyap) / max(np.linalg.norm(Hm), 1e-300))
+    out["lyap_identity"] = lyapunov_defect(state)
 
     rref = Cstar + _emul(E, Z) @ h.conj().T
     r_scale = max(np.linalg.norm(rref), np.linalg.norm(Cstar), 1e-300)

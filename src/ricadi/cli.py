@@ -32,7 +32,9 @@ def build_parser():
                    default="r2adi")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--parallel-width", type=int, default=1)
+    p.add_argument("--parallel-width", type=int, default=1,
+                   help="shifts per step from a precomputed list (the "
+                        "hamiltonian strategy gives one shift or pair)")
     p.add_argument("--shift-strategy", choices=["precomputed", "hamiltonian"],
                    default="precomputed")
     p.add_argument("--window", type=int, default=None,

@@ -3,10 +3,12 @@
 import cmath
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ShiftsExhaustedError, ShiftStrategyError
+from .shifted import solve_by_parts
 
 _SCORE_CLAMP = 1e12
 
@@ -57,33 +59,61 @@ class PrecomputedShifts:
 
 
 class HamiltonianShifts:
-    """Adaptive residual Hamiltonian strategy: one shift, or a pair on real data."""
+    """Adaptive residual Hamiltonian strategy: one shift, or a pair on real data.
+
+    The batch size is ignored: every step gets one shift (or one pair). The
+    factor of E is made once and kept for the E object last seen, so a
+    solve factors E once, not once per step.
+    """
 
     def __init__(self, window=None):
         self.window = window
+        self._e_factor = None  # (E, solve with E) for the E last seen
 
     def next_shifts(self, state, problem, batch=1):
         l = self.window if self.window is not None else 6 * problem.p
-        mu = residual_hamiltonian_shift(state, problem, l)
+        H = projected_hamiltonian(state, problem, l, self._solve_e(problem.E))
+        mu = _best_shift(H)
         if mu.imag != 0 and problem.is_real:
             return [mu, mu.conjugate()]
         return [mu]
 
+    def _solve_e(self, E):
+        if E is None:
+            return None
+        if self._e_factor is None or self._e_factor[0] is not E:
+            self._e_factor = (E, factor_e(E))
+        return self._e_factor[1]
 
-def _solve_with(M, RHS):
-    if sp.issparse(M):
-        return spla.splu(M.tocsc()).solve(RHS)
-    return np.linalg.solve(M, RHS)
+
+def factor_e(E):
+    """Return RHS -> E^{-1} RHS, with E factored once (SuperLU or dense LU).
+
+    Drop the result on the thread that called this: a SuperLU factor
+    dropped on another thread leaves its memory unreusable.
+    """
+    if sp.issparse(E):
+        solve = spla.splu(E.tocsc()).solve
+    else:
+        lu_piv = sla.lu_factor(E)
+
+        def solve(RHS):
+            return sla.lu_solve(lu_piv, RHS)
+
+    if np.iscomplexobj(E):
+        return solve
+    return lambda RHS: solve_by_parts(solve, RHS)
 
 
-def projected_hamiltonian(state, problem, l):
+def projected_hamiltonian(state, problem, l, solve_e=None):
     """Assemble the 2u-by-2u projected residual Hamiltonian matrix.
 
     The basis U is an orthonormal span of the last min(l, q) stored columns
     of Z (the first call, before any expansion, uses the columns of C*
     instead). The closed-loop matrix acts through the cached low-rank
     factors; with a mass matrix E present the action is evaluated in the
-    E-transformed variables without forming inv(E) explicitly.
+    E-transformed variables without forming inv(E) explicitly. solve_e
+    applies inv(E) (factor_e(E) when omitted).
     """
     A, B, E = problem.A, problem.B, problem.E
     q = state.q
@@ -92,7 +122,7 @@ def projected_hamiltonian(state, problem, l):
     else:
         base = state.Z[:, max(q - l, 0):]
     U, _ = np.linalg.qr(base)
-    EU = U if E is None else _solve_with(E, U)
+    EU = U if E is None else (solve_e or factor_e(E))(U)
     AtilU = A @ EU - B @ (state.SB @ (state.Z.conj().T @ U))
     H11 = U.conj().T @ AtilU
     BtU = B.conj().T @ U
@@ -111,7 +141,10 @@ def residual_hamiltonian_shift(state, problem, l):
     ||q (q* r)^{-1} q*|| for the eigenvector split [r; q] wins; scores are
     clamped, ties broken by larger |Im| then lexicographically.
     """
-    H = projected_hamiltonian(state, problem, l)
+    return _best_shift(projected_hamiltonian(state, problem, l))
+
+
+def _best_shift(H):
     u = H.shape[0] // 2
     w, V = np.linalg.eig(H)
     candidates = []

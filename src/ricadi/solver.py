@@ -6,11 +6,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brad
-from .errors import ShiftsExhaustedError
+from .errors import ExpansionDegenerateError, ShiftsExhaustedError
 from .kernels import spectral_norm_gram
 from .shifts import PrecomputedShifts
 
 MODES = ("r2adi", "radi", "hybrid")
+
+# An open-loop step whose Gram subtraction amplifies roundoff by more than
+# this factor (BradState.gram_cancellation) is redone with the closed-loop
+# body, whose Gram has no subtraction. Seen: at most 0.12 on every step of the
+# small-batch and cd2d problems, 1e8 and 1.6e13 on the two 1-D FEM steps
+# after which a converged factor had a residual defect of 9e-10 and 6e-6.
+MAX_GRAM_CANCELLATION = 1e6
+# A converged state must satisfy its q-by-q Lyapunov identity to this
+# relative accuracy (brad.lyapunov_defect), or R R* is not the residual of
+# Z Z*. Seen: below 1e-13 on correct solves, 9e-10 on the 6e-6 one above.
+MAX_LYAPUNOV_DEFECT = 1e-11
 
 
 @dataclass
@@ -33,7 +44,13 @@ class SolverOptions:
 
 @dataclass
 class ConvergenceRecord:
-    """One step's residual and times; expansion_s includes shift selection."""
+    """One step's residual and times; expansion_s includes shift selection.
+
+    closed_loop says which body absorbed the step; redone that an open-loop
+    absorption of it was discarded for cancellation or a degenerate Gram
+    (absorb_s then includes the closed-loop expansion that replaced it).
+    The convergence log stores neither.
+    """
 
     iter: int
     subspace_dim: int
@@ -41,6 +58,8 @@ class ConvergenceRecord:
     expansion_s: float
     absorb_s: float
     total_s: float
+    closed_loop: bool = False
+    redone: bool = False
 
 
 @dataclass
@@ -61,6 +80,16 @@ def relative_residual(state, problem, norm_cc=None):
     return spectral_norm_gram(state.R) / norm_cc
 
 
+def _expand(state, problem, batch, closed_loop):
+    """Realify a batch that is one conjugate pair on a real state; expand
+    any other batch in parallel."""
+    if (len(batch) == 2 and batch[0].imag != 0
+            and batch[1] == batch[0].conjugate() and np.isrealobj(state.Z)):
+        mu = max(batch, key=lambda s: s.imag)
+        return brad.expand_realified(state, problem, mu, closed_loop)
+    return brad.expand_parallel(state, problem, batch, closed_loop)
+
+
 def solve(problem, options=None, shifts=None, callback=None):
     """Run the Riccati ADI iteration until the residual drops below tol.
 
@@ -68,8 +97,12 @@ def solve(problem, options=None, shifts=None, callback=None):
     plain list of shifts. On a real state a batch that is one conjugate pair
     is realified, every other batch expanded in parallel. Hybrid mode
     switches from the open-loop to the closed-loop body once
-    q >= max(p, min(n // 20, 100)). The optional callback(state, record) is
-    invoked after every absorption step.
+    q >= max(p, min(n // 20, 100)). An open-loop step whose Gram is not
+    positive definite or amplifies roundoff by more than
+    MAX_GRAM_CANCELLATION is redone with the closed-loop body; hybrid mode
+    then stays closed-loop. A solve reports convergence only if its state
+    also passes the Lyapunov identity. The optional callback(state, record)
+    is invoked after every absorption step.
     """
     options = options or SolverOptions()
     if shifts is None:
@@ -83,6 +116,7 @@ def solve(problem, options=None, shifts=None, callback=None):
     relres = 1.0
     converged = relres < options.tol
     message = ""
+    stay_closed = False
     for it in range(1, options.max_iter + 1):
         if converged:
             break
@@ -97,31 +131,44 @@ def solve(problem, options=None, shifts=None, callback=None):
         elif options.mode == "r2adi":
             closed_loop = False
         else:
-            closed_loop = state.q >= hybrid_switch
+            closed_loop = stay_closed or state.q >= hybrid_switch
 
-        if (len(batch) == 2 and batch[0].imag != 0
-                and batch[1] == batch[0].conjugate() and np.isrealobj(state.Z)):
-            mu = max(batch, key=lambda s: s.imag)
-            block = brad.expand_realified(state, problem, mu, closed_loop)
-        else:
-            block = brad.expand_parallel(state, problem, batch, closed_loop)
+        block = _expand(state, problem, batch, closed_loop)
         t1 = time.perf_counter()
+        redone = False
         if closed_loop:
-            state = brad.absorb_radi(state, problem, block)
+            new = brad.absorb_radi(state, problem, block)
         else:
-            state = brad.absorb_r2adi(state, problem, block)
+            try:
+                new = brad.absorb_r2adi(state, problem, block)
+                redone = new.gram_cancellation > MAX_GRAM_CANCELLATION
+            except ExpansionDegenerateError:
+                redone = True
+            if redone:
+                closed_loop = stay_closed = True
+                block = _expand(state, problem, batch, closed_loop)
+                new = brad.absorb_radi(state, problem, block)
+        state = new
         t2 = time.perf_counter()
 
         relres = relative_residual(state, problem, norm_cc)
         rec = ConvergenceRecord(
             iter=it, subspace_dim=state.q, rel_residual=relres,
             expansion_s=t1 - t0, absorb_s=t2 - t1, total_s=t2 - t0,
+            closed_loop=closed_loop, redone=redone,
         )
         records.append(rec)
         if callback is not None:
             callback(state, rec)
         converged = relres < options.tol
-    if not converged and not message:
+    if converged:
+        defect = brad.lyapunov_defect(state)
+        if not defect <= MAX_LYAPUNOV_DEFECT:
+            converged = False
+            message = (f"not converged: Lyapunov identity defect {defect:.2e} "
+                       f"exceeds {MAX_LYAPUNOV_DEFECT:.0e}, so R no longer "
+                       f"describes the residual of Z Z*")
+    elif not message:
         message = "not converged: max_iter reached"
     return SolveResult(Z=state.Z, R=state.R, records=records, state=state,
                        converged=converged, rel_residual=relres, message=message)

@@ -270,19 +270,47 @@ def test_criterion_04_method_equivalence(random_runs):
            f"worst deviation {worst:.2e}")
 
 
+def _gram_floor(problem, result):
+    """Forward-error bound of the residual Gram R*R in float64.
+
+    R = C* + E*Z h* is accumulated from terms of size ||C|| and ||E*Z|| ||h||,
+    so near convergence its absolute error is eps (||C|| + ||E*Z|| ||h||)
+    however small R itself is; the Gram inherits 2 ||R|| times that.
+    """
+    state = result.state
+    EZ = state.Z if problem.E is None else problem.E.conj().T @ state.Z
+    err_r = np.finfo(float).eps * (np.linalg.norm(problem.C, 2) + np.linalg.norm(EZ, 2)
+                                   * np.linalg.norm(state.h, 2))
+    return 2 * np.linalg.norm(state.R, 2) * err_r
+
+
 def test_criterion_05_parallel_equals_serial(parallel_runs):
-    worst_x = worst_g = 0.0
+    # After 30 steps the residual is near roundoff (relative residual 3e-11
+    # on run 2001), so a relative Gram distance alone reads the float64
+    # floor of R; as in criterion 3 the bound is 1e-8 relative + 10 floors.
+    worst_x = worst_g = worst_load = 0.0
+    controls = rejected = 0
     for entry in parallel_runs:
         base = entry.per_width[1].result
         Xb = dense_x(base)
         Gb = base.R.conj().T @ base.R
+        bound = 1e-8 * np.linalg.norm(Gb, 2) + 10 * _gram_floor(entry.problem, base)
         for width in (2, 4):
             res = entry.per_width[width].result
+            G = res.R.conj().T @ res.R
             worst_x = max(worst_x, rel2(dense_x(res), Xb))
-            worst_g = max(worst_g, rel2(res.R.conj().T @ res.R, Gb))
-    ok = worst_x <= 1e-8 and worst_g <= 1e-8
+            worst_g = max(worst_g, rel2(G, Gb))
+            worst_load = max(worst_load, np.linalg.norm(G - Gb, 2) / bound)
+            # negative control: an error of 1e-7 ||R|| in the residual
+            # factor must show up above the bound
+            Rp = (1 + 1e-7) * res.R
+            rejected += np.linalg.norm(Rp.conj().T @ Rp - Gb, 2) > bound
+            controls += 1
+    ok = worst_x <= 1e-8 and worst_load <= 1.0 and rejected == controls
     report("criterion 5: parallel width 2/4 equals serial", ok,
-           f"X dev {worst_x:.2e}, residual Gram dev {worst_g:.2e}")
+           f"X dev {worst_x:.2e}, residual Gram dev {worst_g:.2e}, "
+           f"Gram dev/bound {worst_load:.2e}, "
+           f"{rejected}/{controls} perturbed residual factors rejected")
 
 
 def test_criterion_06_realification(realified_runs):

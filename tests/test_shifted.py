@@ -1,10 +1,14 @@
 """Tests for the shifted factorizations and SMW-corrected solves."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import ricadi as rc
+import ricadi.shifted as shifted_mod
 from conftest import random_problem, stable_sparse
 from ricadi.errors import SingularShiftError, SMWSingularError
 
@@ -89,6 +93,39 @@ def test_factorize_sparse_path_matches_dense():
     for b in (rhs, rhs + 1j * rng.standard_normal((n, 2))):
         np.testing.assert_allclose(rc.solve_factored(f, b),
                                    np.linalg.solve(dense, b), atol=1e-9)
+
+
+def _laplacian_2d(grid):
+    T = sp.diags([np.ones(grid - 1), -2.0 * np.ones(grid), np.ones(grid - 1)],
+                 [-1, 0, 1])
+    I = sp.identity(grid)
+    return (sp.kron(I, T) + sp.kron(T, I)).tocsr()
+
+
+@pytest.mark.parametrize("case, order", [
+    ("laplacian", "MMD_AT_PLUS_A"),
+    ("nonsymmetric", "COLAMD"),
+])
+def test_sparse_ordering_follows_pattern_symmetry(monkeypatch, case, order):
+    # a structurally symmetric A* - mu E* is ordered by minimum degree on
+    # A* + A (less fill on stencil operators), any other pattern by COLAMD
+    if case == "laplacian":
+        A = _laplacian_2d(24)
+    else:
+        A = stable_sparse(600, 5, density=0.01)
+    seen = []
+
+    def spy(M, **kwargs):
+        seen.append(kwargs.get("permc_spec") or "COLAMD")  # splu's default
+        return spla.splu(M, **kwargs)
+
+    monkeypatch.setattr(shifted_mod, "spla", SimpleNamespace(splu=spy))
+    f = rc.factorize(A, mu=3.0)
+    assert A.shape[0] >= 500 and seen == [order]
+    rhs = np.random.default_rng(4).standard_normal((A.shape[0], 2))
+    dense = A.toarray().T - 3.0 * np.eye(A.shape[0])
+    np.testing.assert_allclose(rc.solve_factored(f, rhs),
+                               np.linalg.solve(dense, rhs), atol=1e-9)
 
 
 def test_smw_rank_zero_update():

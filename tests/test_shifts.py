@@ -1,9 +1,13 @@
 """Tests for shift sources: precomputed replay and the adaptive strategy."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import ricadi as rc
+import ricadi.shifts as shifts_mod
 from conftest import random_problem, scalar_problem
 from ricadi.errors import ShiftsExhaustedError, ShiftStrategyError
 from ricadi.shifts import projected_hamiltonian
@@ -166,8 +170,6 @@ def test_hamiltonian_window_limits_basis():
 
 
 def test_shift_strategy_error_when_nothing_admissible(monkeypatch):
-    import ricadi.shifts as shifts_mod
-
     prob = scalar_problem()
     state = rc.init_state(prob)
     monkeypatch.setattr(
@@ -176,3 +178,34 @@ def test_shift_strategy_error_when_nothing_admissible(monkeypatch):
     # both candidate shifts -lambda have negative real part
     with pytest.raises(ShiftStrategyError):
         rc.residual_hamiltonian_shift(state, prob, l=6)
+
+
+def test_hamiltonian_source_factors_e_once_per_e(monkeypatch):
+    factored = []
+
+    def spy(M, *args, **kwargs):
+        factored.append(M.shape)
+        return spla.splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(shifts_mod, "spla", SimpleNamespace(splu=spy))
+    prob = random_problem(60, n=40, m=2, p=2, generalized=True)
+    src = rc.HamiltonianShifts()
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-9, max_iter=60), src)
+    assert res.converged and len(res.records) > 5
+    assert len(factored) == 1
+    # the factor is kept for the E object last seen: another E is factored
+    other = random_problem(61, n=40, m=2, p=2, generalized=True)
+    rc.solve(other, rc.SolverOptions(tol=1e-9, max_iter=60), src)
+    assert len(factored) == 2
+
+
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+def test_real_e_factor_solves_complex_block(storage):
+    # complex data with a real mass matrix sends complex blocks to E's factor
+    prob = random_problem(44, n=30, generalized=True)
+    E = prob.E if storage == "sparse" else prob.E.toarray()
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
+    got = shifts_mod.factor_e(E)(rhs)
+    np.testing.assert_allclose(got, np.linalg.solve(prob.E.toarray(), rhs),
+                               atol=1e-12)

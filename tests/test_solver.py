@@ -5,14 +5,21 @@ import pytest
 import scipy.sparse as sp
 
 import ricadi as rc
+import ricadi.brad as brad
+import ricadi.solver as solver_mod
 from conftest import (
     RecordingShifts,
+    assert_invariants,
+    dense_defect,
     dense_x,
+    fem1d_pair,
+    matfree_defect,
     one_shift_per_step,
     random_problem,
     rel2,
     scalar_problem,
 )
+from ricadi.errors import ExpansionDegenerateError
 
 
 def test_options_validation():
@@ -217,3 +224,113 @@ def test_generalized_problem_converges():
     assert res.converged
     ref = rc.dense_care(prob)
     assert rel2(dense_x(res), ref.X) <= 1e-6
+
+
+# The three complex-data problems with a mass matrix of the benchmark's
+# small-batch workload (same operators, n = 300): a complex block used to
+# reach the real factor of E in shift selection and raise TypeError.
+@pytest.mark.parametrize("index, mode, m, p", [
+    (54, "r2adi", 1, 1), (55, "radi", 2, 2), (56, "hybrid", 0, 1),
+])
+def test_complex_data_with_real_e_converges(index, mode, m, p):
+    prob = random_problem(1000 + 101 * index, n=300, m=m, p=p,
+                          generalized=True, complex_data=True)
+    res = rc.solve(prob, rc.SolverOptions(mode=mode, tol=1e-9),
+                   rc.HamiltonianShifts())
+    assert res.converged and res.rel_residual < 1e-9
+    assert dense_defect(prob, res) <= 1e-9
+
+
+def test_hybrid_records_show_the_switch():
+    prob = random_problem(63, n=60, m=1, p=1)
+    switch = max(prob.p, min(prob.n // 20, 100))
+    res = rc.solve(prob, rc.SolverOptions(mode="hybrid", tol=1e-12),
+                   rc.HamiltonianShifts())
+    q_before = [0] + [r.subspace_dim for r in res.records[:-1]]
+    assert [r.closed_loop for r in res.records] == [q >= switch for q in q_before]
+    assert not res.records[0].closed_loop and res.records[-1].closed_loop
+    assert not any(r.redone for r in res.records)
+    for mode, closed in (("r2adi", False), ("radi", True)):
+        res = rc.solve(prob, rc.SolverOptions(mode=mode, tol=1e-9),
+                       rc.HamiltonianShifts())
+        assert all(r.closed_loop == closed for r in res.records)
+
+
+def test_every_open_loop_step_redone_matches_radi(monkeypatch):
+    # with no cancellation allowed, every r2adi step is redone by the
+    # closed-loop body: the iterates are those of a radi solve
+    prob = random_problem(64, n=40, m=2, p=2)
+    shifts = [1.0, 2 + 1j, 2 - 1j, 4.0, 0.5, 8.0]
+    radi = rc.solve(prob, rc.SolverOptions(mode="radi", tol=1e-280,
+                                           max_iter=5), shifts)
+    monkeypatch.setattr(solver_mod, "MAX_GRAM_CANCELLATION", -1.0)
+    res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=1e-280,
+                                          max_iter=5), shifts)
+    assert all(r.redone and r.closed_loop for r in res.records)
+    np.testing.assert_array_equal(res.Z, radi.Z)
+    np.testing.assert_array_equal(res.R, radi.R)
+
+
+def test_degenerate_open_loop_step_is_redone_and_hybrid_stays_closed(monkeypatch):
+    prob = random_problem(65, n=200, m=1, p=1)  # hybrid switch at q = 10
+    absorb_r2adi = brad.absorb_r2adi
+
+    def failing_third(state, problem, block):
+        if state.q == 2:
+            raise ExpansionDegenerateError("injected")
+        return absorb_r2adi(state, problem, block)
+
+    monkeypatch.setattr(brad, "absorb_r2adi", failing_third)
+    res = rc.solve(prob, rc.SolverOptions(mode="hybrid", tol=1e-280,
+                                          max_iter=6),
+                   [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert [r.redone for r in res.records] == [False, False, True] + [False] * 3
+    assert [r.closed_loop for r in res.records] == [False, False] + [True] * 4
+    assert_invariants(res.state, prob)
+
+
+def test_broken_lyapunov_identity_is_not_reported_converged():
+    prob = random_problem(66, n=30, m=1, p=1)
+
+    def corrupt(state, record):
+        if record.rel_residual < 1e-9:  # the last step
+            state.Hminus = state.Hminus + 1e-6 * np.eye(state.q)
+
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-9), rc.HamiltonianShifts(),
+                   callback=corrupt)
+    assert res.rel_residual < 1e-9
+    assert not res.converged
+    assert "Lyapunov identity" in res.message
+
+
+def _fem1d_problem(n, p, rng):
+    A, E = fem1d_pair(n)
+    return rc.ProblemSpec(A=A, B=rng.standard_normal((n, 1)),
+                          C=rng.standard_normal((p, n)), E=E)
+
+
+def test_open_loop_cancellation_is_redone_small():
+    # One open-loop step of this solve forms its Gram Y22 - Y12* Y12 with
+    # ||Y12* Y12|| / lambda_min = 3.9e8; absorbed as it is, it leaves the
+    # converged factor with a defect of 5.6e-10 instead of ~1e-13.
+    prob = _fem1d_problem(499, 6, np.random.default_rng(340))
+    res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=1e-9),
+                   rc.HamiltonianShifts())
+    assert res.converged
+    assert dense_defect(prob, res) <= 1e-11
+    assert any(r.redone for r in res.records)
+
+
+def test_open_loop_cancellation_is_redone_fem1d_3000():
+    # The input of instance 5 of the benchmark's fem1d-mass-hybrid workload
+    # at seed 215. Step 9 (q = 48, mu = 128.5) loses 13 digits to the
+    # open-loop Gram's cancellation: without the redo the solve reports
+    # convergence with a residual defect of 5.8e-6.
+    prob = _fem1d_problem(3000, 6, np.random.default_rng([215, 1, 5]))
+    res = rc.solve(prob, rc.SolverOptions(mode="hybrid", tol=1e-9),
+                   rc.HamiltonianShifts())
+    assert res.converged
+    assert matfree_defect(prob, res.Z, res.R) <= 1e-11
+    first = next(r.iter for r in res.records if r.redone)
+    # hybrid stays closed-loop from the first redone step on
+    assert all(r.closed_loop for r in res.records[first - 1:])
