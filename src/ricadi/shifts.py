@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ShiftsExhaustedError, ShiftStrategyError
+from .kernels import singular_pivots
 from .shifted import solve_by_parts
 
 _SCORE_CLAMP = 1e12
@@ -89,17 +90,25 @@ class HamiltonianShifts:
 def factor_e(E):
     """Return RHS -> E^{-1} RHS, with E factored once (SuperLU or dense LU).
 
-    Drop the result on the thread that called this: a SuperLU factor
-    dropped on another thread leaves its memory unreusable.
+    Raises ShiftStrategyError when E is singular. Drop the result on the
+    thread that called this: a SuperLU factor dropped on another thread
+    leaves its memory unreusable.
     """
     if sp.issparse(E):
-        solve = spla.splu(E.tocsc()).solve
+        try:
+            fac = spla.splu(E.tocsc())
+        except RuntimeError as exc:
+            raise ShiftStrategyError(f"mass matrix E is singular: {exc}") from exc
+        pivots, solve = fac.U.diagonal(), fac.solve
     else:
         lu_piv = sla.lu_factor(E)
+        pivots = np.diag(lu_piv[0])
 
         def solve(RHS):
             return sla.lu_solve(lu_piv, RHS)
 
+    if singular_pivots(pivots):
+        raise ShiftStrategyError("mass matrix E is singular")
     if np.iscomplexobj(E):
         return solve
     return lambda RHS: solve_by_parts(solve, RHS)

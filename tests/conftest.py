@@ -1,11 +1,16 @@
 """Shared problem generators and check helpers for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
 
 import ricadi as rc
 
 INVARIANT_TOL = 1e-10
+
+# the benchmark's directory; its tracer and residual checks are imported from here
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 ACCEPTANCE_LINES = []
 
@@ -69,31 +74,6 @@ def dense_defect(problem, result):
     residual, _ = rc.dense_residual(problem, dense_x(result))
     cc = np.linalg.norm(problem.C.conj().T @ problem.C, 2)
     return np.linalg.norm(residual - result.R @ result.R.conj().T, 2) / cc
-
-
-def matfree_defect(problem, Z, R, iterations=3):
-    """||R(ZZ*) - RR*||_2 / ||C*C||_2 estimated by block power iteration.
-
-    Applies A, E, B, C, Z and R to a random block and never forms an n-by-n
-    matrix, so it checks a solve at any n.
-    """
-    A, B, C, E = problem.A, problem.B, problem.C, problem.E
-    emul = (lambda V: V) if E is None else (lambda V: E @ V)
-    ehmul = (lambda V: V) if E is None else (lambda V: E.conj().T @ V)
-    ZB = Z.conj().T @ B
-
-    def apply(V):
-        ZEV = Z.conj().T @ emul(V)
-        out = A.conj().T @ (Z @ ZEV) + ehmul(Z @ (Z.conj().T @ (A @ V)))
-        out = out + C.conj().T @ (C @ V) - ehmul(Z @ (ZB @ (ZB.conj().T @ ZEV)))
-        return out - R @ (R.conj().T @ V)
-
-    V = np.random.default_rng(0).standard_normal((problem.n, 4))
-    estimate = 0.0
-    for _ in range(iterations):
-        V = apply(V / np.linalg.norm(V, axis=0))
-        estimate = float(np.max(np.linalg.norm(V, axis=0)))
-    return estimate / np.linalg.norm(C @ C.conj().T, 2)
 
 
 def dense_x(result_or_state):

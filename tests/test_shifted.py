@@ -102,17 +102,10 @@ def _laplacian_2d(grid):
     return (sp.kron(I, T) + sp.kron(T, I)).tocsr()
 
 
-@pytest.mark.parametrize("case, order", [
-    ("laplacian", "MMD_AT_PLUS_A"),
-    ("nonsymmetric", "COLAMD"),
-])
-def test_sparse_ordering_follows_pattern_symmetry(monkeypatch, case, order):
-    # a structurally symmetric A* - mu E* is ordered by minimum degree on
-    # A* + A (less fill on stencil operators), any other pattern by COLAMD
-    if case == "laplacian":
-        A = _laplacian_2d(24)
-    else:
-        A = stable_sparse(600, 5, density=0.01)
+def test_sparse_ordering_is_minimum_degree_on_a_plus_at(monkeypatch):
+    # SuperLU orders A* - mu E* by minimum degree on its symmetrized pattern
+    # (less fill than its COLAMD default on stencil operators)
+    A = _laplacian_2d(24)
     seen = []
 
     def spy(M, **kwargs):
@@ -121,7 +114,7 @@ def test_sparse_ordering_follows_pattern_symmetry(monkeypatch, case, order):
 
     monkeypatch.setattr(shifted_mod, "spla", SimpleNamespace(splu=spy))
     f = rc.factorize(A, mu=3.0)
-    assert A.shape[0] >= 500 and seen == [order]
+    assert A.shape[0] >= 500 and seen == ["MMD_AT_PLUS_A"]
     rhs = np.random.default_rng(4).standard_normal((A.shape[0], 2))
     dense = A.toarray().T - 3.0 * np.eye(A.shape[0])
     np.testing.assert_allclose(rc.solve_factored(f, rhs),

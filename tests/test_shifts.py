@@ -209,3 +209,15 @@ def test_real_e_factor_solves_complex_block(storage):
     got = shifts_mod.factor_e(E)(rhs)
     np.testing.assert_allclose(got, np.linalg.solve(prob.E.toarray(), rhs),
                                atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+def test_singular_e_factor_raises(storage):
+    # a singular E is reported by name when it is factored, not later as
+    # non-finite entries in the projected Hamiltonian
+    E = random_problem(44, n=30, generalized=True).E.tolil()
+    E[3, :] = 0.0
+    E = E.tocsr() if storage == "sparse" else E.toarray()
+    with pytest.raises(ShiftStrategyError, match="mass matrix E is singular"):
+        shifts_mod.factor_e(E)

@@ -4,12 +4,8 @@ perfbench/ looks up ricadi's layer functions by module attribute; a rename
 would turn its per-layer metrics into nulls without failing a run.
 """
 
-from pathlib import Path
-
 import ricadi as rc
-from conftest import random_problem
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH, random_problem
 
 
 def test_trace_hooks_resolve(monkeypatch):
