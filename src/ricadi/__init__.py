@@ -1,8 +1,9 @@
 """Low-rank ADI solvers for large-scale algebraic Riccati equations.
 
 Computes factored approximations X = Z Z* with an exactly maintained
-rank-p residual factor, via rational-Krylov ADI iterations with simple,
-parallel and realified subspace expansions.
+rank-p residual factor, via rational-Krylov ADI iterations that expand the
+subspace by a batch of shifts per step, realifying conjugate pairs on real
+data.
 """
 
 from .brad import (
@@ -26,7 +27,6 @@ from .oracle import (
     closed_loop_pole_check,
     dense_care,
     dense_residual,
-    rational_residual_factor,
 )
 from .problems import (
     ProblemSpec,
@@ -36,7 +36,7 @@ from .problems import (
     write_convergence_log,
 )
 from .shifted import factorize, smw_solve, solve_factored
-from .shifts import HamiltonianShifts, PrecomputedShifts, residual_hamiltonian_shift
+from .shifts import HamiltonianShifts, PrecomputedShifts
 from .solver import ConvergenceRecord, SolveResult, SolverOptions, relative_residual, solve
 
 __all__ = [
@@ -61,11 +61,9 @@ __all__ = [
     "factorize",
     "init_state",
     "load_problem",
-    "rational_residual_factor",
     "read_matrix_market",
     "read_shift_file",
     "relative_residual",
-    "residual_hamiltonian_shift",
     "smw_solve",
     "solve",
     "solve_factored",

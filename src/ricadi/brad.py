@@ -2,8 +2,9 @@
 
 The state is kept in the normalized form where the small Lyapunov equation
 associated with the decomposition is solved by the identity, so the current
-approximate solution is simply X = Z Z*. Expansion adds new poles (simple,
-parallel or realified); absorption restores the normalization.
+approximate solution is simply X = Z Z*. Expansion adds a batch of new poles
+(expand_parallel; on a real state a conjugate pair is realified so the state
+stays real); absorption restores the normalization.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -57,13 +58,16 @@ class BradState:
 
 @dataclass
 class ExpansionBlock:
-    """One expansion step before absorption: basis block and bookkeeping."""
+    """One expansion step before absorption: basis block and bookkeeping.
+
+    The block's coupling to the old basis is h* U1; each absorption body
+    forms it from the state it absorbs into.
+    """
 
     Ztil: np.ndarray
     U1: np.ndarray
-    U2: np.ndarray
     D: np.ndarray
-    kind: str  # 'simple' | 'parallel' | 'realified'
+    kind: str  # 'simple' | 'parallel' | 'realified' (a pair shares a solve)
     poles: list
     closed_loop: bool
 
@@ -106,64 +110,67 @@ def expand_simple(state, problem, mu, closed_loop=False):
 def expand_parallel(state, problem, shifts, closed_loop=False):
     """Expand by l >= 1 pairwise distinct shifts.
 
-    One system solve with the residual factor per shift; for l > 1 the
-    solves run concurrently, one thread per shift.
+    One system solve with the residual factor per shift, except on a real
+    state (real R): there a complex shift whose conjugate is also in the
+    batch is realified. One complex solve W, at the member with Im > 0,
+    gives both poles; Re W and Im W are interleaved per column, so the new
+    diagonal block of the small matrix has 2-by-2 rotation-like blocks and
+    the pair adds only real columns. Several solves run concurrently, one
+    thread each.
     """
     shifts = [admissible_shift(mu) for mu in shifts]
+    if not shifts:
+        raise ValueError("an expansion batch needs at least one shift")
     for i, a in enumerate(shifts):
         if a in shifts[i + 1:]:
             raise ValueError(f"parallel shifts must be pairwise distinct: {a}")
-    p, l = state.p, len(shifts)
-    if l == 1:
-        Ztil = _expansion_solve(state, problem, shifts[0], closed_loop)
+    realify = np.isrealobj(state.R)
+    paired = {mu for mu in shifts
+              if realify and mu.imag != 0 and mu.conjugate() in shifts}
+    solves = [mu for mu in shifts if not (mu in paired and mu.imag < 0)]
+    if len(solves) == 1:
+        results = [_expansion_solve(state, problem, solves[0], closed_loop)]
     else:
         # Each factor is made and dropped inside its worker. A SuperLU factor
         # dropped on another thread than the one that made it leaves its
         # memory unreusable (RSS grows by the factor's size every time), so
         # no factor may be handed out of these threads or into them.
-        with ThreadPoolExecutor(max_workers=l) as pool:
-            Ztil = np.hstack(list(pool.map(
+        with ThreadPoolExecutor(max_workers=len(solves)) as pool:
+            results = list(pool.map(
                 lambda mu: _expansion_solve(state, problem, mu, closed_loop),
-                shifts)))
-    poles = [mu for mu in shifts for _ in range(p)]
-    real = not np.iscomplexobj(Ztil) and all(mu.imag == 0 for mu in shifts)
-    dtype = np.float64 if real else np.complex128
-    # U1, U2 and D are built in C order: their layout sets the BLAS rounding
-    # of the absorption products, hence the iterates.
+                solves))
+    Zs, U1s, Ds, poles = zip(*(_block_part(mu, W, state.p, mu in paired)
+                               for mu, W in zip(solves, results)))
+    Ztil = Zs[0] if len(Zs) == 1 else np.hstack(Zs)
+    dtype = np.result_type(Ztil, *Ds)
+    # U1 and D are built in C order: their layout sets the BLAS rounding of
+    # the absorption products, hence the iterates.
     return ExpansionBlock(
         Ztil=Ztil,
-        U1=np.tile(np.eye(p, dtype=dtype), l),
-        U2=np.tile(state.h.conj().T, l).astype(dtype, order="C"),
-        D=np.diag(np.array(poles).real if real else np.array(poles)),
-        kind="simple" if l == 1 else "parallel",
-        poles=poles,
+        U1=np.hstack(U1s).astype(dtype),
+        D=sla.block_diag(*Ds).astype(dtype),
+        kind=("realified" if paired
+              else "simple" if len(shifts) == 1 else "parallel"),
+        poles=[mu for part in poles for mu in part],
         closed_loop=closed_loop,
     )
 
 
-def expand_realified(state, problem, mu, closed_loop=False):
-    """Expand a real state by the conjugate pair (mu, conj(mu)).
-
-    A single complex solve supplies the pair; the real and imaginary parts
-    are interleaved per column so the new diagonal block of the small matrix
-    is block diagonal with 2-by-2 rotation-like blocks. All outputs real.
-    """
-    mu = admissible_shift(mu)
-    if mu.imag == 0:
-        raise ValueError("realified expansion requires a genuinely complex shift")
-    if not problem.is_real or np.iscomplexobj(state.Z) or np.iscomplexobj(state.R):
-        raise ValueError("realification requires real data")
-    p = state.p
-    W = _expansion_solve(state, problem, mu, closed_loop)
-    Ztil = np.empty((state.n, 2 * p), dtype=np.float64)
-    Ztil[:, 0::2] = W.real
-    Ztil[:, 1::2] = W.imag
+def _block_part(mu, W, p, realified):
+    """Columns, U1, D and poles that the solve W at mu adds to the block."""
+    if not realified:
+        return W, np.eye(p), np.diag([mu if mu.imag else mu.real] * p), [mu] * p
+    Z = np.empty((W.shape[0], 2 * p))
+    Z[:, 0::2], Z[:, 1::2] = W.real, W.imag
     U1 = np.zeros((p, 2 * p))
     U1[:, 0::2] = np.eye(p)
     D = np.kron(np.eye(p), np.array([[mu.real, mu.imag], [-mu.imag, mu.real]]))
-    return ExpansionBlock(Ztil=Ztil, U1=U1, U2=state.h.conj().T @ U1, D=D,
-                          kind="realified", poles=[mu, mu.conjugate()] * p,
-                          closed_loop=closed_loop)
+    return Z, U1, D, [mu, mu.conjugate()] * p
+
+
+def expand_realified(state, problem, mu, closed_loop=False):
+    """Expand by the conjugate pair (mu, conj(mu)); realified on a real state."""
+    return expand_parallel(state, problem, [mu, np.conj(mu)], closed_loop)
 
 
 def _right_divide_upper(X, G):
@@ -217,7 +224,8 @@ def _absorb(state, problem, block, gram, Zt, U1t, U2t, cancellation=0.0):
 
 def absorb_r2adi(state, problem, block):
     """Absorb an open-loop expansion block (Riccati RAD iteration body)."""
-    Ztil, U1, U2, D = block.Ztil, block.U1, block.U2, block.D
+    Ztil, U1, D = block.Ztil, block.U1, block.D
+    U2 = state.h.conj().T @ U1
     BtZt = problem.B.conj().T @ Ztil
     Y12 = solve_sylvester_small(state.Hminus.conj().T, D,
                                 state.SB.conj().T @ BtZt)
@@ -243,7 +251,8 @@ def absorb_radi(state, problem, block):
     """Absorb a closed-loop expansion block (Lyapunov RADI iteration body)."""
     if not block.closed_loop and state.m > 0 and np.any(state.K):
         raise ValueError("absorb_radi requires a closed-loop expansion block")
-    Ztil, U1, U2, D = block.Ztil, block.U1, block.U2, block.D
+    Ztil, U1, D = block.Ztil, block.U1, block.D
+    U2 = state.h.conj().T @ U1
     BtZt = problem.B.conj().T @ Ztil
     Y22 = solve_lyapunov_small(D, BtZt.conj().T @ BtZt + U1.conj().T @ U1)
     return _absorb(state, problem, block, Y22, Ztil, U1,

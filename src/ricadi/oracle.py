@@ -92,43 +92,6 @@ def dense_residual(problem, X):
     return res, float(np.linalg.norm(res, 2))
 
 
-def projected_system_zeros(state):
-    """Zeros of the rational residual factor read off the normalized state."""
-    return np.linalg.eigvals(state.Hminus - state.h.conj().T @ state.h)
-
-
-def rational_residual_factor(problem, poles, zeros):
-    """Evaluate prod_i (A* - zero_i I)(A* - pole_i I)^{-1} C* for p = 1."""
-    if problem.p != 1:
-        raise ValueError("rational residual factor requires p = 1")
-    n = problem.n
-    if n > DENSE_ORACLE_MAX_N:
-        raise ValueError(f"dense evaluation limited to n <= {DENSE_ORACLE_MAX_N}")
-    poles = list(np.asarray(poles, dtype=complex).ravel())
-    zeros = list(np.asarray(zeros, dtype=complex).ravel())
-    if len(poles) != len(zeros):
-        raise ValueError("poles and zeros must have equal length")
-    At = _dense(problem.A).conj().T.astype(complex)
-    if problem.E is not None:
-        # evaluate in the E-transformed variables: (A E^{-1})^* acting on E^{-*} C^*
-        Einv = np.linalg.inv(_dense(problem.E))
-        At = Einv.conj().T @ At
-        out = Einv.conj().T @ problem.C.conj().T.astype(complex)
-    else:
-        out = problem.C.conj().T.astype(complex)
-    I = np.eye(n)
-    eigs = np.linalg.eigvals(At)
-    for s, lam in zip(reversed(poles), reversed(zeros)):
-        M = At - s * I
-        if np.min(np.abs(eigs - s)) <= 1e-12 * max(np.max(np.abs(eigs)), 1.0):
-            raise ValueError(f"pole {s} hits the spectrum of A*")
-        out = np.linalg.solve(M, out)
-        out = At @ out - lam * out
-    if problem.E is not None:
-        out = _dense(problem.E).conj().T @ out
-    return out
-
-
 def closed_loop_pole_check(state, problem):
     """Max defect of the two pole identities of the normalized state.
 

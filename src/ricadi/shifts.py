@@ -143,17 +143,13 @@ def projected_hamiltonian(state, problem, l, solve_e=None):
     return np.vstack([top, bot])
 
 
-def residual_hamiltonian_shift(state, problem, l):
-    """Pick the next shift from the projected residual Hamiltonian spectrum.
+def _best_shift(H):
+    """Pick the next shift from the spectrum of a projected Hamiltonian H.
 
     Among eigenvalues lambda with Re(-lambda) > 0 the one maximizing
     ||q (q* r)^{-1} q*|| for the eigenvector split [r; q] wins; scores are
     clamped, ties broken by larger |Im| then lexicographically.
     """
-    return _best_shift(projected_hamiltonian(state, problem, l))
-
-
-def _best_shift(H):
     u = H.shape[0] // 2
     w, V = np.linalg.eig(H)
     candidates = []

@@ -80,22 +80,12 @@ def relative_residual(state, problem, norm_cc=None):
     return spectral_norm_gram(state.R) / norm_cc
 
 
-def _expand(state, problem, batch, closed_loop):
-    """Realify a batch that is one conjugate pair on a real state; expand
-    any other batch in parallel."""
-    if (len(batch) == 2 and batch[0].imag != 0
-            and batch[1] == batch[0].conjugate() and np.isrealobj(state.Z)):
-        mu = max(batch, key=lambda s: s.imag)
-        return brad.expand_realified(state, problem, mu, closed_loop)
-    return brad.expand_parallel(state, problem, batch, closed_loop)
-
-
 def solve(problem, options=None, shifts=None, callback=None):
     """Run the Riccati ADI iteration until the residual drops below tol.
 
     shifts is a shift source (PrecomputedShifts / HamiltonianShifts) or a
-    plain list of shifts. On a real state a batch that is one conjugate pair
-    is realified, every other batch expanded in parallel. Hybrid mode
+    plain list of shifts. Each batch is one brad.expand_parallel step, which
+    on a real state realifies every conjugate pair in the batch. Hybrid mode
     switches from the open-loop to the closed-loop body once
     q >= max(p, min(n // 20, 100)). An open-loop step whose Gram is not
     positive definite or amplifies roundoff by more than
@@ -133,7 +123,7 @@ def solve(problem, options=None, shifts=None, callback=None):
         else:
             closed_loop = stay_closed or state.q >= hybrid_switch
 
-        block = _expand(state, problem, batch, closed_loop)
+        block = brad.expand_parallel(state, problem, batch, closed_loop)
         t1 = time.perf_counter()
         redone = False
         if closed_loop:
@@ -146,7 +136,7 @@ def solve(problem, options=None, shifts=None, callback=None):
                 redone = True
             if redone:
                 closed_loop = stay_closed = True
-                block = _expand(state, problem, batch, closed_loop)
+                block = brad.expand_parallel(state, problem, batch, closed_loop)
                 new = brad.absorb_radi(state, problem, block)
         state = new
         t2 = time.perf_counter()

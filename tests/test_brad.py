@@ -6,8 +6,8 @@ import scipy.sparse as sp
 
 import ricadi as rc
 import ricadi.brad as brad
-from conftest import assert_invariants, dense_x, random_problem, rel2, \
-    scalar_problem
+from conftest import assert_invariants, dense_x, one_shift_per_step, \
+    random_problem, rel2, scalar_problem
 from ricadi.errors import ExpansionDegenerateError
 
 
@@ -48,7 +48,6 @@ def test_expand_simple_scalar():
     block = rc.expand_simple(rc.init_state(prob), prob, 1.0)
     np.testing.assert_allclose(block.Ztil, [[-0.5]])
     np.testing.assert_array_equal(block.U1, [[1.0]])
-    assert block.U2.shape == (0, 1)
     np.testing.assert_array_equal(block.D, [[1.0]])
     assert block.poles == [1 + 0j]
 
@@ -116,15 +115,15 @@ def test_expand_parallel_matches_serial_solves():
 
 
 def test_expansion_blocks_are_c_ordered():
-    # h* is a transposed view; a Fortran-ordered U2 changes the rounding of
-    # the absorption products and with it the iterates
+    # the layout of U1 and D sets the rounding of the absorption products
+    # and with it the iterates
     prob = random_problem(33, n=20, m=2, p=2)
     state = rc.init_state(prob)
     state = rc.absorb_r2adi(state, prob, rc.expand_simple(state, prob, 1.0))
     for block in (rc.expand_simple(state, prob, 2.0),
                   rc.expand_parallel(state, prob, [2.0, 3.0]),
                   rc.expand_simple(state, prob, 2.0 + 1.0j)):
-        for name in ("U1", "U2", "D"):
+        for name in ("U1", "D"):
             assert getattr(block, name).flags["C_CONTIGUOUS"], name
 
 
@@ -145,15 +144,21 @@ def test_expand_realified_mapping(monkeypatch):
 
 
 def test_expand_realified_requires_complex_shift():
+    # a real shift is its own conjugate: the pair is one shift twice
     prob = scalar_problem()
-    with pytest.raises(ValueError, match="complex shift"):
+    with pytest.raises(ValueError, match="pairwise distinct"):
         rc.expand_realified(rc.init_state(prob), prob, 1.0)
 
 
-def test_expand_realified_requires_real_data():
+def test_expand_realified_on_complex_data_expands_in_parallel():
     prob = random_problem(33, n=6, m=1, p=1, complex_data=True)
-    with pytest.raises(ValueError, match="real data"):
-        rc.expand_realified(rc.init_state(prob), prob, 1 + 1j)
+    state = rc.init_state(prob)
+    block = rc.expand_realified(state, prob, 1 + 1j)
+    ref = rc.expand_parallel(state, prob, [1 + 1j, 1 - 1j])
+    assert block.kind == ref.kind == "parallel"
+    assert block.poles == ref.poles == [1 + 1j, 1 - 1j]
+    for name in ("Ztil", "U1", "D"):
+        np.testing.assert_array_equal(getattr(block, name), getattr(ref, name))
 
 
 def test_expand_realified_equals_complex_pair():
@@ -162,9 +167,8 @@ def test_expand_realified_equals_complex_pair():
     state = rc.init_state(prob)
     real_state = rc.absorb_r2adi(
         state, prob, rc.expand_realified(state, prob, mu))
-    cplx_state = rc.absorb_r2adi(
-        state, prob, rc.expand_parallel(state, prob, [mu, mu.conjugate()]))
-    assert not np.iscomplexobj(real_state.Z)
+    cplx_state = one_shift_per_step(prob, [mu, mu.conjugate()])
+    assert not np.iscomplexobj(real_state.Z) and np.iscomplexobj(cplx_state.Z)
     assert rel2(dense_x(real_state), dense_x(cplx_state)) <= 1e-10
     assert rel2(real_state.R @ real_state.R.conj().T,
                 cplx_state.R @ cplx_state.R.conj().T) <= 1e-10
@@ -221,9 +225,8 @@ def test_absorb_degenerate_block():
     prob = scalar_problem()
     state = rc.init_state(prob)
     block = rc.ExpansionBlock(
-        Ztil=np.zeros((1, 1)), U1=np.zeros((1, 1)), U2=np.zeros((0, 1)),
-        D=np.array([[1.0]]), kind="simple", poles=[1 + 0j],
-        closed_loop=False)
+        Ztil=np.zeros((1, 1)), U1=np.zeros((1, 1)), D=np.array([[1.0]]),
+        kind="simple", poles=[1 + 0j], closed_loop=False)
     with pytest.raises(ExpansionDegenerateError):
         rc.absorb_r2adi(state, prob, block)
 

@@ -5,8 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 import ricadi as rc
-from conftest import random_problem, scalar_problem
-from ricadi.oracle import projected_system_zeros
+from conftest import (
+    projected_system_zeros,
+    random_problem,
+    rational_residual_factor,
+    scalar_problem,
+)
 
 
 def test_dense_care_scalar():
@@ -70,7 +74,7 @@ def test_dense_residual_matches_rank_p_factor():
 def test_rational_factor_telescoping():
     prob = random_problem(73, n=15, m=1, p=1)
     poles = [1.0, 2.0 + 1.0j]
-    out = rc.rational_residual_factor(prob, poles, poles)
+    out = rational_residual_factor(prob, poles, poles)
     np.testing.assert_allclose(out, prob.C.conj().T, atol=1e-12)
 
 
@@ -79,7 +83,7 @@ def test_rational_factor_diagonal_entrywise():
     C = np.array([[1.0, 2.0]])
     prob = rc.ProblemSpec(A=A, B=np.ones((2, 1)), C=C)
     lam = -0.3
-    out = rc.rational_residual_factor(prob, [1.0], [lam])
+    out = rational_residual_factor(prob, [1.0], [lam])
     diag = np.array([-1.0, -2.0])
     want = ((diag - lam) / (diag - 1.0)) * C[0]
     np.testing.assert_allclose(out[:, 0], want, atol=1e-14)
@@ -88,20 +92,20 @@ def test_rational_factor_diagonal_entrywise():
 def test_rational_factor_requires_p1():
     prob = random_problem(74, n=10, m=1, p=2)
     with pytest.raises(ValueError, match="p = 1"):
-        rc.rational_residual_factor(prob, [1.0], [1.0])
+        rational_residual_factor(prob, [1.0], [1.0])
 
 
 def test_rational_factor_length_mismatch():
     prob = random_problem(75, n=10, m=1, p=1)
     with pytest.raises(ValueError, match="equal length"):
-        rc.rational_residual_factor(prob, [1.0, 2.0], [1.0])
+        rational_residual_factor(prob, [1.0, 2.0], [1.0])
 
 
 def test_rational_factor_pole_on_spectrum():
     A = sp.csr_matrix(np.diag([-1.0, -2.0]))
     prob = rc.ProblemSpec(A=A, B=np.ones((2, 1)), C=np.ones((1, 2)))
     with pytest.raises(ValueError, match="spectrum"):
-        rc.rational_residual_factor(prob, [-1.0 + 0j], [0.5])
+        rational_residual_factor(prob, [-1.0 + 0j], [0.5])
 
 
 def test_projected_zeros_and_pole_check_scalar():
@@ -138,6 +142,6 @@ def test_projected_zeros_rational_factor_consistency():
              callback=lambda s, r: states.append(s))
     for s in states:
         zeros = projected_system_zeros(s)
-        fac = rc.rational_residual_factor(prob, s.poles, zeros)
+        fac = rational_residual_factor(prob, s.poles, zeros)
         err = np.linalg.norm(s.R - fac.real) / np.linalg.norm(s.R)
         assert err <= 1e-8

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 import ricadi as rc
 import ricadi.brad as brad
+import ricadi.shifted as shifted_mod
 import ricadi.solver as solver_mod
 from conftest import (
     RecordingShifts,
@@ -201,20 +202,59 @@ class FixedBatches:
         return self.batches.pop(0)
 
 
+def spy_factorize(monkeypatch):
+    """Record the shift of every shifted factorization from now on."""
+    factored = []
+    factorize = shifted_mod.factorize
+
+    def spy(A, E=None, mu=0.0):
+        factored.append(complex(mu))
+        return factorize(A, E, mu)
+
+    monkeypatch.setattr(shifted_mod, "factorize", spy)
+    return factored
+
+
 @pytest.mark.parametrize("batches", [
     [[1.0, 2 + 1j, 2 - 1j]],
-    # the mixed batch makes the state complex, so the pair after it is
-    # expanded in parallel instead of being realified
+    # the mixed batch keeps the state real, so the pair after it is
+    # realified as well
     [[1.0, 2 + 1j, 2 - 1j], [3 + 0.5j, 3 - 0.5j]],
+    # two conjugate pairs in one batch
+    [[2 + 1j, 2 - 1j, 3 + 0.5j, 3 - 0.5j]],
 ])
-def test_real_data_batches_keep_every_shift(batches):
+def test_real_data_batches_keep_every_shift(monkeypatch, batches):
     prob = random_problem(62, n=30, m=1, p=1)
+    factored = spy_factorize(monkeypatch)
     res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=len(batches)),
                    FixedBatches(*batches))
     shifts = [mu for b in batches for mu in b]
     assert res.state.q == len(shifts)
+    for name in ("Z", "h", "Hminus", "SB", "R", "K"):
+        assert not np.iscomplexobj(getattr(res.state, name)), name
+    # one real solve per real shift, one complex solve per conjugate pair
+    pairs = sum(complex(mu).imag > 0 for mu in shifts)
+    assert len(factored) == len(shifts) - pairs
+    assert sum(mu.imag != 0 for mu in factored) == pairs
     ref = one_shift_per_step(prob, shifts)
     assert rel2(dense_x(res), dense_x(ref)) <= 1e-13
+
+
+def test_unpaired_complex_shift_makes_real_state_complex():
+    # the complex-storage reference one_shift_per_step relies on this
+    prob = random_problem(62, n=30, m=1, p=1)
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=2),
+                   FixedBatches([1.0, 2 + 1j], [2 - 1j]))
+    for name in ("Z", "h", "Hminus", "SB", "R", "K"):
+        assert np.iscomplexobj(getattr(res.state, name)), name
+    assert res.state.q == 3
+    ref = one_shift_per_step(prob, [1.0, 2 + 1j, 2 - 1j])
+    assert rel2(dense_x(res), dense_x(ref)) <= 1e-13
+
+
+def test_empty_batch_is_rejected():
+    with pytest.raises(ValueError, match="at least one shift"):
+        rc.solve(scalar_problem(), rc.SolverOptions(), FixedBatches([]))
 
 
 def test_generalized_problem_converges():
