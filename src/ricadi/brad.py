@@ -128,6 +128,9 @@ def expand_parallel(state, problem, shifts, closed_loop=False):
     paired = {mu for mu in shifts
               if realify and mu.imag != 0 and mu.conjugate() in shifts}
     solves = [mu for mu in shifts if not (mu in paired and mu.imag < 0)]
+    # Look up (or assemble) the pencil of A* - mu E* on this thread before any
+    # worker needs it, so its arrays are made and freed here, never in the pool.
+    shifted.pencil(problem.A, problem.E)
     if len(solves) == 1:
         results = [_expansion_solve(state, problem, solves[0], closed_loop)]
     else:

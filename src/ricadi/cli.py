@@ -69,14 +69,16 @@ def run(argv=None):
         return 1
 
     steps = len(result.records)
+    shift_s = sum(r.shift_s for r in result.records)
     exp_s = sum(r.expansion_s for r in result.records)
     abs_s = sum(r.absorb_s for r in result.records)
     print(f"steps          : {steps}")
     print(f"subspace dim   : {result.state.q}")
     print(f"rel. residual  : {result.rel_residual:.6e}")
-    print(f"shifts + expand: {exp_s:.3f} s")
+    print(f"shift selection: {shift_s:.3f} s")
+    print(f"expand         : {exp_s:.3f} s")
     print(f"absorption     : {abs_s:.3f} s")
-    print(f"total          : {exp_s + abs_s:.3f} s")
+    print(f"total          : {shift_s + exp_s + abs_s:.3f} s")
     if not result.converged:
         print(f"status         : {result.message}")
 

@@ -139,8 +139,9 @@ def write_shift_file(shifts, path):
             fh.write(f"{s.real:.17g} {s.imag:.17g}\n")
 
 
+# shift_s came last, so a log written before it has the first six columns.
 LOG_HEADER = ["iter", "subspace_dim", "rel_residual",
-              "expansion_s", "absorb_s", "total_s"]
+              "expansion_s", "absorb_s", "total_s", "shift_s"]
 
 
 def write_convergence_log(records, path):
@@ -156,6 +157,7 @@ def write_convergence_log(records, path):
                 f"{r.expansion_s:.17g}",
                 f"{r.absorb_s:.17g}",
                 f"{r.total_s:.17g}",
+                f"{r.shift_s:.17g}",
             ])
 
 
@@ -166,7 +168,7 @@ def read_convergence_log(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header != LOG_HEADER:
+        if header not in (LOG_HEADER, LOG_HEADER[:6]):
             raise ValueError(f"{path}: unexpected log header {header}")
         for row in reader:
             records.append(ConvergenceRecord(
@@ -176,6 +178,7 @@ def read_convergence_log(path):
                 expansion_s=float(row[3]),
                 absorb_s=float(row[4]),
                 total_s=float(row[5]),
+                shift_s=float(row[6]) if len(row) > 6 else 0.0,
             ))
     return records
 

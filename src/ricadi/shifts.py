@@ -29,8 +29,10 @@ class PrecomputedShifts:
 
     Batches stop early at a duplicate (parallel expansion needs pairwise
     distinct shifts). On a real problem a complex entry is emitted as a
-    conjugate pair in a batch of its own, positive imaginary part first; an
-    entry right after it that equals its conjugate is consumed with it.
+    conjugate pair, positive imaginary part first; an entry right after it
+    that equals its conjugate is consumed with it. A pair joins the batch
+    when both members fit; otherwise it starts the next batch, and a batch
+    of one holds a pair on its own.
     """
 
     def __init__(self, shifts):
@@ -43,19 +45,18 @@ class PrecomputedShifts:
         out = []
         while self.cursor < len(self.shifts) and len(out) < batch:
             s = self.shifts[self.cursor]
+            new = [s]
             if s.imag != 0 and problem.is_real:
-                if out:
-                    break  # a pair starts its own batch
-                self.cursor += 1
-                if (self.cursor < len(self.shifts)
-                        and self.shifts[self.cursor] == s.conjugate()):
-                    self.cursor += 1
-                s = s if s.imag > 0 else s.conjugate()
-                return [s, s.conjugate()]
-            if s in out:
+                new = [s, s.conjugate()] if s.imag > 0 else [s.conjugate(), s]
+                if out and len(out) + 2 > batch:
+                    break  # the pair does not fit; it starts the next batch
+            if any(t in out for t in new):
                 break
-            out.append(s)
+            out += new
             self.cursor += 1
+            if (len(new) == 2 and self.cursor < len(self.shifts)
+                    and self.shifts[self.cursor] == s.conjugate()):
+                self.cursor += 1
         return out
 
 
@@ -119,10 +120,10 @@ def projected_hamiltonian(state, problem, l, solve_e=None):
 
     The basis U is an orthonormal span of the last min(l, q) stored columns
     of Z (the first call, before any expansion, uses the columns of C*
-    instead). The closed-loop matrix acts through the cached low-rank
-    factors; with a mass matrix E present the action is evaluated in the
-    E-transformed variables without forming inv(E) explicitly. solve_e
-    applies inv(E) (factor_e(E) when omitted).
+    instead). The closed-loop matrix acts through the cached feedback K,
+    so only the window's columns of Z are read; with a mass matrix E present
+    the action is evaluated in the E-transformed variables without forming
+    inv(E) explicitly. solve_e applies inv(E) (factor_e(E) when omitted).
     """
     A, B, E = problem.A, problem.B, problem.E
     q = state.q
@@ -132,7 +133,8 @@ def projected_hamiltonian(state, problem, l, solve_e=None):
         base = state.Z[:, max(q - l, 0):]
     U, _ = np.linalg.qr(base)
     EU = U if E is None else (solve_e or factor_e(E))(U)
-    AtilU = A @ EU - B @ (state.SB @ (state.Z.conj().T @ U))
+    # B* Z Z* U is K* EU, since K* = B* Z Z* E: O(n m l), not O(n q l)
+    AtilU = A @ EU - B @ (state.K.conj().T @ EU)
     H11 = U.conj().T @ AtilU
     BtU = B.conj().T @ U
     H12 = BtU.conj().T @ BtU
@@ -152,29 +154,22 @@ def _best_shift(H):
     """
     u = H.shape[0] // 2
     w, V = np.linalg.eig(H)
-    candidates = []
-    for i in range(len(w)):
-        mu = -w[i]
-        if not mu.real > 0:
-            continue
-        v = V[:, i]
-        v = v / np.linalg.norm(v)
-        r, qv = v[:u], v[u:]
-        qn = np.linalg.norm(qv)
-        inner = np.vdot(qv, r)
-        if qn == 0:
-            score = 0.0
-        elif inner == 0:
-            score = _SCORE_CLAMP
-        else:
-            score = min(qn**2 / abs(inner), _SCORE_CLAMP)
-        candidates.append((score, abs(mu.imag), -mu.real, -mu.imag, mu))
-    if not candidates:
+    mus = -w
+    V = V / np.linalg.norm(V, axis=0)
+    r, qv = V[:u], V[u:]
+    qn = np.linalg.norm(qv, axis=0)
+    inner = np.abs(np.sum(qv.conj() * r, axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.minimum(qn**2 / inner, _SCORE_CLAMP)
+    score[qn == 0] = 0.0
+    ok = np.flatnonzero(mus.real > 0)
+    if not ok.size:
         raise ShiftStrategyError("shift strategy yielded no admissible shift")
-    candidates.sort(key=lambda c: c[:4], reverse=True)
-    mu = candidates[0][4]
+    c = mus[ok]
+    # lexsort: last key first; the largest key tuple sorts last
+    mu = c[np.lexsort((-c.imag, -c.real, np.abs(c.imag), score[ok]))[-1]]
     if abs(mu.imag) <= 1e-14 * abs(mu.real):
         mu = complex(mu.real, 0.0)
     elif mu.imag < 0:
         mu = mu.conjugate()
-    return mu
+    return complex(mu)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import brad
+from . import brad, shifted
 from .errors import ExpansionDegenerateError, ShiftsExhaustedError
 from .kernels import spectral_norm_gram
 from .shifts import PrecomputedShifts
@@ -44,12 +44,15 @@ class SolverOptions:
 
 @dataclass
 class ConvergenceRecord:
-    """One step's residual and times; expansion_s includes shift selection.
+    """One step's residual, shifts and times.
 
-    closed_loop says which body absorbed the step; redone that an open-loop
-    absorption of it was discarded for cancellation or a degenerate Gram
-    (absorb_s then includes the closed-loop expansion that replaced it).
-    The convergence log stores neither.
+    shift_s is the time the shift source took to supply the batch `shifts`,
+    expansion_s the time of the expansion that followed, absorb_s that of
+    the absorption; total_s covers all three. closed_loop says which body
+    absorbed the step; redone that an open-loop absorption of it was
+    discarded for cancellation or a degenerate Gram (absorb_s then includes
+    the closed-loop expansion that replaced it). The convergence log stores
+    the times but not shifts, closed_loop or redone.
     """
 
     iter: int
@@ -60,6 +63,8 @@ class ConvergenceRecord:
     total_s: float
     closed_loop: bool = False
     redone: bool = False
+    shift_s: float = 0.0
+    shifts: tuple = ()
 
 
 @dataclass
@@ -91,8 +96,10 @@ def solve(problem, options=None, shifts=None, callback=None):
     positive definite or amplifies roundoff by more than
     MAX_GRAM_CANCELLATION is redone with the closed-loop body; hybrid mode
     then stays closed-loop. A solve reports convergence only if its state
-    also passes the Lyapunov identity. The optional callback(state, record)
-    is invoked after every absorption step.
+    also passes the Lyapunov identity. The pencil the shifted matrices
+    A* - mu E* are formed from is assembled once per solve and dropped when
+    the iteration ends. The optional callback(state, record) is invoked
+    after every absorption step.
     """
     options = options or SolverOptions()
     if shifts is None:
@@ -116,6 +123,7 @@ def solve(problem, options=None, shifts=None, callback=None):
         except ShiftsExhaustedError:
             message = "not converged: shift source exhausted"
             break
+        t_shift = time.perf_counter()
         if options.mode == "radi":
             closed_loop = True
         elif options.mode == "r2adi":
@@ -144,13 +152,17 @@ def solve(problem, options=None, shifts=None, callback=None):
         relres = relative_residual(state, problem, norm_cc)
         rec = ConvergenceRecord(
             iter=it, subspace_dim=state.q, rel_residual=relres,
-            expansion_s=t1 - t0, absorb_s=t2 - t1, total_s=t2 - t0,
+            expansion_s=t1 - t_shift, absorb_s=t2 - t1, total_s=t2 - t0,
             closed_loop=closed_loop, redone=redone,
+            shift_s=t_shift - t0, shifts=tuple(batch),
         )
         records.append(rec)
         if callback is not None:
             callback(state, rec)
         converged = relres < options.tol
+    # Free the pencil on this thread, which made it. Kept past the solve, it
+    # would pin the heap around it until another problem replaced it.
+    shifted.drop_pencil()
     if converged:
         defect = brad.lyapunov_defect(state)
         if not defect <= MAX_LYAPUNOV_DEFECT:

@@ -140,5 +140,5 @@ def test_cli_summary_labels(tmp_path, capsys):
     assert run(args + ["--tol", "1e-12"]) in (0, 2)
     labels = [l.split(":")[0].strip()
               for l in capsys.readouterr().out.splitlines() if ":" in l]
-    assert labels[:6] == ["steps", "subspace dim", "rel. residual",
-                          "shifts + expand", "absorption", "total"]
+    assert labels[:7] == ["steps", "subspace dim", "rel. residual",
+                          "shift selection", "expand", "absorption", "total"]

@@ -144,16 +144,28 @@ def test_convergence_log_one_record(tmp_path):
 def test_convergence_log_round_trip(tmp_path):
     path = tmp_path / "log.csv"
     records = [
-        ConvergenceRecord(1, 2, 0.123456789012345678, 0.01, 0.02, 0.03),
-        ConvergenceRecord(2, 4, 1.7e-11, 0.5, 1e-4, 0.5001),
+        ConvergenceRecord(1, 2, 0.123456789012345678, 0.01, 0.02, 0.04,
+                          shift_s=0.01),
+        ConvergenceRecord(2, 4, 1.7e-11, 0.5, 1e-4, 0.6001, shift_s=0.1),
     ]
     rc.write_convergence_log(records, path)
     back = read_convergence_log(path)
     assert len(back) == len(records)
     for a, b in zip(back, records):
         assert a.iter == b.iter and a.subspace_dim == b.subspace_dim
-        for name in ("rel_residual", "expansion_s", "absorb_s", "total_s"):
+        for name in ("rel_residual", "expansion_s", "absorb_s", "total_s",
+                     "shift_s"):
             assert abs(getattr(a, name) - getattr(b, name)) <= 1e-15
+
+
+def test_convergence_log_reads_six_column_log(tmp_path):
+    # logs written before shift_s was split out of expansion_s
+    path = tmp_path / "old.csv"
+    path.write_text("iter,subspace_dim,rel_residual,expansion_s,absorb_s,total_s\n"
+                    "1,2,0.5,0.25,0.125,0.375\n")
+    (rec,) = read_convergence_log(path)
+    assert (rec.iter, rec.expansion_s, rec.total_s) == (1, 0.25, 0.375)
+    assert rec.shift_s == 0.0
 
 
 def test_problem_spec_lyapunov_default():

@@ -1,15 +1,17 @@
 """Tests for the shifted factorizations and SMW-corrected solves."""
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import ricadi as rc
 import ricadi.shifted as shifted_mod
-from conftest import random_problem, stable_sparse
+from conftest import fem1d_pair, random_problem, stable_sparse
 from ricadi.errors import SingularShiftError, SMWSingularError
 
 
@@ -166,3 +168,108 @@ def test_smw_singular_capacitance():
     f = rc.factorize(sp.csr_matrix(np.array([[-1.0]])), mu=1.0)
     with pytest.raises(SMWSingularError):
         rc.smw_solve(f, [[-2.0]], [[1.0]], [[1.0]])
+
+
+def _scipy_difference(A, E, mu):
+    """Reference: A* - mu E* as scipy forms it from scratch for each shift."""
+    n = A.shape[0]
+    Ah = A.conj().T.tocsc()
+    M = Ah - mu * (sp.identity(n, format="csc") if E is None
+                   else E.conj().T.tocsc())
+    return M.toarray() if n < shifted_mod.DENSE_LU_BELOW_N else sp.csc_matrix(M)
+
+
+def _with_zeros(A):
+    """A with a stored zero, and with A[0, 0] = 2.5 so that A* - 2.5 I cancels."""
+    A = A.copy()
+    A.data[7] = 0.0
+    A[0, 0] = 2.5
+    return A
+
+
+def _pair(prob):
+    return prob.A, prob.E
+
+
+PENCIL_CASES = {
+    "no-E": lambda: (stable_sparse(600, 5, density=0.01), None),
+    "E-on-A-pattern": lambda: fem1d_pair(600),
+    "E-other-pattern": lambda: _pair(random_problem(45, n=520, generalized=True)),
+    "complex": lambda: _pair(random_problem(46, n=520, generalized=True,
+                                            complex_data=True)),
+    "zeros": lambda: (_with_zeros(stable_sparse(600, 6, 0.01)), None),
+    "dense-no-E": lambda: (random_problem(47, n=60).A, None),
+    "dense-E": lambda: _pair(random_problem(48, n=60, generalized=True,
+                                            complex_data=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_CASES))
+def test_factorize_matrix_is_bitwise_the_scipy_difference(monkeypatch, case):
+    A, E = PENCIL_CASES[case]()
+    seen = []
+
+    def spy(M, *args, **kwargs):
+        seen.append(M.copy())
+        return (spla.splu if sp.issparse(M) else sla.lu_factor)(M, *args, **kwargs)
+
+    monkeypatch.setattr(shifted_mod, "spla", SimpleNamespace(splu=spy))
+    monkeypatch.setattr(shifted_mod, "sla",
+                        SimpleNamespace(lu_factor=spy, lu_solve=sla.lu_solve))
+    mus = (2.5, 1.5 + 0.75j, 2.5)  # the repeat reuses the kept pencil
+    for mu in mus:
+        rc.factorize(A, E, mu)
+    for mu, M in zip(mus, seen):
+        mu = mu.real if complex(mu).imag == 0 else mu
+        want = _scipy_difference(A, E, mu)
+        assert M.dtype == want.dtype
+        if sp.issparse(want):
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(M, attr).tobytes() == getattr(want, attr).tobytes()
+        else:
+            assert M.tobytes() == want.tobytes()
+    assert len(seen) == len(mus)
+
+
+def _count_pencils(monkeypatch):
+    built = []
+    assemble = shifted_mod._assemble_pencil
+
+    def counting(A, E):
+        built.append(threading.get_ident())
+        return assemble(A, E)
+
+    monkeypatch.setattr(shifted_mod, "_assemble_pencil", counting)
+    return built
+
+
+@pytest.mark.parametrize("n", [40, 520])
+def test_pencil_is_built_once_per_solve(monkeypatch, n):
+    built = _count_pencils(monkeypatch)
+    prob = random_problem(49, n=n, m=1, p=1, generalized=True)
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-9, max_iter=40),
+                   rc.HamiltonianShifts())
+    assert res.converged and len(res.records) > 3
+    assert len(built) == 1
+    # solve drops the pencil when it ends: the next solve assembles its own
+    rc.solve(prob, rc.SolverOptions(tol=1e-9, max_iter=2), [1.0, 2.0])
+    assert len(built) == 2 and shifted_mod._last_pencil is None
+
+
+def test_pencil_is_built_on_the_calling_thread(monkeypatch):
+    built = _count_pencils(monkeypatch)
+    spans = []
+    factorize = shifted_mod.factorize
+
+    def recording(A, E, mu):
+        spans.append(threading.get_ident())
+        return factorize(A, E, mu)
+
+    monkeypatch.setattr(shifted_mod, "factorize", recording)
+    prob = random_problem(50, n=40, m=1, p=1)
+    rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=2, parallel_width=2),
+             [1.0, 2.0, 4.0, 8.0])
+    main = threading.get_ident()
+    assert len(spans) == 4 and main not in spans  # factored in the pool
+    assert built == [main]
+

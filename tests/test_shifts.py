@@ -1,5 +1,6 @@
 """Tests for shift sources: precomputed replay and the adaptive strategy."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,54 @@ from ricadi.shifts import projected_hamiltonian
 def residual_hamiltonian_shift(state, problem, l):
     """The shift HamiltonianShifts picks from the window of the last l columns."""
     return shifts_mod._best_shift(shifts_mod.projected_hamiltonian(state, problem, l))
+
+
+def zu_projected_hamiltonian(state, problem, l, solve_e=None):
+    """Reference: the projected Hamiltonian with the feedback term B* Z Z* U
+    formed from all of Z (O(n q l)) instead of from the cached K."""
+    A, B, E = problem.A, problem.B, problem.E
+    q = state.q
+    base = problem.C.conj().T if q == 0 else state.Z[:, max(q - l, 0):]
+    U, _ = np.linalg.qr(base)
+    EU = U if E is None else (solve_e or shifts_mod.factor_e(E))(U)
+    AtilU = A @ EU - B @ (state.SB @ (state.Z.conj().T @ U))
+    H11 = U.conj().T @ AtilU
+    BtU = B.conj().T @ U
+    RtU = state.R.conj().T @ EU
+    return np.block([[H11, BtU.conj().T @ BtU],
+                     [RtU.conj().T @ RtU, -H11.conj().T]])
+
+
+def loop_best_shift(H):
+    """Reference: the shift scorer as one Python loop over the eigenpairs."""
+    u = H.shape[0] // 2
+    w, V = np.linalg.eig(H)
+    candidates = []
+    for i in range(len(w)):
+        mu = -w[i]
+        if not mu.real > 0:
+            continue
+        v = V[:, i]
+        v = v / np.linalg.norm(v)
+        r, qv = v[:u], v[u:]
+        qn = np.linalg.norm(qv)
+        inner = np.vdot(qv, r)
+        if qn == 0:
+            score = 0.0
+        elif inner == 0:
+            score = shifts_mod._SCORE_CLAMP
+        else:
+            score = min(qn**2 / abs(inner), shifts_mod._SCORE_CLAMP)
+        candidates.append((score, abs(mu.imag), -mu.real, -mu.imag, mu))
+    if not candidates:
+        raise ShiftStrategyError("shift strategy yielded no admissible shift")
+    candidates.sort(key=lambda c: c[:4], reverse=True)
+    mu = candidates[0][4]
+    if abs(mu.imag) <= 1e-14 * abs(mu.real):
+        mu = complex(mu.real, 0.0)
+    elif mu.imag < 0:
+        mu = mu.conjugate()
+    return mu
 
 
 def hamiltonian_defect(H):
@@ -45,13 +94,24 @@ def test_precomputed_order_and_pairing():
         src.next_shifts(state, prob, batch=1)
 
 
-def test_precomputed_pair_starts_own_batch():
-    src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j, 3.0])
+def test_precomputed_pair_joins_batch_when_it_fits():
     prob = scalar_problem()
     state = rc.init_state(prob)
-    assert src.next_shifts(state, prob, batch=4) == [1 + 0j]
-    assert src.next_shifts(state, prob, batch=4) == [2 + 1j, 2 - 1j]
-    assert src.next_shifts(state, prob, batch=4) == [3 + 0j]
+    src = rc.PrecomputedShifts([1.0, 2 + 1j, 3.0, 4.0])
+    assert src.next_shifts(state, prob, batch=3) == [1 + 0j, 2 + 1j, 2 - 1j]
+    assert src.next_shifts(state, prob, batch=3) == [3 + 0j, 4 + 0j]
+    # a listed conjugate is consumed with its pair
+    src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j, 3.0])
+    assert src.next_shifts(state, prob, batch=4) == [1 + 0j, 2 + 1j, 2 - 1j, 3 + 0j]
+    # a pair that does not fit starts the next batch
+    src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j, 3.0])
+    assert src.next_shifts(state, prob, batch=2) == [1 + 0j]
+    assert src.next_shifts(state, prob, batch=2) == [2 + 1j, 2 - 1j]
+    assert src.next_shifts(state, prob, batch=2) == [3 + 0j]
+    # at batch 1 a pair is a batch of its own
+    src = rc.PrecomputedShifts([2 - 1j, 1.0])
+    assert src.next_shifts(state, prob, batch=1) == [2 + 1j, 2 - 1j]
+    assert src.next_shifts(state, prob, batch=1) == [1 + 0j]
 
 
 def test_precomputed_pair_puts_positive_imaginary_first():
@@ -226,3 +286,77 @@ def test_singular_e_factor_raises(storage):
     E = E.tocsr() if storage == "sparse" else E.toarray()
     with pytest.raises(ShiftStrategyError, match="mass matrix E is singular"):
         shifts_mod.factor_e(E)
+
+
+def _states(prob, mode, steps=6):
+    """The states of a Hamiltonian-shift solve after each of its first steps."""
+    seen = [rc.init_state(prob)]
+    rc.solve(prob, rc.SolverOptions(mode=mode, tol=1e-280, max_iter=steps),
+             rc.HamiltonianShifts(), callback=lambda s, r: seen.append(s))
+    return seen
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("generalized", [False, True])
+@pytest.mark.parametrize("m", [0, 2])
+def test_projected_hamiltonian_matches_zu_formula(complex_data, generalized, m):
+    # the feedback term from K equals the one from Z* U: K* E^{-1} = B* Z Z*
+    prob = random_problem(70 + m, n=40, m=m, p=2, generalized=generalized,
+                          complex_data=complex_data)
+    solve_e = None if prob.E is None else shifts_mod.factor_e(prob.E)
+    worst = 0.0
+    for mode in ("r2adi", "radi"):
+        for state in _states(prob, mode):
+            H = projected_hamiltonian(state, prob, 4, solve_e)
+            ref = zu_projected_hamiltonian(state, prob, 4, solve_e)
+            worst = max(worst, np.linalg.norm(H - ref) / np.linalg.norm(ref))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("generalized", [False, True])
+def test_shift_selection_reads_only_the_window(generalized):
+    prob = random_problem(74, n=40, m=2, p=1, generalized=generalized)
+    state = _states(prob, "r2adi")[-1]
+    l = 2
+    assert state.q > l
+    blind = replace(state, Z=state.Z.copy(), SB=state.SB.copy())
+    blind.Z[:, :-l] = np.nan
+    blind.SB[:, :-l] = np.nan
+    H = projected_hamiltonian(state, prob, l)
+    H_blind = projected_hamiltonian(blind, prob, l)
+    assert np.all(np.isfinite(H_blind))
+    np.testing.assert_array_equal(H_blind, H)
+    src = rc.HamiltonianShifts(window=l)
+    assert src.next_shifts(blind, prob) == src.next_shifts(state, prob)
+
+
+def _random_hamiltonian(rng, u, complex_data):
+    def draw(*shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if complex_data else X
+
+    A, G, Q = draw(u, u), draw(u, 2), draw(2, u)
+    return np.block([[A, G @ G.conj().T], [Q.conj().T @ Q, -A.conj().T]])
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_array_scorer_matches_loop(complex_data):
+    rng = np.random.default_rng(75)
+    for u in (1, 2, 3, 6, 12):
+        for _ in range(40):
+            H = _random_hamiltonian(rng, u, complex_data)
+            assert shifts_mod._best_shift(H) == loop_best_shift(H)
+
+
+def test_array_scorer_clamps_like_loop():
+    # diag(-1, -2, -3, 5): the eigenvectors are unit vectors. mu = 1 and 2
+    # have q = 0 (score 0), mu = 3 has q* r = 0 (clamped score), -5 is
+    # inadmissible. Without mu = 3, the tie at score 0 goes to the smaller
+    # real part.
+    for H, want in ((np.diag([-1.0, -2.0, -3.0, 5.0]), 3.0),
+                    (np.diag([-1.0, -2.0, 5.0, 6.0]), 1.0),
+                    (np.diag([-2.0, -1.0, 5.0, 6.0]), 1.0)):
+        assert shifts_mod._best_shift(H) == loop_best_shift(H) == want
+    for scorer in (shifts_mod._best_shift, loop_best_shift):
+        with pytest.raises(ShiftStrategyError, match="no admissible shift"):
+            scorer(np.diag([1.0, 2.0, 3.0, 4.0]))

@@ -1,5 +1,7 @@
 """Tests for the top-level iteration driver."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -137,9 +139,30 @@ def test_records_are_consistent():
     assert res.converged
     for rec in res.records:
         assert rec.total_s >= 0.0
-        assert abs(rec.total_s - (rec.expansion_s + rec.absorb_s)) <= 1e-6
+        assert rec.shift_s > 0.0 and len(rec.shifts) in (1, 2)
+        assert abs(rec.total_s - (rec.shift_s + rec.expansion_s
+                                  + rec.absorb_s)) <= 1e-6
     assert res.records[-1].rel_residual == res.rel_residual
     assert res.records[-1].subspace_dim == res.state.q
+
+
+def test_records_time_shift_selection_apart(monkeypatch):
+    # expansion_s excludes the shift source's time, which is shift_s
+    class SlowShifts:
+        def __init__(self):
+            self.inner = rc.PrecomputedShifts([1.0, 2.0, 4.0])
+
+        def next_shifts(self, state, problem, batch=1):
+            time.sleep(0.05)
+            return self.inner.next_shifts(state, problem, batch)
+
+    prob = random_problem(58, n=30, m=1, p=1)
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=3,
+                                          parallel_width=2), SlowShifts())
+    assert [r.shifts for r in res.records] == [(1, 2), (4,)]
+    for rec in res.records:
+        assert rec.shift_s >= 0.05 > rec.expansion_s
+        assert rec.total_s >= rec.shift_s + rec.expansion_s + rec.absorb_s - 1e-6
 
 
 def test_shift_list_and_plain_list_sources():
