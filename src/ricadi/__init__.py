@@ -17,12 +17,6 @@ from .brad import (
     expand_simple,
     init_state,
 )
-from .kernels import (
-    cholesky_upper,
-    solve_lyapunov_small,
-    solve_sylvester_small,
-    spectral_norm_gram,
-)
 from .oracle import (
     closed_loop_pole_check,
     dense_care,
@@ -51,7 +45,6 @@ __all__ = [
     "absorb_r2adi",
     "absorb_radi",
     "brad_residual_check",
-    "cholesky_upper",
     "closed_loop_pole_check",
     "dense_care",
     "dense_residual",
@@ -67,9 +60,6 @@ __all__ = [
     "smw_solve",
     "solve",
     "solve_factored",
-    "solve_lyapunov_small",
-    "solve_sylvester_small",
-    "spectral_norm_gram",
     "write_convergence_log",
 ]
 

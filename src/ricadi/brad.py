@@ -32,8 +32,11 @@ class BradState:
 
     Z holds the accumulated n-by-q basis, h and Hminus the small
     decomposition matrices, SB caches B*Z, R the rank-p residual factor and
-    K the feedback E*Z(Z*B). Hminus is (quasi-)upper-triangular by
-    construction; its eigenvalues are the recorded poles. gram_cancellation
+    K the feedback E*Z(Z*B). Hminus is upper quasi-triangular by
+    construction (the blocks' D on its diagonal, 2-by-2 blocks only for
+    realified pairs), and this is load-bearing: the small Sylvester solve of
+    each open-loop absorption reads it directly as trsyl's triangular
+    operand. Its eigenvalues are the recorded poles. gram_cancellation
     is ||Y12* Y12||_2 / lambda_min(Y22 - Y12* Y12) of the open-loop
     absorption that made the state (0 after a closed-loop one): the factor
     by which that subtraction amplified roundoff in the new block.
@@ -230,8 +233,7 @@ def absorb_r2adi(state, problem, block):
     Ztil, U1, D = block.Ztil, block.U1, block.D
     U2 = state.h.conj().T @ U1
     BtZt = problem.B.conj().T @ Ztil
-    Y12 = solve_sylvester_small(state.Hminus.conj().T, D,
-                                state.SB.conj().T @ BtZt)
+    Y12 = solve_sylvester_small(state.Hminus, D, state.SB.conj().T @ BtZt)
     rhs22 = (BtZt.conj().T @ BtZt + U1.conj().T @ U1
              - Y12.conj().T @ U2 - U2.conj().T @ Y12)
     Y22 = solve_lyapunov_small(D, rhs22)

@@ -16,10 +16,6 @@ class NotPositiveDefiniteError(RicadiError):
 class SylvesterSingularError(RicadiError):
     """Small Sylvester/Lyapunov operator is (near) singular."""
 
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-
 
 class SingularShiftError(RicadiError):
     """Shifted system matrix is structurally or numerically singular."""

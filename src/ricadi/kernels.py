@@ -64,90 +64,48 @@ def spectral_norm_gram(R):
     return float(max(w[-1], 0.0))
 
 
-def _is_triangular(M):
-    """Classify M as 'upper', 'lower' or None (within roundoff)."""
-    if M.shape[0] != M.shape[1] or M.shape[0] < 2:
-        return "upper"
-    scale = np.max(np.abs(M)) or 1.0
-    if np.max(np.abs(np.tril(M, -1))) <= 1e-14 * scale:
-        return "upper"
-    if np.max(np.abs(np.triu(M, 1))) <= 1e-14 * scale:
-        return "lower"
-    return None
+def _complex_schur(M):
+    """(T, Q) with M = Q T Q* and T upper triangular; Q = I when M is."""
+    if not np.any(np.diag(M, -1)):
+        return M, np.eye(M.shape[0])
+    return sla.schur(M, output="complex")
 
 
-def _solve_shifted(Hc, tri, tau, rhs):
-    """Solve (Hc + tau*I) x = rhs, exploiting triangular Hc when present."""
-    q = Hc.shape[0]
-    M = Hc + tau * np.eye(q, dtype=np.result_type(Hc.dtype, type(tau)))
-    if tri is not None:
-        if singular_pivots(np.diag(M)):
-            raise SylvesterSingularError(
-                f"singular Sylvester operator: eigenvalue near {-tau}",
-                eigenvalue=-tau,
-            )
-        return sla.solve_triangular(M, rhs, lower=(tri == "lower"))
-    return _lu_solve_checked(M, rhs, -tau)
+def solve_sylvester_small(Hm, D, RHS):
+    """Solve Hm* Y + Y D = RHS for the q-by-t matrix Y.
 
-
-def _lu_solve_checked(M, rhs, eigenvalue=None):
-    lu, piv = sla.lu_factor(M)
-    if singular_pivots(np.diag(lu)):
-        raise SylvesterSingularError(
-            f"singular Sylvester operator: eigenvalue near {eigenvalue}",
-            eigenvalue=eigenvalue,
-        )
-    return sla.lu_solve((lu, piv), rhs)
-
-
-def solve_sylvester_small(Hc, D, RHS):
-    """Solve Y D + Hc Y = RHS for the q-by-t matrix Y.
-
-    Hc is typically the conjugate transpose of the running quasi-triangular
-    coefficient, so a triangular back-substitution path is used when
-    possible. Uses a Schur form of the small t-by-t matrix D only; no Schur
-    factorization of Hc is computed. Real data stays real (real Schur of D
-    with 2-by-2 bumps handled by a small Kronecker solve).
+    Hm and D are upper quasi-triangular, as BradState keeps Hminus and an
+    expansion block keeps D, so one LAPACK trsyl back-substitution solves
+    the equation and real data stays real. ztrsyl reads only the upper
+    triangle, so on complex data a matrix with a 2-by-2 block (a realified
+    pair on a state that turned complex later) is first brought to complex
+    Schur form.
     """
-    Hc = np.atleast_2d(np.asarray(Hc))
-    D = np.atleast_2d(np.asarray(D))
-    RHS = np.atleast_2d(np.asarray(RHS))
-    q, t = Hc.shape[0], D.shape[0]
-    real_path = not (
-        np.iscomplexobj(Hc) or np.iscomplexobj(D) or np.iscomplexobj(RHS)
-    )
-    dtype = np.float64 if real_path else np.complex128
+    Hm, D, RHS = (np.atleast_2d(np.asarray(M)) for M in (Hm, D, RHS))
+    real = not any(np.iscomplexobj(M) for M in (Hm, D, RHS))
+    dtype = np.float64 if real else np.complex128
+    q, t = Hm.shape[0], D.shape[0]
     if q == 0 or t == 0:
         return np.zeros((q, t), dtype=dtype)
-    if t == 1:
-        T = D.astype(dtype)
-        Q = np.eye(1, dtype=dtype)
-    else:
-        T, Q = sla.schur(D.astype(dtype), output="real" if real_path else "complex")
-    rhs = RHS.astype(dtype) @ Q
-    Y = np.zeros((q, t), dtype=dtype)
-    tri = _is_triangular(Hc)
-    j = 0
-    while j < t:
-        blk = 2 if (real_path and j + 1 < t and T[j + 1, j] != 0.0) else 1
-        b = rhs[:, j:j + blk] - Y[:, :j] @ T[:j, j:j + blk]
-        if blk == 1:
-            Y[:, j:j + 1] = _solve_shifted(Hc, tri, T[j, j], b)
-        else:
-            Tb = T[j:j + 2, j:j + 2]
-            K = np.kron(np.eye(2), Hc) + np.kron(Tb.T, np.eye(q))
-            ev = Tb[0, 0] + 1j * np.sqrt(abs(Tb[0, 1] * Tb[1, 0]))
-            x = _lu_solve_checked(K, b.T.reshape(2 * q), -ev)
-            Y[:, j:j + 2] = x.reshape(2, q).T
-        j += blk
-    return Y @ Q.conj().T
+    Hm, D, RHS = Hm.astype(dtype), D.astype(dtype), RHS.astype(dtype)
+    if not real:
+        (Hm, Q), (D, P) = _complex_schur(Hm), _complex_schur(D)
+        RHS = Q.conj().T @ RHS @ P
+    trsyl, = sla.get_lapack_funcs(("trsyl",), (Hm, D, RHS))
+    Y, scale, info = trsyl(Hm, D, RHS, trana="T" if real else "C")
+    if info != 0:
+        raise SylvesterSingularError(
+            f"singular Sylvester operator: trsyl info {info}")
+    Y = Y / scale
+    return Y if real else Q @ Y @ P.conj().T
 
 
 def solve_lyapunov_small(D, RHS):
-    """Solve Y D + D* Y = RHS with Hermitian RHS; the result is Hermitian."""
-    D = np.atleast_2d(np.asarray(D))
-    Y = solve_sylvester_small(D.conj().T, D, hermitian_part(RHS))
-    return hermitian_part(Y)
+    """Solve D* Y + Y D = RHS for upper quasi-triangular D and Hermitian RHS.
+
+    The result is Hermitian.
+    """
+    return hermitian_part(solve_sylvester_small(D, D, hermitian_part(RHS)))
 
 
 def eigenvalue_match_distance(a, b):

@@ -92,6 +92,18 @@ def assert_invariants(state, problem, tol=INVARIANT_TOL):
     checks = rc.brad_residual_check(state, problem)
     bad = {k: v for k, v in checks.items() if not v <= tol}
     assert not bad, f"state invariants violated: {bad}"
+    assert_quasi_triangular(state.Hminus)
+
+
+def assert_quasi_triangular(H):
+    """Assert the form the small Sylvester solve reads from Hminus.
+
+    Upper quasi-triangular: zero below the first subdiagonal, and 2-by-2
+    diagonal blocks that never overlap.
+    """
+    assert not np.any(np.tril(H, -2)), "Hminus has entries below its subdiagonal"
+    sub = np.diag(H, -1) != 0
+    assert not np.any(sub[1:] & sub[:-1]), "Hminus has overlapping 2-by-2 blocks"
 
 
 class RecordingShifts:

@@ -153,7 +153,7 @@ def test_criterion_01_scalar_closed_form():
     W = rc.solve_factored(f, prob.C.conj().T)
     ok_w = abs(W[0, 0] - (-0.5)) <= 1e-14
     rhs = (prob.B.conj().T @ W)[0, 0] ** 2 + 1.0
-    Y22 = rc.solve_lyapunov_small([[1.0]], [[rhs]])
+    Y22 = rc.kernels.solve_lyapunov_small([[1.0]], [[rhs]])
     ok_y = abs(Y22[0, 0] - 0.625) <= 1e-14
     state = rc.init_state(prob)
     state = rc.absorb_r2adi(state, prob, rc.expand_simple(state, prob, 1.0))

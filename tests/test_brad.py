@@ -262,6 +262,49 @@ def test_invariants_random_complex_three_steps():
         assert_invariants(state, prob)
 
 
+def test_unpaired_complex_shift_after_realified_pair():
+    # A realified pair leaves a real 2-by-2 block in Hminus; an unpaired
+    # complex shift then makes the state complex, and the next open-loop
+    # Sylvester solve meets complex data with a nonzero subdiagonal.
+    prob = random_problem(38, n=30, m=1, p=1)
+    batches = [[1.5 + 0.8j, 1.5 - 0.8j], [2.0 + 1.0j], [3.0 - 0.5j]]
+    state = rc.init_state(prob)
+    for batch in batches:
+        block = rc.expand_parallel(state, prob, batch)
+        state = rc.absorb_r2adi(state, prob, block)
+        assert_invariants(state, prob)
+    assert np.iscomplexobj(state.Hminus) and np.any(np.diag(state.Hminus, -1))
+
+    class Source:
+        def __init__(self):
+            self.batches = [list(b) for b in batches]
+
+        def next_shifts(self, state, problem, batch=1):
+            return self.batches.pop(0)
+
+    seen = []
+    res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=1e-14, max_iter=3),
+                   Source(), callback=lambda st, rec: seen.append(st))
+    assert len(seen) == 3 and not any(rec.closed_loop for rec in res.records)
+    for st in seen:
+        assert_invariants(st, prob)
+    np.testing.assert_allclose(dense_x(res), dense_x(state), rtol=0,
+                               atol=1e-12 * np.linalg.norm(dense_x(state)))
+
+
+def test_mixed_batch_on_real_state_absorbs_open_loop():
+    # The pair is realified, the unpaired shift is not: the block's D is
+    # complex with a real 2-by-2 block on its diagonal.
+    prob = random_problem(39, n=30, m=1, p=2)
+    state = rc.init_state(prob)
+    block = rc.expand_parallel(state, prob, [1.5 + 0.8j, 2.0 + 1.0j, 1.5 - 0.8j])
+    assert np.iscomplexobj(block.D) and np.any(np.diag(block.D, -1))
+    state = rc.absorb_r2adi(state, prob, block)
+    assert_invariants(state, prob)
+    state = rc.absorb_r2adi(state, prob, rc.expand_parallel(state, prob, [3.0]))
+    assert_invariants(state, prob)
+
+
 def test_invariants_generalized_radi():
     prob = random_problem(36, n=30, m=2, p=1, generalized=True)
     state = rc.init_state(prob)

@@ -43,5 +43,8 @@ def test_traced_hamiltonian_solve_with_e(monkeypatch):
     assert values["shifts.e_factor_count"] == 1
     assert values["shifts.select_calls"] == len(res.records) > 1
     assert values["shifted.factorize_calls"] == len(res.records)
+    # a kernel inlined or bound under another name would read 0 here
+    for kernel in ("sylvester", "lyapunov", "cholesky"):
+        assert values[f"kernels.{kernel}_calls"] > 0, kernel
     reported = layers.mark_absent(values, t.missing)
     assert [k for k in values if reported[k] is None] == []
