@@ -29,7 +29,6 @@ from .problems import (
     read_shift_file,
     write_convergence_log,
 )
-from .shifted import factorize, smw_solve, solve_factored
 from .shifts import HamiltonianShifts, PrecomputedShifts
 from .solver import ConvergenceRecord, SolveResult, SolverOptions, relative_residual, solve
 
@@ -51,15 +50,12 @@ __all__ = [
     "expand_parallel",
     "expand_realified",
     "expand_simple",
-    "factorize",
     "init_state",
     "load_problem",
     "read_matrix_market",
     "read_shift_file",
     "relative_residual",
-    "smw_solve",
     "solve",
-    "solve_factored",
     "write_convergence_log",
 ]
 

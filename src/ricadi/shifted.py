@@ -49,92 +49,24 @@ def _check_diag(d, mu):
         )
 
 
-# (A, E, pencil) for the pair last factored; see pencil().
-_last_pencil = None
-
-
-def pencil(A, E=None):
-    """Return the pair (A*, E*) that factorize forms A* - mu E* from.
-
-    E* is the identity when E is None. For n < DENSE_LU_BELOW_N both are
-    dense arrays; otherwise both are CSC matrices on one sorted pattern (the
-    union of theirs), so each shift costs one pass over their data. The pair
-    is assembled once and kept for the (A, E) objects last seen, compared by
-    identity, until drop_pencil(): a matrix changed in place while it is
-    kept goes unnoticed. Call this on the thread that will drop the pencil,
-    as expand_parallel does before it starts its pool. Callers on other
-    threads with other matrices may each assemble one; each uses the
-    pencil it looked up.
-    """
-    global _last_pencil
-    memo = _last_pencil
-    if memo is None or memo[0] is not A or memo[1] is not E:
-        memo = _last_pencil = (A, E, _assemble_pencil(A, E))
-    return memo[2]
-
-
-def drop_pencil():
-    """Forget the kept pencil; solve calls this when its iteration ends."""
-    global _last_pencil
-    _last_pencil = None
-
-
-def _assemble_pencil(A, E):
-    n = A.shape[0]
-    Ah = A.conj().T  # a copy: the in-place edits below leave A alone
-    Eh = sp.identity(n, format="csc") if E is None else E.conj().T
-    if n < DENSE_LU_BELOW_N:
-        return tuple(M.toarray() if sp.issparse(M) else np.asarray(M)
-                     for M in (Ah, Eh))
-    pair = [sp.csc_matrix(M) for M in (Ah, Eh)]
-    for M in pair:
-        M.eliminate_zeros()  # an entry zero in both is dropped from M anyway
-        M.sum_duplicates()
-    # |A*| + |E*| is zero nowhere on the union of the two patterns.
-    union = abs(pair[0]) + abs(pair[1])
-
-    def positions(M):
-        return (np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr)) * n
-                + M.indices)
-
-    def on_union(M):
-        if M.nnz == union.nnz:
-            return M  # the same sorted pattern
-        # values are copied, not added, so even the sign of a zero is kept
-        data = np.zeros(union.nnz, M.dtype)
-        data[np.searchsorted(positions(union), positions(M))] = M.data
-        return sp.csc_matrix((data, union.indices, union.indptr), shape=(n, n))
-
-    return tuple(on_union(M) for M in pair)
-
-
 def factorize(A, E=None, mu=0.0):
     """Factor A* - mu E* (E* omitted when E is None).
 
-    Dense LU for n < DENSE_LU_BELOW_N, SuperLU otherwise. SuperLU orders
-    by minimum degree on the pattern of M* + M (MMD_AT_PLUS_A: about 40%
-    less fill than COLAMD on 2-D stencils). The matrix is formed from
-    pencil(A, E); it has the values and pattern that A.conj().T - mu *
-    E.conj().T gives in scipy. Deterministic for fixed input.
+    The matrix is A.conj().T - mu * E.conj().T as scipy forms it, in CSC,
+    made dense for n < DENSE_LU_BELOW_N. Dense LU factors it there, SuperLU
+    otherwise; SuperLU orders by minimum degree on the pattern of M* + M
+    (MMD_AT_PLUS_A: about 40% less fill than COLAMD on 2-D stencils).
+    Deterministic for fixed input.
     """
     mu = complex(mu)
     if mu.imag == 0.0:
         mu = mu.real
-    Ah, Eh = pencil(A, E)
-    n = Ah.shape[0]
-    if sp.issparse(Ah):
-        data = Ah.data - mu * Eh.data
-        M = sp.csc_matrix((data, Ah.indices, Ah.indptr), shape=Ah.shape)
-        if not data.all():
-            # scipy's sparse difference drops the entries that cancel; so
-            # does this, on a copy that leaves the pencil's pattern intact
-            M = M.copy()
-            M.eliminate_zeros()
-    else:
-        M = Ah - mu * Eh
+    n = A.shape[0]
+    Eh = sp.identity(n, format="csc") if E is None else sp.csc_matrix(E.conj().T)
+    M = sp.csc_matrix(A.conj().T) - mu * Eh
     dtype = np.complex128 if np.iscomplexobj(M) else np.float64
-    if not sp.issparse(M):
-        lu, piv = sla.lu_factor(M)
+    if n < DENSE_LU_BELOW_N:
+        lu, piv = sla.lu_factor(M.toarray())
         _check_diag(np.diag(lu), mu)
 
         def solve(RHS, lu=lu, piv=piv):

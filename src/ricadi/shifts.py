@@ -1,6 +1,7 @@
 """Shift supply: precomputed lists and the residual Hamiltonian strategy."""
 
 import cmath
+import operator
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,6 +23,17 @@ def admissible_shift(s):
     if not s.real > 0:
         raise ValueError(f"shift real part must be positive: {s}")
     return s
+
+
+def positive_int(name, value):
+    """Return value as an int; it must be an integer of at least 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 class PrecomputedShifts:
@@ -69,7 +81,7 @@ class HamiltonianShifts:
     """
 
     def __init__(self, window=None):
-        self.window = window
+        self.window = None if window is None else positive_int("window", window)
         self._e_factor = None  # (E, solve with E) for the E last seen
 
     def next_shifts(self, state, problem, batch=1):

@@ -5,10 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import brad, shifted
+from . import brad
 from .errors import ExpansionDegenerateError, ShiftsExhaustedError
 from .kernels import spectral_norm_gram
-from .shifts import PrecomputedShifts
+from .shifts import PrecomputedShifts, positive_int
 
 MODES = ("r2adi", "radi", "hybrid")
 
@@ -36,10 +36,8 @@ class SolverOptions:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.parallel_width < 1:
-            raise ValueError("parallel_width must be at least 1")
+        self.max_iter = positive_int("max_iter", self.max_iter)
+        self.parallel_width = positive_int("parallel_width", self.parallel_width)
 
 
 @dataclass
@@ -96,10 +94,8 @@ def solve(problem, options=None, shifts=None, callback=None):
     positive definite or amplifies roundoff by more than
     MAX_GRAM_CANCELLATION is redone with the closed-loop body; hybrid mode
     then stays closed-loop. A solve reports convergence only if its state
-    also passes the Lyapunov identity. The pencil the shifted matrices
-    A* - mu E* are formed from is assembled once per solve and dropped when
-    the iteration ends. The optional callback(state, record) is invoked
-    after every absorption step.
+    also passes the Lyapunov identity. The optional callback(state, record)
+    is invoked after every absorption step.
     """
     options = options or SolverOptions()
     if shifts is None:
@@ -109,6 +105,9 @@ def solve(problem, options=None, shifts=None, callback=None):
 
     state = brad.init_state(problem)
     norm_cc = spectral_norm_gram(state.R)
+    if not norm_cc > 0:
+        # C* C is zero or underflows, so no residual can be relative to it
+        raise ValueError("C must not be zero: residuals are relative to ||C* C||")
     records = []
     relres = 1.0
     converged = relres < options.tol
@@ -160,9 +159,6 @@ def solve(problem, options=None, shifts=None, callback=None):
         if callback is not None:
             callback(state, rec)
         converged = relres < options.tol
-    # Free the pencil on this thread, which made it. Kept past the solve, it
-    # would pin the heap around it until another problem replaced it.
-    shifted.drop_pencil()
     if converged:
         defect = brad.lyapunov_defect(state)
         if not defect <= MAX_LYAPUNOV_DEFECT:

@@ -149,8 +149,8 @@ def test_criterion_01_scalar_closed_form():
     t0 = time.perf_counter()
     prob = scalar_problem()
     # step-1 intermediates of the hand-checked pipeline
-    f = rc.factorize(prob.A, mu=1.0)
-    W = rc.solve_factored(f, prob.C.conj().T)
+    f = shifted_mod.factorize(prob.A, mu=1.0)
+    W = shifted_mod.solve_factored(f, prob.C.conj().T)
     ok_w = abs(W[0, 0] - (-0.5)) <= 1e-14
     rhs = (prob.B.conj().T @ W)[0, 0] ** 2 + 1.0
     Y22 = rc.kernels.solve_lyapunov_small([[1.0]], [[rhs]])

@@ -112,6 +112,25 @@ def test_cli_lyapunov_without_b(tmp_path, capsys):
     assert code in (0, 2)
 
 
+def test_cli_zero_c_is_an_input_error(tmp_path, capsys):
+    args = []
+    for flag, M in (("--a", -np.eye(3)), ("--c", np.zeros((1, 3)))):
+        write_matrix_market(M, tmp_path / f"{flag[2:]}.mtx")
+        args += [flag, str(tmp_path / f"{flag[2:]}.mtx")]
+    write_shift_file([1.0], tmp_path / "shifts.txt")
+    code = run(args + ["--shifts", str(tmp_path / "shifts.txt")])
+    assert code == 1
+    assert "ricadi: error: C must not be zero" in capsys.readouterr().err
+
+
+def test_cli_window_below_one_is_an_input_error(tmp_path, capsys):
+    prob = random_problem(81, n=20)
+    code = run(write_problem(prob, tmp_path)
+               + ["--shift-strategy", "hamiltonian", "--window", "0"])
+    assert code == 1
+    assert "ricadi: error: window must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_main_raises_system_exit(tmp_path):
     with pytest.raises(SystemExit):
         import sys

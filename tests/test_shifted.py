@@ -13,19 +13,20 @@ import ricadi as rc
 import ricadi.shifted as shifted_mod
 from conftest import fem1d_pair, random_problem, stable_sparse
 from ricadi.errors import SingularShiftError, SMWSingularError
+from ricadi.shifted import factorize, smw_solve, solve_factored
 
 
 def test_factorize_minus_identity():
-    f = rc.factorize(sp.csr_matrix(-np.eye(3)), mu=1.0)
+    f = factorize(sp.csr_matrix(-np.eye(3)), mu=1.0)
     e1 = np.zeros((3, 1))
     e1[0, 0] = 1.0
-    np.testing.assert_allclose(rc.solve_factored(f, e1), -0.5 * e1,
+    np.testing.assert_allclose(solve_factored(f, e1), -0.5 * e1,
                                atol=1e-15)
 
 
 def test_factorize_diagonal():
-    f = rc.factorize(sp.csr_matrix(np.diag([-1.0, -2.0])), mu=1.0)
-    got = rc.solve_factored(f, np.array([[1.0], [1.0]]))
+    f = factorize(sp.csr_matrix(np.diag([-1.0, -2.0])), mu=1.0)
+    got = solve_factored(f, np.array([[1.0], [1.0]]))
     np.testing.assert_allclose(got, [[-0.5], [-1.0 / 3.0]], atol=1e-15)
 
 
@@ -33,52 +34,52 @@ def test_factorize_diagonal():
 def test_factorize_singular_shift():
     # mu in the spectrum of A*
     with pytest.raises(SingularShiftError):
-        rc.factorize(sp.csr_matrix(np.diag([1.0, -2.0])), mu=1.0)
+        factorize(sp.csr_matrix(np.diag([1.0, -2.0])), mu=1.0)
 
 
 def test_factorize_generalized():
     A = sp.csr_matrix(np.array([[-2.0]]))
     E = sp.csr_matrix(np.array([[2.0]]))
-    f = rc.factorize(A, E, mu=1.0)
-    np.testing.assert_allclose(rc.solve_factored(f, [[1.0]]), [[-0.25]])
+    f = factorize(A, E, mu=1.0)
+    np.testing.assert_allclose(solve_factored(f, [[1.0]]), [[-0.25]])
 
 
 def test_factorize_conjugates_a():
     A = sp.csr_matrix(np.array([[-1.0 + 1.0j]]))
-    f = rc.factorize(A, mu=2.0)
+    f = factorize(A, mu=2.0)
     # A* - 2 = -3 - 1j
-    np.testing.assert_allclose(rc.solve_factored(f, [[1.0]]),
+    np.testing.assert_allclose(solve_factored(f, [[1.0]]),
                                [[1.0 / (-3 - 1j)]], atol=1e-15)
 
 
 def test_solve_factored_zero_rhs():
-    f = rc.factorize(sp.csr_matrix(-np.eye(4)), mu=1.0)
-    np.testing.assert_array_equal(rc.solve_factored(f, np.zeros((4, 2))),
+    f = factorize(sp.csr_matrix(-np.eye(4)), mu=1.0)
+    np.testing.assert_array_equal(solve_factored(f, np.zeros((4, 2))),
                                   np.zeros((4, 2)))
-    assert rc.solve_factored(f, np.zeros((4, 0))).shape == (4, 0)
+    assert solve_factored(f, np.zeros((4, 0))).shape == (4, 0)
 
 
 def test_solve_factored_scalar_pipeline():
-    f = rc.factorize(sp.csr_matrix(np.array([[-1.0]])), mu=1.0)
-    np.testing.assert_allclose(rc.solve_factored(f, [[1.0]]), [[-0.5]])
+    f = factorize(sp.csr_matrix(np.array([[-1.0]])), mu=1.0)
+    np.testing.assert_allclose(solve_factored(f, [[1.0]]), [[-0.5]])
 
 
 def test_solve_factored_multi_rhs_is_columnwise():
     prob = random_problem(20, n=12, m=2, p=3)
-    f = rc.factorize(prob.A, mu=1.5)
+    f = factorize(prob.A, mu=1.5)
     rng = np.random.default_rng(0)
     RHS = rng.standard_normal((12, 4))
-    full = rc.solve_factored(f, RHS)
+    full = solve_factored(f, RHS)
     for j in range(4):
         np.testing.assert_allclose(full[:, j:j + 1],
-                                   rc.solve_factored(f, RHS[:, j:j + 1]),
+                                   solve_factored(f, RHS[:, j:j + 1]),
                                    atol=1e-13)
 
 
 def test_solve_factored_wrong_rows():
-    f = rc.factorize(sp.csr_matrix(-np.eye(3)), mu=1.0)
+    f = factorize(sp.csr_matrix(-np.eye(3)), mu=1.0)
     with pytest.raises(ValueError, match="rows"):
-        rc.solve_factored(f, np.zeros((4, 1)))
+        solve_factored(f, np.zeros((4, 1)))
 
 
 def test_factorize_sparse_path_matches_dense():
@@ -88,12 +89,12 @@ def test_factorize_sparse_path_matches_dense():
     n = 600
     A = stable_sparse(n, 5, density=0.01)
     mu = 2.5
-    f = rc.factorize(A, mu=mu)
+    f = factorize(A, mu=mu)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal((n, 2))
     dense = A.toarray().conj().T - mu * np.eye(n)
     for b in (rhs, rhs + 1j * rng.standard_normal((n, 2))):
-        np.testing.assert_allclose(rc.solve_factored(f, b),
+        np.testing.assert_allclose(solve_factored(f, b),
                                    np.linalg.solve(dense, b), atol=1e-9)
 
 
@@ -115,36 +116,36 @@ def test_sparse_ordering_is_minimum_degree_on_a_plus_at(monkeypatch):
         return spla.splu(M, **kwargs)
 
     monkeypatch.setattr(shifted_mod, "spla", SimpleNamespace(splu=spy))
-    f = rc.factorize(A, mu=3.0)
+    f = factorize(A, mu=3.0)
     assert A.shape[0] >= 500 and seen == ["MMD_AT_PLUS_A"]
     rhs = np.random.default_rng(4).standard_normal((A.shape[0], 2))
     dense = A.toarray().T - 3.0 * np.eye(A.shape[0])
-    np.testing.assert_allclose(rc.solve_factored(f, rhs),
+    np.testing.assert_allclose(solve_factored(f, rhs),
                                np.linalg.solve(dense, rhs), atol=1e-9)
 
 
 def test_smw_rank_zero_update():
     prob = random_problem(21, n=10, m=2, p=1)
-    f = rc.factorize(prob.A, mu=1.0)
+    f = factorize(prob.A, mu=1.0)
     rng = np.random.default_rng(2)
     RHS = rng.standard_normal((10, 1))
     np.testing.assert_allclose(
-        rc.smw_solve(f, np.zeros((10, 2)), prob.B, RHS),
-        rc.solve_factored(f, RHS), atol=1e-13)
+        smw_solve(f, np.zeros((10, 2)), prob.B, RHS),
+        solve_factored(f, RHS), atol=1e-13)
 
 
 def test_smw_empty_b():
-    f = rc.factorize(sp.csr_matrix(-np.eye(4)), mu=1.0)
+    f = factorize(sp.csr_matrix(-np.eye(4)), mu=1.0)
     RHS = np.ones((4, 1))
     np.testing.assert_allclose(
-        rc.smw_solve(f, np.zeros((4, 0)), np.zeros((4, 0)), RHS),
-        rc.solve_factored(f, RHS))
+        smw_solve(f, np.zeros((4, 0)), np.zeros((4, 0)), RHS),
+        solve_factored(f, RHS))
 
 
 def test_smw_scalar_hand_value():
     # (A* - K B* - mu) w = r with A=-1, B=1, K=0.4, mu=sqrt(2), r=0.2
-    f = rc.factorize(sp.csr_matrix(np.array([[-1.0]])), mu=np.sqrt(2))
-    got = rc.smw_solve(f, [[0.4]], [[1.0]], [[0.2]])
+    f = factorize(sp.csr_matrix(np.array([[-1.0]])), mu=np.sqrt(2))
+    got = smw_solve(f, [[0.4]], [[1.0]], [[0.2]])
     want = 0.2 / (-1.0 - 0.4 - np.sqrt(2))
     np.testing.assert_allclose(got, [[want]], atol=1e-14)
     assert abs(got[0, 0] - (-0.0710678)) < 1e-7
@@ -156,8 +157,8 @@ def test_smw_matches_dense_solve():
     K = rng.standard_normal((40, 3))
     RHS = rng.standard_normal((40, 2))
     mu = 1.7
-    f = rc.factorize(prob.A, mu=mu)
-    got = rc.smw_solve(f, K, prob.B, RHS)
+    f = factorize(prob.A, mu=mu)
+    got = smw_solve(f, K, prob.B, RHS)
     M = prob.A.toarray().conj().T - K @ prob.B.conj().T - mu * np.eye(40)
     np.testing.assert_allclose(got, np.linalg.solve(M, RHS), atol=1e-9)
 
@@ -165,9 +166,9 @@ def test_smw_matches_dense_solve():
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_smw_singular_capacitance():
     # A* - mu = -2; with K = -2, B = 1 the capacitance 1 - B*N vanishes
-    f = rc.factorize(sp.csr_matrix(np.array([[-1.0]])), mu=1.0)
+    f = factorize(sp.csr_matrix(np.array([[-1.0]])), mu=1.0)
     with pytest.raises(SMWSingularError):
-        rc.smw_solve(f, [[-2.0]], [[1.0]], [[1.0]])
+        smw_solve(f, [[-2.0]], [[1.0]], [[1.0]])
 
 
 def _scipy_difference(A, E, mu):
@@ -216,9 +217,9 @@ def test_factorize_matrix_is_bitwise_the_scipy_difference(monkeypatch, case):
     monkeypatch.setattr(shifted_mod, "spla", SimpleNamespace(splu=spy))
     monkeypatch.setattr(shifted_mod, "sla",
                         SimpleNamespace(lu_factor=spy, lu_solve=sla.lu_solve))
-    mus = (2.5, 1.5 + 0.75j, 2.5)  # the repeat reuses the kept pencil
+    mus = (2.5, 1.5 + 0.75j, 2.5)
     for mu in mus:
-        rc.factorize(A, E, mu)
+        factorize(A, E, mu)
     for mu, M in zip(mus, seen):
         mu = mu.real if complex(mu).imag == 0 else mu
         want = _scipy_difference(A, E, mu)
@@ -231,45 +232,16 @@ def test_factorize_matrix_is_bitwise_the_scipy_difference(monkeypatch, case):
     assert len(seen) == len(mus)
 
 
-def _count_pencils(monkeypatch):
-    built = []
-    assemble = shifted_mod._assemble_pencil
-
-    def counting(A, E):
-        built.append(threading.get_ident())
-        return assemble(A, E)
-
-    monkeypatch.setattr(shifted_mod, "_assemble_pencil", counting)
-    return built
-
-
-@pytest.mark.parametrize("n", [40, 520])
-def test_pencil_is_built_once_per_solve(monkeypatch, n):
-    built = _count_pencils(monkeypatch)
-    prob = random_problem(49, n=n, m=1, p=1, generalized=True)
-    res = rc.solve(prob, rc.SolverOptions(tol=1e-9, max_iter=40),
-                   rc.HamiltonianShifts())
-    assert res.converged and len(res.records) > 3
-    assert len(built) == 1
-    # solve drops the pencil when it ends: the next solve assembles its own
-    rc.solve(prob, rc.SolverOptions(tol=1e-9, max_iter=2), [1.0, 2.0])
-    assert len(built) == 2 and shifted_mod._last_pencil is None
-
-
-def test_pencil_is_built_on_the_calling_thread(monkeypatch):
-    built = _count_pencils(monkeypatch)
+def test_parallel_batch_is_factored_in_the_pool(monkeypatch):
     spans = []
-    factorize = shifted_mod.factorize
+    original = shifted_mod.factorize
 
     def recording(A, E, mu):
         spans.append(threading.get_ident())
-        return factorize(A, E, mu)
+        return original(A, E, mu)
 
     monkeypatch.setattr(shifted_mod, "factorize", recording)
     prob = random_problem(50, n=40, m=1, p=1)
     rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=2, parallel_width=2),
              [1.0, 2.0, 4.0, 8.0])
-    main = threading.get_ident()
-    assert len(spans) == 4 and main not in spans  # factored in the pool
-    assert built == [main]
-
+    assert len(spans) == 4 and threading.get_ident() not in spans

@@ -1,6 +1,8 @@
 """Tests for the top-level iteration driver."""
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from conftest import (
     rel2,
     scalar_problem,
 )
-from ricadi.errors import ExpansionDegenerateError
+from ricadi.errors import ExpansionDegenerateError, SingularShiftError
 
 
 def test_options_validation():
@@ -38,6 +40,23 @@ def test_options_validation():
 def test_options_reject_max_iter_below_one(max_iter):
     with pytest.raises(ValueError, match="max_iter"):
         rc.SolverOptions(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("value", [0, -3, 1.5, 2.0, "2"])
+@pytest.mark.parametrize("name", ["max_iter", "parallel_width", "window"])
+def test_counts_must_be_integers_of_at_least_one(name, value):
+    make = rc.HamiltonianShifts if name == "window" else rc.SolverOptions
+    with pytest.raises(ValueError, match=name):
+        make(**{name: value})
+    assert getattr(make(**{name: np.int64(3)}), name) == 3
+
+
+@pytest.mark.parametrize("C", [np.zeros((2, 3)), np.full((1, 3), 1e-170)])
+def test_solve_rejects_zero_c(C):
+    # C* C is zero (the second C underflows in it): nothing to be relative to
+    prob = rc.ProblemSpec(A=sp.csr_matrix(-np.eye(3)), B=np.ones((3, 1)), C=C)
+    with pytest.raises(ValueError, match="C must not be zero"):
+        rc.solve(prob, rc.SolverOptions(), [1.0])
 
 
 def test_solve_requires_shift_source():
@@ -278,6 +297,20 @@ def test_unpaired_complex_shift_makes_real_state_complex():
 def test_empty_batch_is_rejected():
     with pytest.raises(ValueError, match="at least one shift"):
         rc.solve(scalar_problem(), rc.SolverOptions(), FixedBatches([]))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_failed_solve_keeps_no_reference_to_the_problem():
+    # A* - 2 I is singular, so the second step raises; nothing in the
+    # package may keep A (or the matrices formed from it) alive afterwards
+    A = sp.diags(np.r_[2.0, -np.arange(1.0, 40.0)]).tocsr()
+    prob = rc.ProblemSpec(A=A, B=np.ones((40, 1)), C=np.ones((1, 40)))
+    alive = weakref.ref(A)
+    with pytest.raises(SingularShiftError):
+        rc.solve(prob, rc.SolverOptions(tol=1e-280), [1.0, 2.0, 3.0])
+    del prob, A
+    gc.collect()
+    assert alive() is None
 
 
 def test_generalized_problem_converges():
