@@ -3,21 +3,13 @@
 Computes factored approximations X = Z Z* with an exactly maintained
 rank-p residual factor, via rational-Krylov ADI iterations that expand the
 subspace by a batch of shifts per step, realifying conjugate pairs on real
-data.
+data. The BRAD steps are reached as ricadi.brad.*, the shifted solves as
+ricadi.shifted.*.
 """
 
-from .brad import (
-    BradState,
-    ExpansionBlock,
-    absorb_r2adi,
-    absorb_radi,
-    brad_residual_check,
-    expand_parallel,
-    expand_realified,
-    expand_simple,
-    init_state,
-)
+from . import brad, shifted
 from .oracle import (
+    brad_residual_check,
     closed_loop_pole_check,
     dense_care,
     dense_residual,
@@ -30,31 +22,22 @@ from .problems import (
     write_convergence_log,
 )
 from .shifts import HamiltonianShifts, PrecomputedShifts
-from .solver import ConvergenceRecord, SolveResult, SolverOptions, relative_residual, solve
+from .solver import ConvergenceRecord, SolveResult, SolverOptions, solve
 
 __all__ = [
-    "BradState",
     "ConvergenceRecord",
-    "ExpansionBlock",
     "HamiltonianShifts",
     "PrecomputedShifts",
     "ProblemSpec",
     "SolveResult",
     "SolverOptions",
-    "absorb_r2adi",
-    "absorb_radi",
     "brad_residual_check",
     "closed_loop_pole_check",
     "dense_care",
     "dense_residual",
-    "expand_parallel",
-    "expand_realified",
-    "expand_simple",
-    "init_state",
     "load_problem",
     "read_matrix_market",
     "read_shift_file",
-    "relative_residual",
     "solve",
     "write_convergence_log",
 ]

@@ -12,13 +12,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import shifted
 from .errors import ExpansionDegenerateError, NotPositiveDefiniteError
 from .kernels import (
     cholesky_upper,
-    eigenvalue_match_distance,
     hermitian_part,
     solve_lyapunov_small,
     solve_sylvester_small,
@@ -73,13 +71,6 @@ class ExpansionBlock:
     kind: str  # 'simple' | 'parallel' | 'realified' (a pair shares a solve)
     poles: list
     closed_loop: bool
-
-
-def _emul(E, M):
-    """E* @ M, identity when E is absent."""
-    if E is None:
-        return M
-    return E.conj().T @ M
 
 
 def init_state(problem):
@@ -185,7 +176,7 @@ def _right_divide_upper(X, G):
 
 def _append(state, problem, Zhat, U1hat, U2hat, Dhat, poles):
     E = problem.E
-    EZhat = _emul(E, Zhat)
+    EZhat = Zhat if E is None else E.conj().T @ Zhat
     q_old = state.q
     t = Zhat.shape[1]
     Hnew = np.zeros((q_old + t, q_old + t),
@@ -270,39 +261,3 @@ def lyapunov_defect(state):
     Hm, h = state.Hminus, state.h
     lyap = Hm + Hm.conj().T - (state.SB.conj().T @ state.SB + h.conj().T @ h)
     return float(np.linalg.norm(lyap) / max(np.linalg.norm(Hm), 1e-300))
-
-
-def brad_residual_check(state, problem):
-    """Defect norms of the state invariants, each scaled per its tolerance."""
-    A, E = problem.A, problem.E
-    Cstar = problem.C.conj().T
-    Z, h, Hm = state.Z, state.h, state.Hminus
-    out = {}
-    if state.q == 0:
-        return {"brad_identity": 0.0, "lyap_identity": 0.0,
-                "residual_factor": 0.0, "poles": 0.0,
-                "sb_cache": 0.0, "feedback": 0.0}
-    # A* Z = C* h + E* Z Hminus, the decomposition identity in the
-    # E-transformed variables without forming inv(E).
-    AZ = A.conj().T @ Z
-    defect = AZ - Cstar @ h - _emul(E, Z) @ Hm
-    a_norm = sp.linalg.norm(A, 1) if sp.issparse(A) else np.linalg.norm(A, 1)
-    z_norm = np.linalg.norm(Z)
-    scale = a_norm * z_norm + z_norm * np.linalg.norm(Hm) + 1e-300
-    out["brad_identity"] = float(np.linalg.norm(defect) / scale)
-
-    out["lyap_identity"] = lyapunov_defect(state)
-
-    rref = Cstar + _emul(E, Z) @ h.conj().T
-    r_scale = max(np.linalg.norm(rref), np.linalg.norm(Cstar), 1e-300)
-    out["residual_factor"] = float(np.linalg.norm(state.R - rref) / r_scale)
-
-    out["poles"] = eigenvalue_match_distance(np.linalg.eigvals(Hm), state.poles)
-
-    sb = problem.B.conj().T @ Z
-    out["sb_cache"] = float(np.linalg.norm(state.SB - sb) /
-                            max(np.linalg.norm(sb), 1.0))
-    kref = _emul(E, Z) @ (Z.conj().T @ problem.B)
-    out["feedback"] = float(np.linalg.norm(state.K - kref) /
-                            max(np.linalg.norm(kref), 1.0))
-    return out

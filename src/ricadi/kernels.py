@@ -7,7 +7,6 @@ and Lyapunov equation solvers that update the low-rank state.
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NotPositiveDefiniteError, SylvesterSingularError
 
@@ -106,16 +105,3 @@ def solve_lyapunov_small(D, RHS):
     The result is Hermitian.
     """
     return hermitian_part(solve_sylvester_small(D, D, hermitian_part(RHS)))
-
-
-def eigenvalue_match_distance(a, b):
-    """Largest pairing distance between two equally sized eigenvalue multisets."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.size != b.size:
-        return np.inf
-    if a.size == 0:
-        return 0.0
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())

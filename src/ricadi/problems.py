@@ -132,13 +132,6 @@ def read_shift_file(path):
     return shifts
 
 
-def write_shift_file(shifts, path):
-    with open(path, "w") as fh:
-        for s in shifts:
-            s = complex(s)
-            fh.write(f"{s.real:.17g} {s.imag:.17g}\n")
-
-
 # shift_s came last, so a log written before it has the first six columns.
 LOG_HEADER = ["iter", "subspace_dim", "rel_residual",
               "expansion_s", "absorb_s", "total_s", "shift_s"]

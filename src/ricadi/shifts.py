@@ -75,9 +75,10 @@ class PrecomputedShifts:
 class HamiltonianShifts:
     """Adaptive residual Hamiltonian strategy: one shift, or a pair on real data.
 
-    The batch size is ignored: every step gets one shift (or one pair). The
-    factor of E is made once and kept for the E object last seen, so a
-    solve factors E once, not once per step.
+    The batch size is ignored: every step gets one shift (or one pair). E is
+    factored at the first step of every solve (q = 0) and kept for the rest
+    of it, so a solve factors E once, not once per step, and a source reused
+    after E changed in place does not solve with the old E.
     """
 
     def __init__(self, window=None):
@@ -86,16 +87,17 @@ class HamiltonianShifts:
 
     def next_shifts(self, state, problem, batch=1):
         l = self.window if self.window is not None else 6 * problem.p
-        H = projected_hamiltonian(state, problem, l, self._solve_e(problem.E))
+        H = projected_hamiltonian(state, problem, l,
+                                  self._solve_e(problem.E, state.q == 0))
         mu = _best_shift(H)
         if mu.imag != 0 and problem.is_real:
             return [mu, mu.conjugate()]
         return [mu]
 
-    def _solve_e(self, E):
+    def _solve_e(self, E, first_step):
         if E is None:
             return None
-        if self._e_factor is None or self._e_factor[0] is not E:
+        if first_step or self._e_factor is None or self._e_factor[0] is not E:
             self._e_factor = (E, factor_e(E))
         return self._e_factor[1]
 

@@ -6,6 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import ricadi as rc
+import ricadi.brad as brad
 from ricadi.oracle import DENSE_ORACLE_MAX_N
 
 INVARIANT_TOL = 1e-10
@@ -70,6 +71,21 @@ def fem1d_pair(n):
     return (-K).tocsr(), M.tocsr()
 
 
+def graded_fem1d_pair(n):
+    """Linear-FEM stiffness (negated) and mass matrix on the graded nodes (i/(n+1))^3.
+
+    Element lengths shrink cubically towards x = 0, which makes the mass
+    matrix far more graded than fem1d_pair's.
+    """
+    x = (np.arange(n + 2) / (n + 1)) ** 3
+    h = np.diff(x)
+    left, right = h[:-1], h[1:]  # the elements to either side of each node
+    inner = h[1:-1]
+    K = sp.diags([-1.0 / inner, 1.0 / left + 1.0 / right, -1.0 / inner], [-1, 0, 1])
+    M = sp.diags([inner / 6, (left + right) / 3, inner / 6], [-1, 0, 1])
+    return (-K).tocsr(), M.tocsr()
+
+
 def dense_defect(problem, result):
     """||R(ZZ*) - RR*||_2 / ||C*C||_2 from the dense residual (small n)."""
     residual, _ = rc.dense_residual(problem, dense_x(result))
@@ -127,10 +143,10 @@ def one_shift_per_step(problem, shifts):
     Conjugate pairs are not realified: every complex shift costs its own
     complex solve and the state of a real problem becomes complex.
     """
-    state = rc.init_state(problem)
+    state = brad.init_state(problem)
     for mu in shifts:
-        block = rc.expand_parallel(state, problem, [mu])
-        state = rc.absorb_r2adi(state, problem, block)
+        block = brad.expand_parallel(state, problem, [mu])
+        state = brad.absorb_r2adi(state, problem, block)
     return state
 
 
@@ -173,6 +189,14 @@ def rational_residual_factor(problem, poles, zeros):
     if problem.E is not None:
         out = _dense(problem.E).conj().T @ out
     return out
+
+
+def write_shift_file(shifts, path):
+    """Write shifts as the "re im" lines that read_shift_file reads."""
+    with open(path, "w") as fh:
+        for s in shifts:
+            s = complex(s)
+            fh.write(f"{s.real:.17g} {s.imag:.17g}\n")
 
 
 def scalar_problem():

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 import conftest
 import ricadi as rc
+import ricadi.brad as brad
 import ricadi.shifted as shifted_mod
 import ricadi.solver as solver_mod
 from conftest import (
@@ -23,7 +24,7 @@ from conftest import (
     rel2,
     scalar_problem,
 )
-from ricadi.kernels import eigenvalue_match_distance
+from ricadi.oracle import eigenvalue_match_distance
 
 
 def report(name, ok, detail=""):
@@ -155,8 +156,8 @@ def test_criterion_01_scalar_closed_form():
     rhs = (prob.B.conj().T @ W)[0, 0] ** 2 + 1.0
     Y22 = rc.kernels.solve_lyapunov_small([[1.0]], [[rhs]])
     ok_y = abs(Y22[0, 0] - 0.625) <= 1e-14
-    state = rc.init_state(prob)
-    state = rc.absorb_r2adi(state, prob, rc.expand_simple(state, prob, 1.0))
+    state = brad.init_state(prob)
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
     ok_x1 = abs(dense_x(state)[0, 0] - 0.4) <= 1e-14
     ok_r1 = abs(state.R[0, 0] - 0.2) <= 1e-14
 

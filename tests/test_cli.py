@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import ricadi as rc
-from conftest import random_problem
+from conftest import random_problem, write_shift_file
 from ricadi.cli import main, run
-from ricadi.problems import read_convergence_log, write_matrix_market, \
-    write_shift_file
+from ricadi.problems import read_convergence_log, write_matrix_market
 
 
 def write_problem(prob, tmp_path, shifts=None):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ricadi import kernels as kn
 from ricadi.errors import NotPositiveDefiniteError, SylvesterSingularError
-from ricadi.kernels import eigenvalue_match_distance, hermitian_part
+from ricadi.kernels import hermitian_part
 
 
 def kron_sylvester(Hc, D, RHS):
@@ -254,12 +254,3 @@ def test_lyapunov_hermitian_output():
     Y = kn.solve_lyapunov_small(D, RHS)
     np.testing.assert_allclose(Y, Y.conj().T, atol=1e-13)
     np.testing.assert_allclose(Y @ D + D.conj().T @ Y, RHS, atol=1e-12)
-
-
-# ------------------------------------------------- eigenvalue match distance
-
-def test_eigenvalue_match_distance():
-    assert eigenvalue_match_distance([1, 2j], [2j, 1]) == 0.0
-    assert eigenvalue_match_distance([1.0], [1.5]) == 0.5
-    assert eigenvalue_match_distance([1.0], [1.0, 2.0]) == np.inf
-    assert eigenvalue_match_distance([], []) == 0.0

@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 import ricadi as rc
+import ricadi.brad as brad
+from ricadi.oracle import eigenvalue_match_distance
 from conftest import (
     projected_system_zeros,
     random_problem,
@@ -110,8 +112,8 @@ def test_rational_factor_pole_on_spectrum():
 
 def test_projected_zeros_and_pole_check_scalar():
     prob = scalar_problem()
-    state = rc.init_state(prob)
-    state = rc.absorb_r2adi(state, prob, rc.expand_simple(state, prob, 1.0))
+    state = brad.init_state(prob)
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
     # the state normalization forces Hm + Hm* = SB*SB + h*h = 2 for s = 1
     gram = state.SB.conj().T @ state.SB + state.h.conj().T @ state.h
     np.testing.assert_allclose(gram, [[2.0]], atol=1e-13)
@@ -123,15 +125,15 @@ def test_projected_zeros_and_pole_check_scalar():
 
 def test_pole_check_detects_corruption():
     prob = random_problem(76, n=20, m=1, p=1)
-    state = rc.init_state(prob)
-    state = rc.absorb_r2adi(state, prob, rc.expand_simple(state, prob, 1.0))
+    state = brad.init_state(prob)
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
     state.h = state.h + 0.1
     assert rc.closed_loop_pole_check(state, prob) > 1e-3
 
 
 def test_pole_check_empty_state():
     prob = scalar_problem()
-    assert rc.closed_loop_pole_check(rc.init_state(prob), prob) == 0.0
+    assert rc.closed_loop_pole_check(brad.init_state(prob), prob) == 0.0
 
 
 def test_projected_zeros_rational_factor_consistency():
@@ -145,3 +147,10 @@ def test_projected_zeros_rational_factor_consistency():
         fac = rational_residual_factor(prob, s.poles, zeros)
         err = np.linalg.norm(s.R - fac.real) / np.linalg.norm(s.R)
         assert err <= 1e-8
+
+
+def test_eigenvalue_match_distance():
+    assert eigenvalue_match_distance([1, 2j], [2j, 1]) == 0.0
+    assert eigenvalue_match_distance([1.0], [1.5]) == 0.5
+    assert eigenvalue_match_distance([1.0], [1.0, 2.0]) == np.inf
+    assert eigenvalue_match_distance([], []) == 0.0

@@ -1,0 +1,71 @@
+"""The package surface: its public names and what `import ricadi` loads."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ricadi as rc
+import ricadi.brad as brad
+import ricadi.kernels as kernels
+
+SRC = Path(rc.__file__).resolve().parent
+
+PUBLIC = {
+    "ConvergenceRecord", "HamiltonianShifts", "PrecomputedShifts",
+    "ProblemSpec", "SolveResult", "SolverOptions", "brad_residual_check",
+    "closed_loop_pole_check", "dense_care", "dense_residual", "load_problem",
+    "read_matrix_market", "read_shift_file", "solve", "write_convergence_log",
+}
+
+# One small solve in a fresh interpreter; prints what it finds loaded.
+FRESH = """
+import json, sys
+import numpy as np
+import scipy.sparse as sp
+import ricadi
+after_import = "scipy.optimize" in sys.modules
+A = sp.csr_matrix(np.diag([-1.0, -2.0, -3.0]))
+prob = ricadi.ProblemSpec(A=A, B=np.ones((3, 1)), C=np.ones((1, 3)))
+res = ricadi.solve(prob, ricadi.SolverOptions(tol=1e-9), ricadi.HamiltonianShifts())
+print(json.dumps({
+    "converged": bool(res.converged),
+    "optimize_after_import": after_import,
+    "optimize_after_solve": "scipy.optimize" in sys.modules,
+    "attributes": [m for m in ("brad", "shifted", "oracle") if hasattr(ricadi, m)],
+}))
+"""
+
+
+def test_public_names():
+    assert len(rc.__all__) == len(PUBLIC) == 15
+    assert set(rc.__all__) == PUBLIC
+    assert all(hasattr(rc, name) for name in rc.__all__)
+
+
+def test_import_and_solve_leave_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", FRESH], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    seen = json.loads(out)
+    assert seen["converged"]
+    assert not seen["optimize_after_import"]
+    assert not seen["optimize_after_solve"]
+    assert seen["attributes"] == ["brad", "shifted", "oracle"]
+
+
+def test_oracle_imports_no_other_ricadi_module():
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("ricadi")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("ricadi") for a in node.names)
+
+
+def test_verification_lives_only_in_oracle():
+    for name in ("brad_residual_check", "closed_loop_pole_check",
+                 "eigenvalue_match_distance"):
+        assert getattr(rc.oracle, name).__module__ == "ricadi.oracle"
+        assert not hasattr(brad, name) and not hasattr(kernels, name)

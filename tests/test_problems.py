@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ricadi as rc
+from conftest import write_shift_file
 from ricadi.errors import MatrixMarketError
-from ricadi.problems import (
-    read_convergence_log,
-    write_matrix_market,
-    write_shift_file,
-)
+from ricadi.problems import read_convergence_log, write_matrix_market
 from ricadi.solver import ConvergenceRecord
 
 

@@ -19,6 +19,7 @@ from conftest import (
     dense_x,
     PERFBENCH,
     fem1d_pair,
+    graded_fem1d_pair,
     one_shift_per_step,
     random_problem,
     rel2,
@@ -76,22 +77,22 @@ def test_scalar_closed_form_all_modes(mode):
 
 def test_relative_residual_fresh_state():
     prob = random_problem(50, n=12, m=1, p=2)
-    assert rc.relative_residual(rc.init_state(prob), prob) == 1.0
+    assert solver_mod.relative_residual(brad.init_state(prob), prob) == 1.0
 
 
 def test_relative_residual_scalar_step1():
     prob = scalar_problem()
-    state = rc.init_state(prob)
-    state = rc.absorb_r2adi(state, prob, rc.expand_simple(state, prob, 1.0))
-    np.testing.assert_allclose(rc.relative_residual(state, prob), 0.04,
+    state = brad.init_state(prob)
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
+    np.testing.assert_allclose(solver_mod.relative_residual(state, prob), 0.04,
                                atol=1e-14)
 
 
 def test_relative_residual_scaling_invariance():
     prob = random_problem(51, n=12, m=1, p=1)
     scaled = rc.ProblemSpec(A=prob.A, B=prob.B, C=2.0 * prob.C, E=prob.E)
-    r1 = rc.relative_residual(rc.init_state(prob), prob)
-    r2 = rc.relative_residual(rc.init_state(scaled), scaled)
+    r1 = solver_mod.relative_residual(brad.init_state(prob), prob)
+    r2 = solver_mod.relative_residual(brad.init_state(scaled), scaled)
     np.testing.assert_allclose(r1, r2, atol=1e-14)
 
 
@@ -434,3 +435,19 @@ def test_open_loop_cancellation_is_redone_fem1d_3000(monkeypatch):
     first = next(r.iter for r in res.records if r.redone)
     # hybrid stays closed-loop from the first redone step on
     assert all(r.closed_loop for r in res.records[first - 1:])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_r2adi_converges_correctly_on_graded_fem1d(seed):
+    # On this graded mesh r2adi used to report convergence with a dense
+    # residual defect of 8.2e-8 (seed 0) and 1.2e-8 (seed 1), while rho and
+    # the Lyapunov identity stayed small; a correct solve reads ~2e-14.
+    n = 400
+    A, E = graded_fem1d_pair(n)
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, 1))
+    prob = rc.ProblemSpec(A=A, B=B, C=rng.standard_normal((6, n)), E=E)
+    res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=1e-9),
+                   rc.HamiltonianShifts())
+    assert res.converged
+    assert dense_defect(prob, res) <= 1e-11
