@@ -82,16 +82,14 @@ def run(argv=None):
     if not result.converged:
         print(f"status         : {result.message}")
 
-    if args.out_log:
-        write_convergence_log(result.records, args.out_log)
-    if args.out_z:
-        write_matrix_market(np.asarray(result.Z), args.out_z)
-
-    if args.verify:
-        if problem.n > DENSE_ORACLE_MAX_N:
-            print(f"verify         : skipped (n > {DENSE_ORACLE_MAX_N})")
-        else:
+    if args.verify and problem.n > DENSE_ORACLE_MAX_N:
+        print(f"verify         : skipped (n > {DENSE_ORACLE_MAX_N})")
+    elif args.verify:
+        try:
             ref = dense_care(problem)
+        except RuntimeError as exc:
+            print(f"verify         : no reference ({exc})")
+        else:
             X = result.Z @ result.Z.conj().T
             err = (np.linalg.norm(X - ref.X, 2)
                    / max(np.linalg.norm(ref.X, 2), 1e-300))
@@ -99,6 +97,14 @@ def run(argv=None):
 
     print(f"RESULT iter={steps} dim={result.state.q} "
           f"relres={result.rel_residual:.17g}")
+    try:
+        if args.out_log:
+            write_convergence_log(result.records, args.out_log)
+        if args.out_z:
+            write_matrix_market(np.asarray(result.Z), args.out_z)
+    except OSError as exc:
+        print(f"ricadi: error: {exc}", file=sys.stderr)
+        return 1
     return 0 if result.converged else 2
 
 

@@ -106,9 +106,10 @@ def read_matrix_market(path):
 
 
 def write_matrix_market(M, path, comment=""):
-    """Write a matrix (dense or sparse) as a Matrix Market file."""
-    scipy.io.mmwrite(path, np.asarray(M) if not sp.issparse(M) else M,
-                     comment=comment)
+    """Write a matrix (dense or sparse) as a Matrix Market file at path."""
+    # scipy's mmwrite of a path fails silently and may append ".mtx" to it
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, M, comment=comment)
 
 
 def read_shift_file(path):

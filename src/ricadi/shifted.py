@@ -1,11 +1,11 @@
 """Factored solves with the large shifted matrices (A* - mu E*).
 
-One factorization per shift serves any number of right-hand sides, and the
-Sherman-Morrison-Woodbury formula turns the rank-m feedback correction
-(A* - K B* - mu E*) into one sparse solve plus an m-by-m solve.
+Every factorization of a large matrix is a Factor: factorize makes one per
+shift and shifts.factor_e one of E per solve. A factor serves any number of
+right-hand sides, and the Sherman-Morrison-Woodbury formula turns the rank-m
+feedback correction (A* - K B* - mu E*) into one solve with the factor plus
+an m-by-m solve.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -19,34 +19,32 @@ from .kernels import singular_pivots
 DENSE_LU_BELOW_N = 500
 
 
-@dataclass
-class ShiftedFactor:
-    """Opaque factorization of (A* - mu E*); immutable after creation."""
+class Factor:
+    """One LU factorization of an n-by-n matrix M, applied to any number of blocks.
 
-    shift: complex
-    n: int
-    _solve: callable = field(repr=False)
+    lu is a dense (lu, piv) pair from scipy.linalg.lu_factor or a SuperLU object,
+    dtype that of M, and shift the mu of M = A* - mu E* (None for E's factor).
+    """
+
+    def __init__(self, lu, n, dtype, shift=None):
+        self.lu = lu
+        self.n = n
+        self.dtype = np.result_type(dtype, np.float64)
+        self.shift = shift
 
     def solve(self, RHS):
-        return self._solve(RHS)
-
-
-def solve_by_parts(solve, RHS):
-    """Apply a real factor's solve to RHS; a complex RHS goes by parts.
-
-    A real SuperLU factor accepts only real right-hand sides, so a complex
-    block is solved as its real and imaginary parts.
-    """
-    if np.iscomplexobj(RHS):
-        return solve(RHS.real) + 1j * solve(RHS.imag)
-    return solve(RHS)
-
-
-def _check_diag(d, mu):
-    if singular_pivots(d):
-        raise SingularShiftError(
-            f"shifted matrix A* - mu E* is singular for mu = {mu}", shift=mu
-        )
+        """Return W with M W = RHS, in the dtype of RHS promoted with M's."""
+        RHS = np.atleast_2d(np.asarray(RHS))
+        if RHS.shape[0] != self.n:
+            raise ValueError(f"RHS must have {self.n} rows, got {RHS.shape}")
+        RHS = RHS.astype(np.result_type(RHS.dtype, self.dtype), copy=False)
+        if RHS.shape[1] == 0:
+            return RHS
+        if isinstance(self.lu, tuple):
+            return sla.lu_solve(self.lu, RHS)
+        if RHS.dtype != self.dtype:  # a real SuperLU factor takes only real RHS
+            return self.lu.solve(RHS.real) + 1j * self.lu.solve(RHS.imag)
+        return self.lu.solve(RHS)
 
 
 def factorize(A, E=None, mu=0.0):
@@ -56,7 +54,8 @@ def factorize(A, E=None, mu=0.0):
     made dense for n < DENSE_LU_BELOW_N. Dense LU factors it there, SuperLU
     otherwise; SuperLU orders by minimum degree on the pattern of M* + M
     (MMD_AT_PLUS_A: about 40% less fill than COLAMD on 2-D stencils).
-    Deterministic for fixed input.
+    Deterministic for fixed input. Returns a Factor; raises
+    SingularShiftError when a pivot is negligible.
     """
     mu = complex(mu)
     if mu.imag == 0.0:
@@ -64,38 +63,19 @@ def factorize(A, E=None, mu=0.0):
     n = A.shape[0]
     Eh = sp.identity(n, format="csc") if E is None else sp.csc_matrix(E.conj().T)
     M = sp.csc_matrix(A.conj().T) - mu * Eh
-    dtype = np.complex128 if np.iscomplexobj(M) else np.float64
+    singular = f"shifted matrix A* - mu E* is singular for mu = {mu}"
     if n < DENSE_LU_BELOW_N:
-        lu, piv = sla.lu_factor(M.toarray())
-        _check_diag(np.diag(lu), mu)
-
-        def solve(RHS, lu=lu, piv=piv):
-            return sla.lu_solve((lu, piv), RHS)
-
+        lu = sla.lu_factor(M.toarray())
+        pivots = np.diag(lu[0])
     else:
         try:
-            fac = spla.splu(M, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
-            raise SingularShiftError(
-                f"shifted matrix A* - mu E* is singular for mu = {mu}: {exc}",
-                shift=mu,
-            ) from exc
-        _check_diag(fac.U.diagonal(), mu)
-
-        def solve(RHS, fac=fac):
-            if dtype == np.float64:
-                return solve_by_parts(fac.solve, RHS)
-            return fac.solve(RHS)
-
-    def typed_solve(RHS, solve=solve, dtype=dtype, n=n):
-        RHS = np.atleast_2d(np.asarray(RHS))
-        if RHS.shape[0] != n:
-            raise ValueError(f"RHS must have {n} rows, got {RHS.shape}")
-        if RHS.shape[1] == 0:
-            return np.zeros_like(RHS, dtype=np.result_type(RHS.dtype, dtype))
-        return solve(RHS.astype(np.result_type(RHS.dtype, dtype), copy=False))
-
-    return ShiftedFactor(shift=mu, n=n, _solve=typed_solve)
+            raise SingularShiftError(f"{singular}: {exc}", shift=mu) from exc
+        pivots = lu.U.diagonal()
+    if singular_pivots(pivots):
+        raise SingularShiftError(singular, shift=mu)
+    return Factor(lu, n, M.dtype, shift=mu)
 
 
 def solve_factored(f, RHS):

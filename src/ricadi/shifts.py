@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ShiftsExhaustedError, ShiftStrategyError
 from .kernels import singular_pivots
-from .shifted import solve_by_parts
+from .shifted import Factor
 
 _SCORE_CLAMP = 1e12
 
@@ -83,27 +83,21 @@ class HamiltonianShifts:
 
     def __init__(self, window=None):
         self.window = None if window is None else positive_int("window", window)
-        self._e_factor = None  # (E, solve with E) for the E last seen
+        self._e_factor = None  # E's Factor (None without E), made at q = 0
 
     def next_shifts(self, state, problem, batch=1):
         l = self.window if self.window is not None else 6 * problem.p
-        H = projected_hamiltonian(state, problem, l,
-                                  self._solve_e(problem.E, state.q == 0))
+        if state.q == 0 or self._e_factor is None:
+            self._e_factor = None if problem.E is None else factor_e(problem.E)
+        H = projected_hamiltonian(state, problem, l, self._e_factor)
         mu = _best_shift(H)
         if mu.imag != 0 and problem.is_real:
             return [mu, mu.conjugate()]
         return [mu]
 
-    def _solve_e(self, E, first_step):
-        if E is None:
-            return None
-        if first_step or self._e_factor is None or self._e_factor[0] is not E:
-            self._e_factor = (E, factor_e(E))
-        return self._e_factor[1]
-
 
 def factor_e(E):
-    """Return RHS -> E^{-1} RHS, with E factored once (SuperLU or dense LU).
+    """Return E's Factor (SuperLU for sparse E, dense LU otherwise).
 
     Raises ShiftStrategyError when E is singular. Drop the result on the
     thread that called this: a SuperLU factor dropped on another thread
@@ -111,25 +105,19 @@ def factor_e(E):
     """
     if sp.issparse(E):
         try:
-            fac = spla.splu(E.tocsc())
+            lu = spla.splu(E.tocsc())
         except RuntimeError as exc:
             raise ShiftStrategyError(f"mass matrix E is singular: {exc}") from exc
-        pivots, solve = fac.U.diagonal(), fac.solve
+        pivots = lu.U.diagonal()
     else:
-        lu_piv = sla.lu_factor(E)
-        pivots = np.diag(lu_piv[0])
-
-        def solve(RHS):
-            return sla.lu_solve(lu_piv, RHS)
-
+        lu = sla.lu_factor(E)
+        pivots = np.diag(lu[0])
     if singular_pivots(pivots):
         raise ShiftStrategyError("mass matrix E is singular")
-    if np.iscomplexobj(E):
-        return solve
-    return lambda RHS: solve_by_parts(solve, RHS)
+    return Factor(lu, E.shape[0], E.dtype)
 
 
-def projected_hamiltonian(state, problem, l, solve_e=None):
+def projected_hamiltonian(state, problem, l, e_factor=None):
     """Assemble the 2u-by-2u projected residual Hamiltonian matrix.
 
     The basis U is an orthonormal span of the last min(l, q) stored columns
@@ -137,7 +125,7 @@ def projected_hamiltonian(state, problem, l, solve_e=None):
     instead). The closed-loop matrix acts through the cached feedback K,
     so only the window's columns of Z are read; with a mass matrix E present
     the action is evaluated in the E-transformed variables without forming
-    inv(E) explicitly. solve_e applies inv(E) (factor_e(E) when omitted).
+    inv(E) explicitly; e_factor is E's Factor (factor_e(E) when omitted).
     """
     A, B, E = problem.A, problem.B, problem.E
     q = state.q
@@ -146,7 +134,7 @@ def projected_hamiltonian(state, problem, l, solve_e=None):
     else:
         base = state.Z[:, max(q - l, 0):]
     U, _ = np.linalg.qr(base)
-    EU = U if E is None else (solve_e or factor_e(E))(U)
+    EU = U if E is None else (e_factor or factor_e(E)).solve(U)
     # B* Z Z* U is K* EU, since K* = B* Z Z* E: O(n m l), not O(n q l)
     AtilU = A @ EU - B @ (state.K.conj().T @ EU)
     H11 = U.conj().T @ AtilU

@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of Z and R for each benchmark input, one line each.
+
+    python3 tests/bitwise_digest.py > digest.txt
+
+Builds 66 inputs with perfbench's generators at seed 302: the 57 problems of
+small-batch and the first three instances of each single-problem workload.
+Each is solved with the workload's settings and one BLAS thread, and the
+line gives the input's name, the SHA-256 of Z and of R, the steps, q and
+whether the solve converged. Two checkouts compute the same iterates
+bitwise exactly when their outputs are identical (diff them). It is a
+script, not a pytest module.
+"""
+
+import os
+
+# One BLAS thread, set before numpy loads: threaded BLAS may sum in another
+# order from run to run.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import ricadi as rc  # noqa: E402
+from workloads import TOL, WORKLOADS, build_inputs  # noqa: E402
+
+SEED = 302
+SINGLE_INSTANCES = 3
+# As perfbench/worker.py: a cyclic list is replayed far more often than used.
+CYCLE_REPEATS = 25
+
+
+def sha256(M):
+    return hashlib.sha256(np.ascontiguousarray(M).tobytes()).hexdigest()
+
+
+def inputs():
+    for workload, spec in WORKLOADS.items():
+        entries = build_inputs(workload, SEED)
+        if spec["kind"] == "single":
+            entries = entries[:SINGLE_INSTANCES]
+        for entry in entries:
+            yield f"{workload}/{entry['name']}", entry
+
+
+def solve(entry):
+    problem = rc.ProblemSpec(A=entry["A"], B=entry["B"], C=entry["C"], E=entry["E"])
+    if entry["shifts"] == "hamiltonian":
+        source = rc.HamiltonianShifts()
+    else:
+        source = rc.PrecomputedShifts(list(entry["shift_list"]) * CYCLE_REPEATS)
+    options = rc.SolverOptions(mode=entry["mode"], tol=TOL,
+                               parallel_width=entry["parallel_width"])
+    return rc.solve(problem, options, source)
+
+
+def main():
+    for name, entry in inputs():
+        res = solve(entry)
+        print(name, sha256(res.Z), sha256(res.R), f"steps={len(res.records)}",
+              f"q={res.state.q}", f"converged={res.converged}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

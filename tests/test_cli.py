@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ricadi as rc
 from conftest import random_problem, write_shift_file
@@ -77,6 +78,32 @@ def test_cli_outputs(tmp_path, capsys):
                                atol=1e-10)
     records = read_convergence_log(lpath)
     assert len(records) == 2 and records[-1].rel_residual < 1e-9
+
+
+@pytest.mark.parametrize("flag", ["--out-log", "--out-z"])
+def test_cli_unwritable_output_is_an_error(tmp_path, capsys, flag):
+    # the solve converges; only its output cannot be written
+    code = run(scalar_args(tmp_path) + [flag, str(tmp_path / "missing" / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("ricadi: error:") and "Traceback" not in err
+    assert any(l.startswith("RESULT") for l in out.splitlines())
+
+
+def test_cli_verify_without_a_stabilizing_solution(tmp_path, capsys):
+    # A = tridiag(1, 0.5, 1) is unstable and B = 0, so the Lyapunov equation
+    # has no stabilizing solution and the dense oracle gives no reference
+    n = 30
+    A = sp.diags([np.ones(n - 1), np.full(n, 0.5), np.ones(n - 1)], [-1, 0, 1],
+                 format="csr")
+    prob = rc.ProblemSpec(A=A, B=None,
+                          C=np.random.default_rng(0).standard_normal((1, n)))
+    code = run(write_problem(prob, tmp_path)
+               + ["--shift-strategy", "hamiltonian", "--max-iter", "5", "--verify"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2  # not converged
+    assert "verify         : no reference (no stabilizing solution found" in "\n".join(lines)
+    assert lines[-1].startswith("RESULT")
 
 
 def test_cli_not_converged_exit_code(tmp_path, capsys):

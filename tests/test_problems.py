@@ -78,6 +78,14 @@ def test_write_mm_round_trip(tmp_path):
     np.testing.assert_allclose(rc.read_matrix_market(path), M, atol=1e-14)
 
 
+def test_write_mm_keeps_the_path_and_raises_when_it_cannot_write(tmp_path):
+    M = np.ones((2, 1))
+    write_matrix_market(M, tmp_path / "z.out")
+    assert [p.name for p in tmp_path.iterdir()] == ["z.out"]
+    with pytest.raises(FileNotFoundError):
+        write_matrix_market(M, tmp_path / "missing" / "z.mtx")
+
+
 def test_shift_file_single(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("1.0 0.0\n")

@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 
 import ricadi as rc
 import ricadi.shifted as shifted_mod
+import ricadi.shifts as shifts_mod
 from conftest import fem1d_pair, random_problem, stable_sparse
 from ricadi.errors import SingularShiftError, SMWSingularError
 from ricadi.shifted import factorize, smw_solve, solve_factored
@@ -52,11 +53,62 @@ def test_factorize_conjugates_a():
                                [[1.0 / (-3 - 1j)]], atol=1e-15)
 
 
-def test_solve_factored_zero_rhs():
-    f = factorize(sp.csr_matrix(-np.eye(4)), mu=1.0)
-    np.testing.assert_array_equal(solve_factored(f, np.zeros((4, 2))),
-                                  np.zeros((4, 2)))
-    assert solve_factored(f, np.zeros((4, 0))).shape == (4, 0)
+def _shifted_pair(A, E, mu):
+    M = A.toarray().T - mu * (np.eye(A.shape[0]) if E is None else E.toarray().T)
+    return factorize(A, E, mu), M
+
+
+def _e_pair(E):
+    return shifts_mod.factor_e(E), (E.toarray() if sp.issparse(E) else E)
+
+
+# Every producer of a Factor, each with the real matrix its factor solves with:
+# factorize on its dense (n < 500) and SuperLU branches, factor_e on both
+# storages of E.
+FACTOR_PRODUCERS = {
+    "factorize-n40": lambda: _shifted_pair(
+        *_pair(random_problem(44, n=40, generalized=True)), 1.5),
+    "factorize-n600": lambda: _shifted_pair(
+        stable_sparse(600, 5, density=0.01), None, 2.5),
+    "factor_e-sparse": lambda: _e_pair(random_problem(44, n=30, generalized=True).E),
+    "factor_e-dense": lambda: _e_pair(
+        random_problem(44, n=30, generalized=True).E.toarray()),
+}
+
+
+def _produce(producer):
+    f, M = FACTOR_PRODUCERS[producer]()
+    assert isinstance(f, shifted_mod.Factor) and f.n == M.shape[0]
+    return f, M
+
+
+@pytest.mark.parametrize("producer", sorted(FACTOR_PRODUCERS))
+def test_solve_factored_wrong_rows(producer):
+    f, _ = _produce(producer)
+    with pytest.raises(ValueError, match="rows"):
+        f.solve(np.zeros((f.n + 1, 1)))
+
+
+@pytest.mark.parametrize("producer", sorted(FACTOR_PRODUCERS))
+def test_solve_factored_zero_rhs(producer):
+    f, _ = _produce(producer)
+    np.testing.assert_array_equal(f.solve(np.zeros((f.n, 2))),
+                                  np.zeros((f.n, 2)))
+    for dtype in (np.float64, np.complex128):
+        empty = f.solve(np.zeros((f.n, 0), dtype=dtype))
+        assert empty.shape == (f.n, 0) and empty.dtype == dtype
+
+
+@pytest.mark.parametrize("producer", sorted(FACTOR_PRODUCERS))
+def test_real_e_factor_solves_complex_block(producer):
+    # a complex block reaches a real factor with complex data and a real E,
+    # and after a complex shift on a state stored in complex form
+    f, M = _produce(producer)
+    assert M.dtype == np.float64
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal((f.n, 3)) + 1j * rng.standard_normal((f.n, 3))
+    np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(M, rhs),
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_solve_factored_scalar_pipeline():
@@ -74,12 +126,6 @@ def test_solve_factored_multi_rhs_is_columnwise():
         np.testing.assert_allclose(full[:, j:j + 1],
                                    solve_factored(f, RHS[:, j:j + 1]),
                                    atol=1e-13)
-
-
-def test_solve_factored_wrong_rows():
-    f = factorize(sp.csr_matrix(-np.eye(3)), mu=1.0)
-    with pytest.raises(ValueError, match="rows"):
-        solve_factored(f, np.zeros((4, 1)))
 
 
 def test_factorize_sparse_path_matches_dense():
