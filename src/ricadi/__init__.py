@@ -2,8 +2,8 @@
 
 Computes factored approximations X = Z Z* with an exactly maintained
 rank-p residual factor, via rational-Krylov ADI iterations that expand the
-subspace by a batch of shifts per step, realifying conjugate pairs on real
-data. The BRAD steps are reached as ricadi.brad.*, the shifted solves as
+subspace by a batch of shifts per step; on real data each complex shift is
+realified with its conjugate. The BRAD steps are reached as ricadi.brad.*, the shifted solves as
 ricadi.shifted.*.
 """
 

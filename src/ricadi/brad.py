@@ -3,8 +3,9 @@
 The state is kept in the normalized form where the small Lyapunov equation
 associated with the decomposition is solved by the identity, so the current
 approximate solution is simply X = Z Z*. Expansion adds a batch of new poles
-(expand_parallel; on a real state a conjugate pair is realified so the state
-stays real); absorption restores the normalization.
+(expand_parallel; on a real state every complex shift is its realified
+conjugate pair, so the state stays real); absorption restores the
+normalization.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -105,12 +106,12 @@ def expand_parallel(state, problem, shifts, closed_loop=False):
     """Expand by l >= 1 pairwise distinct shifts.
 
     One system solve with the residual factor per shift, except on a real
-    state (real R): there a complex shift whose conjugate is also in the
-    batch is realified. One complex solve W, at the member with Im > 0,
-    gives both poles; Re W and Im W are interleaved per column, so the new
-    diagonal block of the small matrix has 2-by-2 rotation-like blocks and
-    the pair adds only real columns. Several solves run concurrently, one
-    thread each.
+    state (real R): there every complex shift stands for its conjugate pair
+    and is realified. Both members map to the one with Im > 0, so a batch
+    holding both makes one solve W for the pair; Re W and Im W are
+    interleaved per column, so the new diagonal block of the small matrix
+    has 2-by-2 rotation-like blocks and the pair adds only real columns.
+    Several solves run concurrently, one thread each.
     """
     shifts = [admissible_shift(mu) for mu in shifts]
     if not shifts:
@@ -119,9 +120,8 @@ def expand_parallel(state, problem, shifts, closed_loop=False):
         if a in shifts[i + 1:]:
             raise ValueError(f"parallel shifts must be pairwise distinct: {a}")
     realify = np.isrealobj(state.R)
-    paired = {mu for mu in shifts
-              if realify and mu.imag != 0 and mu.conjugate() in shifts}
-    solves = [mu for mu in shifts if not (mu in paired and mu.imag < 0)]
+    solves = (list(dict.fromkeys(complex(mu.real, abs(mu.imag)) for mu in shifts))
+              if realify else shifts)
     if len(solves) == 1:
         results = [_expansion_solve(state, problem, solves[0], closed_loop)]
     else:
@@ -133,7 +133,7 @@ def expand_parallel(state, problem, shifts, closed_loop=False):
             results = list(pool.map(
                 lambda mu: _expansion_solve(state, problem, mu, closed_loop),
                 solves))
-    Zs, U1s, Ds, poles = zip(*(_block_part(mu, W, state.p, mu in paired)
+    Zs, U1s, Ds, poles = zip(*(_block_part(mu, W, state.p, realify)
                                for mu, W in zip(solves, results)))
     Ztil = Zs[0] if len(Zs) == 1 else np.hstack(Zs)
     dtype = np.result_type(Ztil, *Ds)
@@ -143,16 +143,19 @@ def expand_parallel(state, problem, shifts, closed_loop=False):
         Ztil=Ztil,
         U1=np.hstack(U1s).astype(dtype),
         D=sla.block_diag(*Ds).astype(dtype),
-        kind=("realified" if paired
-              else "simple" if len(shifts) == 1 else "parallel"),
+        kind=("realified" if realify and any(mu.imag for mu in solves)
+              else "simple" if len(solves) == 1 else "parallel"),
         poles=[mu for part in poles for mu in part],
         closed_loop=closed_loop,
     )
 
 
-def _block_part(mu, W, p, realified):
-    """Columns, U1, D and poles that the solve W at mu adds to the block."""
-    if not realified:
+def _block_part(mu, W, p, realify):
+    """Columns, U1, D and poles that the solve W at mu adds to the block.
+
+    With realify (a real state) a complex mu adds its realified pair.
+    """
+    if not (realify and mu.imag):
         return W, np.eye(p), np.diag([mu if mu.imag else mu.real] * p), [mu] * p
     Z = np.empty((W.shape[0], 2 * p))
     Z[:, 0::2], Z[:, 1::2] = W.real, W.imag

@@ -33,8 +33,9 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--parallel-width", type=int, default=1,
-                   help="shifts per step from a precomputed list (the "
-                        "hamiltonian strategy gives one shift or pair)")
+                   help="shifted solves per step from a precomputed list; "
+                        "on real data a complex shift and its conjugate "
+                        "are one solve (the hamiltonian strategy gives one)")
     p.add_argument("--shift-strategy", choices=["precomputed", "hamiltonian"],
                    default="precomputed")
     p.add_argument("--window", type=int, default=None,
@@ -50,14 +51,19 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.shift_strategy == "precomputed" and not args.shifts:
+    precomputed = args.shift_strategy == "precomputed"
+    misuse = ("--shifts is required with" if precomputed and not args.shifts
+              else "--shifts is not used by" if not precomputed and args.shifts
+              else "--window is not used by"
+              if precomputed and args.window is not None else None)
+    if misuse:
         print(parser.format_usage(), file=sys.stderr, end="")
-        print("ricadi: error: --shifts is required with the precomputed "
-              "shift strategy", file=sys.stderr)
+        print(f"ricadi: error: {misuse} the {args.shift_strategy} shift "
+              "strategy", file=sys.stderr)
         return 1
     try:
         problem = load_problem(args.a, args.c, b_path=args.b, e_path=args.e)
-        if args.shift_strategy == "precomputed":
+        if precomputed:
             source = PrecomputedShifts(read_shift_file(args.shifts))
         else:
             source = HamiltonianShifts(window=args.window)

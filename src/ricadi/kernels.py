@@ -63,22 +63,14 @@ def spectral_norm_gram(R):
     return float(max(w[-1], 0.0))
 
 
-def _complex_schur(M):
-    """(T, Q) with M = Q T Q* and T upper triangular; Q = I when M is."""
-    if not np.any(np.diag(M, -1)):
-        return M, np.eye(M.shape[0])
-    return sla.schur(M, output="complex")
-
-
 def solve_sylvester_small(Hm, D, RHS):
     """Solve Hm* Y + Y D = RHS for the q-by-t matrix Y.
 
     Hm and D are upper quasi-triangular, as BradState keeps Hminus and an
     expansion block keeps D, so one LAPACK trsyl back-substitution solves
     the equation and real data stays real. ztrsyl reads only the upper
-    triangle, so on complex data a matrix with a 2-by-2 block (a realified
-    pair on a state that turned complex later) is first brought to complex
-    Schur form.
+    triangle, so complex data with a 2-by-2 block raises ValueError; such a
+    block is a realified pair, which only real data has.
     """
     Hm, D, RHS = (np.atleast_2d(np.asarray(M)) for M in (Hm, D, RHS))
     real = not any(np.iscomplexobj(M) for M in (Hm, D, RHS))
@@ -86,17 +78,15 @@ def solve_sylvester_small(Hm, D, RHS):
     q, t = Hm.shape[0], D.shape[0]
     if q == 0 or t == 0:
         return np.zeros((q, t), dtype=dtype)
+    if not real and (np.any(np.diag(Hm, -1)) or np.any(np.diag(D, -1))):
+        raise ValueError("complex Sylvester data needs upper triangular Hm and D")
     Hm, D, RHS = Hm.astype(dtype), D.astype(dtype), RHS.astype(dtype)
-    if not real:
-        (Hm, Q), (D, P) = _complex_schur(Hm), _complex_schur(D)
-        RHS = Q.conj().T @ RHS @ P
     trsyl, = sla.get_lapack_funcs(("trsyl",), (Hm, D, RHS))
     Y, scale, info = trsyl(Hm, D, RHS, trana="T" if real else "C")
     if info != 0:
         raise SylvesterSingularError(
             f"singular Sylvester operator: trsyl info {info}")
-    Y = Y / scale
-    return Y if real else Q @ Y @ P.conj().T
+    return Y / scale
 
 
 def solve_lyapunov_small(D, RHS):

@@ -16,20 +16,15 @@ def _entries(M):
     return M.data if sp.issparse(M) else np.asarray(M)
 
 
-def _entries_real(M):
-    if M is None:
-        return True
-    data = _entries(M)
-    return not np.iscomplexobj(data) or bool(np.all(data.imag == 0))
-
-
 @dataclass
 class ProblemSpec:
     """The quadruple (A, B, C, E) of a (generalized) Riccati equation.
 
     A is n-by-n (sparse or dense), B is n-by-m dense, C is p-by-n dense and
     E is an optional regular n-by-n matrix (identity when absent). m = 0
-    encodes the Lyapunov special case B = 0.
+    encodes the Lyapunov special case B = 0. A complex matrix whose
+    imaginary parts are all zero is stored as its real part, so real data
+    is real-typed.
     """
 
     A: object
@@ -59,6 +54,8 @@ class ProblemSpec:
             M = getattr(self, name)
             if M is not None and not np.all(np.isfinite(_entries(M))):
                 raise ValueError(f"{name} has a non-finite entry")
+            if np.iscomplexobj(M) and not np.any(_entries(M).imag):
+                setattr(self, name, M.real.copy())
 
     @property
     def n(self):
@@ -74,12 +71,7 @@ class ProblemSpec:
 
     @property
     def is_real(self):
-        return (
-            _entries_real(self.A)
-            and _entries_real(self.B)
-            and _entries_real(self.C)
-            and _entries_real(self.E)
-        )
+        return not any(np.iscomplexobj(M) for M in (self.A, self.B, self.C, self.E))
 
 
 def read_matrix_market(path):

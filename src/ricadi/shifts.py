@@ -39,46 +39,45 @@ def positive_int(name, value):
 class PrecomputedShifts:
     """Replays a fixed shift list in order; deterministic and order-preserving.
 
-    Batches stop early at a duplicate (parallel expansion needs pairwise
-    distinct shifts). On a real problem a complex entry is emitted as a
-    conjugate pair, positive imaginary part first; an entry right after it
-    that equals its conjugate is consumed with it. A pair joins the batch
-    when both members fit; otherwise it starts the next batch, and a batch
-    of one holds a pair on its own.
+    Each batch slot takes one list entry, which is one shifted solve: on a
+    real problem a complex entry stands for its conjugate pair (brad
+    realifies it), and an entry right after it that equals its conjugate is
+    consumed with it. A batch ends early at an entry already in it, where on
+    a real problem an entry and its conjugate count as the same (parallel
+    expansion needs pairwise distinct shifts).
     """
 
     def __init__(self, shifts):
         self.shifts = [admissible_shift(s) for s in shifts]
+        if not self.shifts:
+            raise ValueError("the shift list is empty")
         self.cursor = 0
 
     def next_shifts(self, state, problem, batch=1):
         if self.cursor >= len(self.shifts):
             raise ShiftsExhaustedError("no shifts remain")
+        real = problem.is_real
         out = []
         while self.cursor < len(self.shifts) and len(out) < batch:
             s = self.shifts[self.cursor]
-            new = [s]
-            if s.imag != 0 and problem.is_real:
-                new = [s, s.conjugate()] if s.imag > 0 else [s.conjugate(), s]
-                if out and len(out) + 2 > batch:
-                    break  # the pair does not fit; it starts the next batch
-            if any(t in out for t in new):
+            if s in out or (real and s.conjugate() in out):
                 break
-            out += new
+            out.append(s)
             self.cursor += 1
-            if (len(new) == 2 and self.cursor < len(self.shifts)
+            if (real and s.imag != 0 and self.cursor < len(self.shifts)
                     and self.shifts[self.cursor] == s.conjugate()):
                 self.cursor += 1
         return out
 
 
 class HamiltonianShifts:
-    """Adaptive residual Hamiltonian strategy: one shift, or a pair on real data.
+    """Adaptive residual Hamiltonian strategy: one shift per step.
 
-    The batch size is ignored: every step gets one shift (or one pair). E is
-    factored at the first step of every solve (q = 0) and kept for the rest
-    of it, so a solve factors E once, not once per step, and a source reused
-    after E changed in place does not solve with the old E.
+    The batch size is ignored. A complex shift has Im > 0; on real data brad
+    realifies it with its conjugate. E is factored at the first step of
+    every solve (q = 0) and kept for the rest of it, so a solve factors E
+    once, not once per step, and a source reused after E changed in place
+    does not solve with the old E.
     """
 
     def __init__(self, window=None):
@@ -90,10 +89,7 @@ class HamiltonianShifts:
         if state.q == 0 or self._e_factor is None:
             self._e_factor = None if problem.E is None else factor_e(problem.E)
         H = projected_hamiltonian(state, problem, l, self._e_factor)
-        mu = _best_shift(H)
-        if mu.imag != 0 and problem.is_real:
-            return [mu, mu.conjugate()]
-        return [mu]
+        return [_best_shift(H)]
 
 
 def factor_e(E):

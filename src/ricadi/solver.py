@@ -44,10 +44,11 @@ class SolverOptions:
 class ConvergenceRecord:
     """One step's residual, shifts and times.
 
-    shift_s is the time the shift source took to supply the batch `shifts`,
-    expansion_s the time of the expansion that followed, absorb_s that of
-    the absorption; total_s covers all three. closed_loop says which body
-    absorbed the step; redone that an open-loop absorption of it was
+    shifts lists the distinct poles of the absorbed block in order (both
+    members of a realified pair). shift_s is the time the shift source took
+    to supply the batch, expansion_s the time of the expansion, absorb_s
+    that of the absorption; total_s covers all three. closed_loop says which
+    body absorbed the step; redone that an open-loop absorption of it was
     discarded for cancellation or a degenerate Gram (absorb_s then includes
     the closed-loop expansion that replaced it). The convergence log stores
     the times but not shifts, closed_loop or redone.
@@ -87,10 +88,10 @@ def solve(problem, options=None, shifts=None, callback=None):
     """Run the Riccati ADI iteration until the residual drops below tol.
 
     shifts is a shift source (PrecomputedShifts / HamiltonianShifts) or a
-    plain list of shifts. Each batch is one brad.expand_parallel step, which
-    on a real state realifies every conjugate pair in the batch. Hybrid mode
-    switches from the open-loop to the closed-loop body once
-    q >= max(p, min(n // 20, 100)). An open-loop step whose Gram is not
+    nonempty list of shifts. Each batch is one brad.expand_parallel step; on
+    real data a complex shift is its realified conjugate pair, one solve and
+    one batch slot, and the state stays real. Hybrid mode switches from the
+    open-loop to the closed-loop body once q >= max(p, min(n // 20, 100)). An open-loop step whose Gram is not
     positive definite or amplifies roundoff by more than
     MAX_GRAM_CANCELLATION is redone with the closed-loop body; hybrid mode
     then stays closed-loop. A solve reports convergence only if its state
@@ -153,7 +154,7 @@ def solve(problem, options=None, shifts=None, callback=None):
             iter=it, subspace_dim=state.q, rel_residual=relres,
             expansion_s=t1 - t_shift, absorb_s=t2 - t1, total_s=t2 - t0,
             closed_loop=closed_loop, redone=redone,
-            shift_s=t_shift - t0, shifts=tuple(batch),
+            shift_s=t_shift - t0, shifts=tuple(dict.fromkeys(block.poles)),
         )
         records.append(rec)
         if callback is not None:

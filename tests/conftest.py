@@ -1,5 +1,6 @@
 """Shared problem generators and check helpers for the test suite."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,20 @@ def random_problem(seed, n=30, m=1, p=1, generalized=False, complex_data=False):
     return rc.ProblemSpec(A=A, B=B, C=C, E=E)
 
 
+def rotating_problem(n, seed):
+    """Real non-normal problem (m = p = 1) whose residual Hamiltonian has
+    complex modes: A is a perturbed block diagonal of damped rotations."""
+    rng = np.random.default_rng(seed)
+    J = np.zeros((n, n))
+    for i in range(0, n - 1, 2):
+        J[i, i] = J[i + 1, i + 1] = -0.3 - 0.1 * i
+        J[i, i + 1] = 2.0 + i
+        J[i + 1, i] = -(2.0 + i)
+    A = sp.csr_matrix(J + 0.05 * rng.standard_normal((n, n)) - 0.5 * np.eye(n))
+    return rc.ProblemSpec(A=A, B=rng.standard_normal((n, 1)),
+                          C=rng.standard_normal((1, n)))
+
+
 def fem1d_pair(n):
     """Linear-FEM stiffness (negated) and mass matrix on (0, 1), n nodes."""
     h = 1.0 / (n + 1)
@@ -108,6 +123,10 @@ def assert_invariants(state, problem, tol=INVARIANT_TOL):
     checks = rc.brad_residual_check(state, problem)
     bad = {k: v for k, v in checks.items() if not v <= tol}
     assert not bad, f"state invariants violated: {bad}"
+    if np.iscomplexobj(state.Hminus):
+        # complex trsyl reads only the upper triangle
+        assert not np.any(np.diag(state.Hminus, -1)), \
+            "complex Hminus has a nonzero subdiagonal"
     assert_quasi_triangular(state.Hminus)
 
 
@@ -140,10 +159,12 @@ class RecordingShifts:
 def one_shift_per_step(problem, shifts):
     """Complex-storage reference: the r2adi state after the shifts, one per step.
 
-    Conjugate pairs are not realified: every complex shift costs its own
-    complex solve and the state of a real problem becomes complex.
+    The state starts complex-typed, so conjugate pairs are not realified:
+    every complex shift costs its own complex solve.
     """
     state = brad.init_state(problem)
+    state = replace(state, **{name: getattr(state, name).astype(complex)
+                              for name in ("Z", "h", "Hminus", "SB", "R", "K")})
     for mu in shifts:
         block = brad.expand_parallel(state, problem, [mu])
         state = brad.absorb_r2adi(state, problem, block)

@@ -120,12 +120,13 @@ def realified_runs():
         cplx_counts = dict(counts)
     finally:
         shifted_mod.factorize = original
-    pair_batches = sum(1 for b in rec.batches if len(b) == 2)
+    # on real data every complex shift is a pair, realified in one solve
+    pairs = sum(1 for mu in rec.emitted if mu.imag != 0)
     return SimpleNamespace(problem=problem, shifts=shifts,
                            res_real=res_real, res_cplx=res_cplx,
                            real_states=real_states,
                            real_counts=real_counts, cplx_counts=cplx_counts,
-                           pair_batches=pair_batches)
+                           pairs=pairs)
 
 
 @pytest.fixture(scope="module")
@@ -321,13 +322,13 @@ def test_criterion_06_realification(realified_runs):
         not np.iscomplexobj(getattr(r.res_real.state, name))
         for name in ("Z", "h", "Hminus", "SB", "R", "K"))
     xdev = rel2(dense_x(r.res_real), dense_x(r.res_cplx).real)
-    one_solve_per_pair = (r.real_counts["complex"] == r.pair_batches
-                          and r.pair_batches > 0
-                          and r.cplx_counts["complex"] == 2 * r.pair_batches)
+    one_solve_per_pair = (r.real_counts["complex"] == r.pairs
+                          and r.pairs > 0
+                          and r.cplx_counts["complex"] == 2 * r.pairs)
     ok = stored_real and xdev <= 1e-10 and one_solve_per_pair
     report("criterion 6: realified pair processing", ok,
            f"X dev {xdev:.2e}, {r.real_counts['complex']} complex "
-           f"factorizations for {r.pair_batches} pairs")
+           f"factorizations for {r.pairs} pairs")
 
 
 def test_criterion_07_brad_invariants(random_runs, parallel_runs,

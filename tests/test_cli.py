@@ -54,6 +54,31 @@ def test_cli_missing_shifts(tmp_path, capsys):
     assert "usage" in err and "--shifts" in err
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (["--shift-strategy", "hamiltonian"], "--shifts"),
+    (["--window", "3"], "--window"),
+])
+def test_cli_rejects_flag_the_strategy_does_not_use(tmp_path, capsys,
+                                                    extra, flag):
+    code = run(scalar_args(tmp_path) + extra)
+    captured = capsys.readouterr()
+    assert code == 1 and "RESULT" not in captured.out
+    line = captured.err.splitlines()[-1]
+    assert line.startswith("ricadi: error:") and flag in line
+
+
+def test_cli_empty_shift_file(tmp_path, capsys):
+    args = scalar_args(tmp_path)
+    path = args[args.index("--shifts") + 1]
+    with open(path, "w") as fh:
+        fh.write("# no shifts\n")
+    code = run(args)
+    captured = capsys.readouterr()
+    assert code == 1 and "RESULT" not in captured.out
+    assert captured.err.startswith("ricadi: error:")
+    assert "shift list is empty" in captured.err
+
+
 def test_cli_hamiltonian_strategy_and_verify(tmp_path, capsys):
     prob = random_problem(80, n=60, m=2, p=2)
     args = write_problem(prob, tmp_path)

@@ -182,27 +182,29 @@ def test_sylvester_complex_vs_kron():
 
 
 def test_sylvester_complex_data_with_real_2x2_blocks():
-    # a realified pair's 2-by-2 block in Hm and in D, then complex data:
-    # complex trsyl reads only the upper triangle, so these need a Schur form
+    # a realified pair's 2-by-2 block exists only on real data; complex trsyl
+    # reads only the upper triangle, so complex data with one is refused
     rng = np.random.default_rng(8)
     Hm = np.triu(rng.standard_normal((4, 4))) + 3 * np.eye(4)
     Hm[1, 0], Hm[0, 1] = 1.0, -1.0
-    Hm = Hm.astype(complex)
-    Hm[2:, 2:] += 1j * np.triu(rng.standard_normal((2, 2)))
-    D = np.array([[2.0, 1.0, 0.5], [-1.0, 2.0, 0.3], [0.0, 0.0, 1.0 + 2.0j]])
+    D = np.array([[2.0, 1.0, 0.5], [-1.0, 2.0, 0.3], [0.0, 0.0, 1.0]])
     RHS = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    Y = kn.solve_sylvester_small(Hm, D, RHS)
-    np.testing.assert_allclose(Y, kron_sylvester(Hm.conj().T, D, RHS),
-                               atol=1e-12)
-    Y = kn.solve_lyapunov_small(D, np.eye(3))
-    np.testing.assert_allclose(Y @ D + D.conj().T @ Y, np.eye(3), atol=1e-12)
+    for args in ((Hm, D, RHS), (Hm, np.triu(D), RHS), (np.triu(Hm), D, RHS),
+                 (Hm.astype(complex), D, RHS.real)):
+        with pytest.raises(ValueError, match="upper triangular"):
+            kn.solve_sylvester_small(*args)
+    with pytest.raises(ValueError, match="upper triangular"):
+        kn.solve_lyapunov_small(D.astype(complex), np.eye(3))
+    # real data with the same blocks is solved
+    Y = kn.solve_sylvester_small(Hm, D, RHS.real)
+    np.testing.assert_allclose(Y, kron_sylvester(Hm.T, D, RHS.real), atol=1e-12)
 
 
-def test_sylvester_singular_operator_complex_schur_branch():
-    # Hm has eigenvalues 1 +/- 2i; D = -(1 + 2i) meets one of them
-    Hm = np.array([[1.0, 2.0], [-2.0, 1.0]])
+def test_sylvester_singular_operator_complex_data():
+    # Hm* has the eigenvalue 1 - 2i; D = -(1 - 2i) meets it
+    Hm = np.array([[1.0 + 2.0j, 0.5], [0.0, 3.0]])
     with pytest.raises(SylvesterSingularError):
-        kn.solve_sylvester_small(Hm, [[-1.0 - 2.0j]], np.ones((2, 1)))
+        kn.solve_sylvester_small(Hm, [[-1.0 + 2.0j]], np.ones((2, 1)))
 
 
 def test_sylvester_singular_operator():

@@ -208,9 +208,14 @@ def test_problem_spec_is_real():
     assert rc.ProblemSpec(A=A, B=np.ones((2, 1)), C=np.ones((1, 2))).is_real
     assert not rc.ProblemSpec(A=A, B=np.ones((2, 1)) * (1 + 1j),
                               C=np.ones((1, 2))).is_real
-    # complex dtype with zero imaginary part still counts as real data
-    assert rc.ProblemSpec(A=A.astype(complex), B=np.ones((2, 1)),
-                          C=np.ones((1, 2))).is_real
+    # complex dtype with zero imaginary part is real data, stored real-typed
+    prob = rc.ProblemSpec(A=A.astype(complex), B=np.ones((2, 1), complex),
+                          C=np.ones((1, 2)), E=np.eye(2, dtype=complex))
+    assert prob.is_real
+    assert sp.issparse(prob.A) and prob.A.dtype == np.float64
+    for M in (prob.B, prob.E):
+        assert M.dtype == np.float64 and M.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(prob.A.toarray(), -np.eye(2))
 
 
 def test_load_problem(tmp_path):

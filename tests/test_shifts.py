@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 import ricadi as rc
 import ricadi.brad as brad
 import ricadi.shifts as shifts_mod
-from conftest import fem1d_pair, random_problem, scalar_problem
+from conftest import fem1d_pair, random_problem, rotating_problem, scalar_problem
 from ricadi.errors import ShiftsExhaustedError, ShiftStrategyError
 from ricadi.shifts import projected_hamiltonian
 
@@ -86,43 +86,43 @@ def scalar_state_after_step1():
 # ------------------------------------------------------- PrecomputedShifts
 
 def test_precomputed_order_and_pairing():
+    # on real data a listed conjugate is consumed with its partner
     src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j])
     prob = scalar_problem()
     state = brad.init_state(prob)
     assert src.next_shifts(state, prob, batch=1) == [1 + 0j]
-    assert src.next_shifts(state, prob, batch=1) == [2 + 1j, 2 - 1j]
+    assert src.next_shifts(state, prob, batch=1) == [2 + 1j]
     with pytest.raises(ShiftsExhaustedError):
         src.next_shifts(state, prob, batch=1)
 
 
-def test_precomputed_pair_joins_batch_when_it_fits():
+def test_precomputed_pair_takes_one_batch_slot():
     prob = scalar_problem()
     state = brad.init_state(prob)
     src = rc.PrecomputedShifts([1.0, 2 + 1j, 3.0, 4.0])
-    assert src.next_shifts(state, prob, batch=3) == [1 + 0j, 2 + 1j, 2 - 1j]
-    assert src.next_shifts(state, prob, batch=3) == [3 + 0j, 4 + 0j]
-    # a listed conjugate is consumed with its pair
+    assert src.next_shifts(state, prob, batch=3) == [1 + 0j, 2 + 1j, 3 + 0j]
+    assert src.next_shifts(state, prob, batch=3) == [4 + 0j]
     src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j, 3.0])
-    assert src.next_shifts(state, prob, batch=4) == [1 + 0j, 2 + 1j, 2 - 1j, 3 + 0j]
-    # a pair that does not fit starts the next batch
-    src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j, 3.0])
-    assert src.next_shifts(state, prob, batch=2) == [1 + 0j]
-    assert src.next_shifts(state, prob, batch=2) == [2 + 1j, 2 - 1j]
+    assert src.next_shifts(state, prob, batch=2) == [1 + 0j, 2 + 1j]
     assert src.next_shifts(state, prob, batch=2) == [3 + 0j]
-    # at batch 1 a pair is a batch of its own
-    src = rc.PrecomputedShifts([2 - 1j, 1.0])
-    assert src.next_shifts(state, prob, batch=1) == [2 + 1j, 2 - 1j]
-    assert src.next_shifts(state, prob, batch=1) == [1 + 0j]
+    # a conjugate further on is the same pair: the batch ends before it
+    src = rc.PrecomputedShifts([2 + 1j, 3.0, 2 - 1j])
+    assert src.next_shifts(state, prob, batch=3) == [2 + 1j, 3 + 0j]
+    assert src.next_shifts(state, prob, batch=3) == [2 - 1j]
 
 
 def test_precomputed_pair_puts_positive_imaginary_first():
+    # the source emits entries as listed; the expansion solves at the
+    # member with Im > 0 and records it first
     src = rc.PrecomputedShifts([2 - 1j, 2 + 1j, 3 - 1j, 4.0])
-    prob = scalar_problem()
+    prob = random_problem(5, n=6)
     state = brad.init_state(prob)
-    assert src.next_shifts(state, prob, batch=2) == [2 + 1j, 2 - 1j]
-    # an entry without its conjugate next to it is still emitted as a pair
-    assert src.next_shifts(state, prob, batch=2) == [3 + 1j, 3 - 1j]
+    batch = src.next_shifts(state, prob, batch=2)
+    assert batch == [2 - 1j, 3 - 1j]
     assert src.next_shifts(state, prob, batch=2) == [4 + 0j]
+    block = brad.expand_parallel(state, prob, batch)
+    assert block.kind == "realified" and not np.iscomplexobj(block.Ztil)
+    assert block.poles == [2 + 1j, 2 - 1j, 3 + 1j, 3 - 1j]
 
 
 def test_precomputed_batching_stops_at_duplicate():
@@ -140,6 +140,11 @@ def test_precomputed_no_pairing_by_default():
     state = brad.init_state(prob)
     assert src.next_shifts(state, prob, batch=1) == [2 + 1j]
     assert src.next_shifts(state, prob, batch=1) == [2 - 1j]
+
+
+def test_precomputed_rejects_empty_list():
+    with pytest.raises(ValueError, match="shift list is empty"):
+        rc.PrecomputedShifts([])
 
 
 def test_precomputed_rejects_bad_shift():
@@ -193,31 +198,19 @@ def test_hamiltonian_converged_state_still_admissible():
 
 
 def test_hamiltonian_pairs_on_real_problems():
-    # non-normal real problem whose residual Hamiltonian has complex modes
-    rng = np.random.default_rng(42)
-    n = 30
-    import scipy.sparse as sp
-    J = np.zeros((n, n))
-    for i in range(0, n - 1, 2):
-        J[i, i] = J[i + 1, i + 1] = -0.3 - 0.1 * i
-        J[i, i + 1] = 2.0 + i
-        J[i + 1, i] = -(2.0 + i)
-    A = sp.csr_matrix(J + 0.05 * rng.standard_normal((n, n))
-                      - 0.5 * np.eye(n))
-    prob = rc.ProblemSpec(A=A, B=rng.standard_normal((n, 1)),
-                          C=rng.standard_normal((1, n)))
+    # the strategy returns one shift, and the expansion realifies its pair
+    prob = rotating_problem(30, seed=42)
     src = rc.HamiltonianShifts()
     state = brad.init_state(prob)
     saw_pair = False
     for _ in range(8):
         batch = src.next_shifts(state, prob)
-        if len(batch) == 2:
+        assert len(batch) == 1 and batch[0].imag >= 0
+        block = brad.expand_parallel(state, prob, batch)
+        if batch[0].imag:
             saw_pair = True
-            assert batch[1] == batch[0].conjugate()
-            assert batch[0].imag > 0
-            block = brad.expand_realified(state, prob, batch[0])
-        else:
-            block = brad.expand_simple(state, prob, batch[0])
+            assert block.kind == "realified"
+            assert block.poles == [batch[0], batch[0].conjugate()]
         state = brad.absorb_r2adi(state, prob, block)
     assert saw_pair
     assert not np.iscomplexobj(state.Z)

@@ -23,6 +23,7 @@ from conftest import (
     one_shift_per_step,
     random_problem,
     rel2,
+    rotating_problem,
     scalar_problem,
 )
 from ricadi.errors import ExpansionDegenerateError, SingularShiftError
@@ -283,16 +284,54 @@ def test_real_data_batches_keep_every_shift(monkeypatch, batches):
     assert rel2(dense_x(res), dense_x(ref)) <= 1e-13
 
 
-def test_unpaired_complex_shift_makes_real_state_complex():
-    # the complex-storage reference one_shift_per_step relies on this
+def test_unpaired_complex_shift_keeps_real_state_real():
+    # a custom source emits 2 + 1j without its conjugate: on real data it
+    # is realified with it all the same
     prob = random_problem(62, n=30, m=1, p=1)
-    res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=2),
-                   FixedBatches([1.0, 2 + 1j], [2 - 1j]))
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=1),
+                   FixedBatches([1.0, 2 + 1j]))
     for name in ("Z", "h", "Hminus", "SB", "R", "K"):
-        assert np.iscomplexobj(getattr(res.state, name)), name
+        assert not np.iscomplexobj(getattr(res.state, name)), name
     assert res.state.q == 3
+    assert res.records[0].shifts == (1, 2 + 1j, 2 - 1j)
     ref = one_shift_per_step(prob, [1.0, 2 + 1j, 2 - 1j])
     assert rel2(dense_x(res), dense_x(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("generalized", [False, True])
+@pytest.mark.parametrize("shifts", [[1 + 1j, 2.0, 3 + 0.5j], "hamiltonian"])
+def test_real_values_in_complex_dtype_solve_as_real_data(generalized, shifts):
+    prob = random_problem(64, n=30, m=1, p=2, generalized=generalized)
+    cplx = rc.ProblemSpec(*(None if M is None else M.astype(complex)
+                            for M in (prob.A, prob.B, prob.C, prob.E)))
+    runs = []
+    for problem in (prob, cplx):
+        source = (rc.HamiltonianShifts() if shifts == "hamiltonian"
+                  else rc.PrecomputedShifts(shifts))
+        runs.append(rc.solve(problem, rc.SolverOptions(tol=1e-10, max_iter=40),
+                             source))
+    real, res = runs
+    for name in ("Z", "h", "Hminus", "SB", "R", "K"):
+        assert not np.iscomplexobj(getattr(res.state, name)), name
+    assert res.state.q == real.state.q
+    assert rel2(dense_x(res), dense_x(real)) <= 1e-13
+
+
+def test_hamiltonian_records_both_members_of_each_pair():
+    prob = rotating_problem(30, seed=42)
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-10, max_iter=60),
+                   rc.HamiltonianShifts())
+    pairs = [rec.shifts for rec in res.records if rec.shifts[0].imag]
+    assert pairs and not np.iscomplexobj(res.Z)
+    for rec in res.records:
+        mu = rec.shifts[0]
+        assert rec.shifts == ((mu, mu.conjugate()) if mu.imag else (mu,))
+    assert res.state.q == sum(len(rec.shifts) for rec in res.records)
+
+
+def test_empty_shift_list_is_rejected():
+    with pytest.raises(ValueError, match="shift list is empty"):
+        rc.solve(scalar_problem(), rc.SolverOptions(), [])
 
 
 def test_empty_batch_is_rejected():
