@@ -73,11 +73,12 @@ class PrecomputedShifts:
 class HamiltonianShifts:
     """Adaptive residual Hamiltonian strategy: one shift per step.
 
-    The batch size is ignored. A complex shift has Im > 0; on real data brad
-    realifies it with its conjugate. E is factored at the first step of
-    every solve (q = 0) and kept for the rest of it, so a solve factors E
-    once, not once per step, and a source reused after E changed in place
-    does not solve with the old E.
+    The batch size is ignored. The shift is the scored Ritz value itself,
+    whatever the sign of its Im; on real data brad realifies it with its
+    conjugate. E is factored at the first step of every solve (q = 0) and
+    kept for the rest of it, so a solve factors E once, not once per step,
+    and a source reused after E changed in place does not solve with the
+    old E.
     """
 
     def __init__(self, window=None):
@@ -148,7 +149,8 @@ def _best_shift(H):
 
     Among eigenvalues lambda with Re(-lambda) > 0 the one maximizing
     ||q (q* r)^{-1} q*|| for the eigenvector split [r; q] wins; scores are
-    clamped, ties broken by larger |Im| then lexicographically.
+    clamped, ties broken by larger |Im| then lexicographically. The winner
+    -lambda is returned as it is, so it is a Ritz value of -H.
     """
     u = H.shape[0] // 2
     w, V = np.linalg.eig(H)
@@ -168,6 +170,4 @@ def _best_shift(H):
     mu = c[np.lexsort((-c.imag, -c.real, np.abs(c.imag), score[ok]))[-1]]
     if abs(mu.imag) <= 1e-14 * abs(mu.real):
         mu = complex(mu.real, 0.0)
-    elif mu.imag < 0:
-        mu = mu.conjugate()
     return complex(mu)

@@ -8,8 +8,10 @@ small-batch and the first three instances of each single-problem workload.
 Each is solved with the workload's settings and one BLAS thread, and the
 line gives the input's name, the SHA-256 of Z and of R, the steps, q and
 whether the solve converged. Two checkouts compute the same iterates
-bitwise exactly when their outputs are identical (diff them). It is a
-script, not a pytest module.
+bitwise exactly when their outputs are identical (diff them). The total
+steps and q of each workload go to stderr, one line each, so a change
+that moves iterates shows by how much without touching the digest. It is
+a script, not a pytest module.
 """
 
 import os
@@ -47,7 +49,7 @@ def inputs():
         if spec["kind"] == "single":
             entries = entries[:SINGLE_INSTANCES]
         for entry in entries:
-            yield f"{workload}/{entry['name']}", entry
+            yield workload, entry
 
 
 def solve(entry):
@@ -62,10 +64,18 @@ def solve(entry):
 
 
 def main():
-    for name, entry in inputs():
+    totals = {}  # workload -> [inputs, steps, q]
+    for workload, entry in inputs():
         res = solve(entry)
-        print(name, sha256(res.Z), sha256(res.R), f"steps={len(res.records)}",
-              f"q={res.state.q}", f"converged={res.converged}", flush=True)
+        steps, q = len(res.records), res.state.q
+        print(f"{workload}/{entry['name']}", sha256(res.Z), sha256(res.R),
+              f"steps={steps}", f"q={q}", f"converged={res.converged}", flush=True)
+        total = totals.setdefault(workload, [0, 0, 0])
+        total[0] += 1
+        total[1] += steps
+        total[2] += q
+    for workload, (count, steps, q) in totals.items():
+        print(f"{workload}: {count} inputs, steps={steps}, q={q}", file=sys.stderr)
 
 
 if __name__ == "__main__":

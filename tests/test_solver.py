@@ -377,6 +377,16 @@ def test_complex_data_with_real_e_converges(index, mode, m, p):
     assert dense_defect(prob, res) <= 1e-9
 
 
+@pytest.mark.parametrize("s", range(6))
+def test_complex_hamiltonian_solve_takes_no_extra_steps(s):
+    # Shifting by the conjugate of the chosen Ritz value instead of the value
+    # itself took 37, 13, 13, 20, 13 and 13 steps here; the Ritz value takes 7-8.
+    prob = random_problem(100 + s, n=120, m=2, p=2, complex_data=True)
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-9), rc.HamiltonianShifts())
+    assert res.converged and len(res.records) <= 10
+    assert dense_defect(prob, res) <= 1e-9
+
+
 def test_hybrid_records_show_the_switch():
     prob = random_problem(63, n=60, m=1, p=1)
     switch = max(prob.p, min(prob.n // 20, 100))
