@@ -36,9 +36,9 @@ class BradState:
     realified pairs), and this is load-bearing: the small Sylvester solve of
     each open-loop absorption reads it directly as trsyl's triangular
     operand. Its eigenvalues are the recorded poles. gram_cancellation
-    is ||Y12* Y12||_2 / lambda_min(Y22 - Y12* Y12) of the open-loop
-    absorption that made the state (0 after a closed-loop one): the factor
-    by which that subtraction amplified roundoff in the new block.
+    is ||Y12* Y12||_2 / lambda_min(G) of the open-loop absorption that made
+    the state, G its corrected block's Gram (0 after a closed-loop one): the
+    factor by which the correction Ztil - Z Y12 amplified roundoff.
     """
 
     n: int
@@ -62,8 +62,8 @@ class BradState:
 class ExpansionBlock:
     """One expansion step before absorption: basis block and bookkeeping.
 
-    The block's coupling to the old basis is h* U1; each absorption body
-    forms it from the state it absorbs into.
+    The shared absorption tail forms the block's coupling to the old basis
+    from the state it absorbs into, after an open-loop body's correction.
     """
 
     Ztil: np.ndarray
@@ -198,12 +198,17 @@ def _append(state, problem, Zhat, U1hat, U2hat, Dhat, poles):
     return state
 
 
-def _absorb(state, problem, block, gram, Zt, U1t, U2t, cancellation=0.0):
-    """Shared tail of both absorption bodies.
+def _absorb(state, problem, block, Zt, U1t, BZt, YY=None):
+    """Shared tail of both bodies: normalize a closed-loop block and append it.
 
-    Divides the corrected block by the Cholesky factor G22 of its Gram matrix
-    and appends it to a new state; the input state is not mutated.
+    (Zt, U1t) satisfies (A* - K B*) Zt - E* Zt D = R U1t for the state's K
+    and R, and BZt = B* Zt. Its coupling is h* U1t + SB* BZt, its Gram G
+    solves D* G + G D = BZt* BZt + U1t* U1t, and the block, coupling and D
+    are divided by the Cholesky factor G22 of G; the input state is not
+    mutated. YY = Y12* Y12 of an open-loop correction sets gram_cancellation.
     """
+    U2t = state.h.conj().T @ U1t + state.SB.conj().T @ BZt
+    gram = solve_lyapunov_small(block.D, BZt.conj().T @ BZt + U1t.conj().T @ U1t)
     try:
         G22 = cholesky_upper(gram)
     except NotPositiveDefiniteError as exc:
@@ -214,26 +219,21 @@ def _absorb(state, problem, block, gram, Zt, U1t, U2t, cancellation=0.0):
     U2hat = _right_divide_upper(U2t, G22)
     Dhat = _right_divide_upper(G22 @ block.D, G22)
     Zhat = _right_divide_upper(Zt, G22)
+    cancellation = 0.0 if YY is None else _cancellation(YY, gram)
     # _append only rebinds fields, so a shallow copy keeps `state` intact.
     return _append(replace(state, gram_cancellation=cancellation), problem,
                    Zhat, U1hat, U2hat, Dhat, block.poles)
 
 
 def absorb_r2adi(state, problem, block):
-    """Absorb an open-loop expansion block (Riccati RAD iteration body)."""
-    Ztil, U1, D = block.Ztil, block.U1, block.D
-    U2 = state.h.conj().T @ U1
-    BtZt = problem.B.conj().T @ Ztil
-    Y12 = solve_sylvester_small(state.Hminus, D, state.SB.conj().T @ BtZt)
-    rhs22 = (BtZt.conj().T @ BtZt + U1.conj().T @ U1
-             - Y12.conj().T @ U2 - U2.conj().T @ Y12)
-    Y22 = solve_lyapunov_small(D, rhs22)
-    YY = Y12.conj().T @ Y12
-    gram = Y22 - YY
-    return _absorb(state, problem, block, gram,
-                   -state.Z @ Y12 + Ztil, -state.h @ Y12 + U1,
-                   -state.Hminus @ Y12 + U2 + Y12 @ D,
-                   _cancellation(YY, gram))
+    """Absorb an open-loop block (Riccati RAD iteration body): Y12 solves
+    Hm* Y12 + Y12 D = SB* B* Ztil, and (Ztil - Z Y12, U1 - h Y12) is a
+    closed-loop block, which the shared tail absorbs as absorb_radi would."""
+    BtZt = problem.B.conj().T @ block.Ztil
+    Y12 = solve_sylvester_small(state.Hminus, block.D, state.SB.conj().T @ BtZt)
+    return _absorb(state, problem, block, block.Ztil - state.Z @ Y12,
+                   block.U1 - state.h @ Y12, BtZt - state.SB @ Y12,
+                   Y12.conj().T @ Y12)
 
 
 def _cancellation(YY, gram):
@@ -247,12 +247,8 @@ def absorb_radi(state, problem, block):
     """Absorb a closed-loop expansion block (Lyapunov RADI iteration body)."""
     if not block.closed_loop and state.m > 0 and np.any(state.K):
         raise ValueError("absorb_radi requires a closed-loop expansion block")
-    Ztil, U1, D = block.Ztil, block.U1, block.D
-    U2 = state.h.conj().T @ U1
-    BtZt = problem.B.conj().T @ Ztil
-    Y22 = solve_lyapunov_small(D, BtZt.conj().T @ BtZt + U1.conj().T @ U1)
-    return _absorb(state, problem, block, Y22, Ztil, U1,
-                   U2 + state.SB.conj().T @ BtZt)
+    return _absorb(state, problem, block, block.Ztil, block.U1,
+                   problem.B.conj().T @ block.Ztil)
 
 
 def lyapunov_defect(state):

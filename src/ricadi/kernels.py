@@ -14,9 +14,9 @@ _PIVOT_TOL = 1e-13
 
 
 def singular_pivots(d):
-    """True when the smallest pivot magnitude in d is negligible."""
+    """True when min |d| <= 1e-14 max |d|, so all-zero pivots are singular."""
     d = np.abs(d)
-    return bool(d.size and d.min() <= 1e-14 * max(d.max(), 1.0))
+    return bool(d.size and d.min() <= 1e-14 * d.max())
 
 
 def hermitian_part(M):

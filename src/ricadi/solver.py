@@ -12,15 +12,17 @@ from .shifts import PrecomputedShifts, positive_int
 
 MODES = ("r2adi", "radi", "hybrid")
 
-# An open-loop step whose Gram subtraction amplifies roundoff by more than
-# this factor (BradState.gram_cancellation) is redone with the closed-loop
-# body, whose Gram has no subtraction. Seen: at most 0.12 on every step of the
-# small-batch and cd2d problems, 1e8 and 1.6e13 on the two 1-D FEM steps
-# after which a converged factor had a residual defect of 9e-10 and 6e-6.
+# An open-loop step whose correction Ztil - Z Y12 amplifies roundoff by more
+# than this factor (BradState.gram_cancellation) is redone with the
+# closed-loop body, which corrects nothing. Seen: at most 0.052, 8.7e-4 and
+# 8e4 on the small-batch, cd2d and fem1d inputs of tests/bitwise_digest.py;
+# 3.9e8 and 1.6e13 on a step of the two FEM redo tests, whose converged
+# factors then have a residual defect of 3e-11 and 1e-7 instead of 5e-14.
 MAX_GRAM_CANCELLATION = 1e6
 # A converged state must satisfy its q-by-q Lyapunov identity to this
 # relative accuracy (brad.lyapunov_defect), or R R* is not the residual of
-# Z Z*. Seen: below 1e-13 on correct solves, 9e-10 on the 6e-6 one above.
+# Z Z*. Seen: below 1e-15 on those 66 inputs, and 9.4e-12 on the 1e-7 solve
+# above: this gate does not catch it, so the redo is its only guard.
 MAX_LYAPUNOV_DEFECT = 1e-11
 
 

@@ -8,10 +8,10 @@ small-batch and the first three instances of each single-problem workload.
 Each is solved with the workload's settings and one BLAS thread, and the
 line gives the input's name, the SHA-256 of Z and of R, the steps, q and
 whether the solve converged. Two checkouts compute the same iterates
-bitwise exactly when their outputs are identical (diff them). The total
-steps and q of each workload go to stderr, one line each, so a change
-that moves iterates shows by how much without touching the digest. It is
-a script, not a pytest module.
+bitwise exactly when their outputs are identical (diff them). Each
+workload's totals of steps, q, redone steps and closed-loop steps go to
+stderr, one line each, so a change that moves iterates shows by how much
+without touching the digest. It is a script, not a pytest module.
 """
 
 import os
@@ -64,18 +64,19 @@ def solve(entry):
 
 
 def main():
-    totals = {}  # workload -> [inputs, steps, q]
+    totals = {}  # workload -> [inputs, steps, q, redone, closed-loop]
     for workload, entry in inputs():
         res = solve(entry)
         steps, q = len(res.records), res.state.q
         print(f"{workload}/{entry['name']}", sha256(res.Z), sha256(res.R),
               f"steps={steps}", f"q={q}", f"converged={res.converged}", flush=True)
-        total = totals.setdefault(workload, [0, 0, 0])
-        total[0] += 1
-        total[1] += steps
-        total[2] += q
-    for workload, (count, steps, q) in totals.items():
-        print(f"{workload}: {count} inputs, steps={steps}, q={q}", file=sys.stderr)
+        counts = (1, steps, q, sum(r.redone for r in res.records),
+                  sum(r.closed_loop for r in res.records))
+        total = totals.setdefault(workload, [0] * len(counts))
+        total[:] = map(sum, zip(total, counts))
+    for workload, (count, steps, q, redone, closed) in totals.items():
+        print(f"{workload}: {count} inputs, steps={steps}, q={q}, "
+              f"redone={redone}, closed_loop={closed}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Tests for the BRAD state: expansion, absorption, invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,8 @@ import ricadi.brad as brad
 from conftest import assert_invariants, dense_x, one_shift_per_step, \
     random_problem, rel2, scalar_problem
 from ricadi.errors import ExpansionDegenerateError
+from ricadi.kernels import cholesky_upper, solve_lyapunov_small, \
+    solve_sylvester_small
 
 
 def scalar_state_after_step1():
@@ -219,6 +223,96 @@ def test_absorbs_agree_for_lyapunov():
         for name in ("Z", "h", "Hminus", "SB", "R", "K"):
             np.testing.assert_allclose(getattr(s1, name), getattr(s2, name),
                                        atol=1e-14)
+
+
+def schur_complement_absorb_r2adi(state, problem, block):
+    """The open-loop body with its own Gram and coupling, as a reference.
+
+    The Gram is the Schur complement Y22 - Y12* Y12 of a Lyapunov solve whose
+    right-hand side carries two Y12* U2 cross terms, and the coupling is
+    -Hm Y12 + U2 + Y12 D. The shared tail derives both from the corrected
+    block instead; in exact arithmetic the results agree.
+    """
+    Ztil, U1, D = block.Ztil, block.U1, block.D
+    U2 = state.h.conj().T @ U1
+    BtZt = problem.B.conj().T @ Ztil
+    Y12 = solve_sylvester_small(state.Hminus, D, state.SB.conj().T @ BtZt)
+    rhs22 = (BtZt.conj().T @ BtZt + U1.conj().T @ U1
+             - Y12.conj().T @ U2 - U2.conj().T @ Y12)
+    G22 = cholesky_upper(solve_lyapunov_small(D, rhs22) - Y12.conj().T @ Y12)
+
+    def div(X):
+        return brad._right_divide_upper(X, G22)
+
+    return brad._append(replace(state), problem, div(Ztil - state.Z @ Y12),
+                        div(U1 - state.h @ Y12),
+                        div(-state.Hminus @ Y12 + U2 + Y12 @ D),
+                        div(G22 @ D), block.poles)
+
+
+# (complex data, E, shifts absorbed before, batch of the compared step)
+ABSORB_CASES = [
+    (False, False, [], [1.5]),
+    (False, True, [], [1.0, 2.5]),
+    (False, False, [], [1.5 + 0.8j]),
+    (False, False, [1.0, 2 + 1j], [3.0]),
+    (False, True, [1.0, 2 + 1j], [0.7, 4.0]),
+    (False, True, [2.0, 0.5], [1.5 - 0.8j, 3.0]),
+    (True, False, [], [1.5 + 0.8j]),
+    (True, True, [], [1.0, 2.0 - 1.0j]),
+    (True, False, [1.0 + 0.5j, 2.0], [3.0 - 1.0j]),
+    (True, True, [0.5, 2.0 + 1.0j], [1.0, 4.0 - 0.5j]),
+]
+
+
+def absorb_case(seed, complex_data, generalized, before, batch):
+    prob = random_problem(seed, n=30, m=2, p=2, generalized=generalized,
+                          complex_data=complex_data)
+    state = brad.init_state(prob)
+    for mu in before:
+        state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, mu))
+    return prob, state, brad.expand_parallel(state, prob, batch)
+
+
+@pytest.mark.parametrize("i", range(len(ABSORB_CASES)))
+def test_absorb_r2adi_matches_schur_complement_form(i):
+    prob, state, block = absorb_case(40 + i, *ABSORB_CASES[i])
+    kinds = {"simple", "parallel"} | ({"realified"} if prob.is_real else set())
+    assert block.kind in kinds
+    new = brad.absorb_r2adi(state, prob, block)
+    ref = schur_complement_absorb_r2adi(state, prob, block)
+    assert new.q > state.q
+    for name in ("Z", "h", "Hminus", "SB", "R", "K"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), name
+    assert new.poles == ref.poles
+
+
+@pytest.mark.parametrize("closed_loop", [False, True])
+@pytest.mark.parametrize("i", range(len(ABSORB_CASES)))
+def test_absorbed_block_is_a_closed_loop_block(monkeypatch, i, closed_loop):
+    # Both bodies hand the tail a block with (A* - K B*) Zt - E* Zt D = R U1t
+    # for the absorbing state's K and R, and BZt = B* Zt.
+    prob, state, block = absorb_case(40 + i, *ABSORB_CASES[i])
+    if closed_loop:
+        block = brad.expand_parallel(state, prob, ABSORB_CASES[i][3], True)
+    seen = []
+    tail = brad._absorb
+
+    def recording_tail(state, problem, block, Zt, U1t, BZt, *rest):
+        seen.append((Zt, U1t, BZt))
+        return tail(state, problem, block, Zt, U1t, BZt, *rest)
+
+    monkeypatch.setattr(brad, "_absorb", recording_tail)
+    (brad.absorb_radi if closed_loop else brad.absorb_r2adi)(state, prob, block)
+    (Zt, U1t, BZt), = seen
+    Bt = prob.B.conj().T
+    EZt = Zt if prob.E is None else prob.E.conj().T @ Zt
+    terms = [prob.A.conj().T @ Zt, -state.K @ (Bt @ Zt), -EZt @ block.D,
+             -state.R @ U1t]
+    scale = sum(np.linalg.norm(t) for t in terms)
+    assert np.linalg.norm(sum(terms)) <= 1e-12 * scale
+    assert np.linalg.norm(BZt - Bt @ Zt) <= 1e-12 * np.linalg.norm(Bt @ Zt)
 
 
 def test_absorb_degenerate_block():

@@ -256,3 +256,16 @@ def test_lyapunov_hermitian_output():
     Y = kn.solve_lyapunov_small(D, RHS)
     np.testing.assert_allclose(Y, Y.conj().T, atol=1e-13)
     np.testing.assert_allclose(Y @ D + D.conj().T @ Y, RHS, atol=1e-12)
+
+
+# -------------------------------------------------------- singular pivots
+
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+def test_singular_pivots_is_scale_free(scale):
+    assert not kn.singular_pivots(scale * np.array([1.0, -3.0, 0.5j]))
+    assert kn.singular_pivots(scale * np.array([1.0, 1e-15]))
+
+
+def test_singular_pivots_all_zero_and_empty():
+    assert kn.singular_pivots(np.zeros(3))
+    assert not kn.singular_pivots(np.zeros(0))

@@ -97,6 +97,22 @@ def test_relative_residual_scaling_invariance():
     np.testing.assert_allclose(r1, r2, atol=1e-14)
 
 
+@pytest.mark.parametrize("generalized", [False, True])
+@pytest.mark.parametrize("s", [1e-15, 1e15])
+def test_time_scaled_problem_has_the_same_solution(s, generalized):
+    # (s A, sqrt(s) B, sqrt(s) C, E) has the Riccati solution of (A, B, C, E).
+    # An absolute pivot floor made A* - mu E* look singular at s = 1e-15.
+    prob = random_problem(5, n=40, m=1, p=1, generalized=generalized)
+    scaled = rc.ProblemSpec(A=s * prob.A, B=np.sqrt(s) * prob.B,
+                            C=np.sqrt(s) * prob.C, E=prob.E)
+    options = rc.SolverOptions(tol=1e-9)
+    ref = rc.solve(prob, options, rc.HamiltonianShifts())
+    res = rc.solve(scaled, options, rc.HamiltonianShifts())
+    assert ref.converged and res.converged
+    assert len(res.records) == len(ref.records)
+    assert rel2(dense_x(res), dense_x(ref)) <= 1e-8
+
+
 def test_lyapunov_rational_factor():
     A = sp.csr_matrix(np.diag([-1.0, -2.0, -3.0]))
     prob = rc.ProblemSpec(A=A, B=None, C=np.ones((1, 3)))
@@ -456,9 +472,9 @@ def _fem1d_problem(n, p, rng):
 
 
 def test_open_loop_cancellation_is_redone_small():
-    # One open-loop step of this solve forms its Gram Y22 - Y12* Y12 with
-    # ||Y12* Y12|| / lambda_min = 3.9e8; absorbed as it is, it leaves the
-    # converged factor with a defect of 5.6e-10 instead of ~1e-13.
+    # One open-loop step of this solve (step 8, q = 42) corrects its block
+    # with ||Y12* Y12|| / lambda_min(G) = 3.9e8; absorbed as it is, it leaves
+    # the converged factor with a dense defect of 3e-11 instead of 5e-14.
     prob = _fem1d_problem(499, 6, np.random.default_rng(340))
     res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=1e-9),
                    rc.HamiltonianShifts())
@@ -470,8 +486,9 @@ def test_open_loop_cancellation_is_redone_small():
 def test_open_loop_cancellation_is_redone_fem1d_3000(monkeypatch):
     # The input of instance 5 of the benchmark's fem1d-mass-hybrid workload
     # at seed 215. Step 9 (q = 48, mu = 128.5) loses 13 digits to the
-    # open-loop Gram's cancellation: without the redo the solve reports
-    # convergence with a residual defect of 5.8e-6.
+    # open-loop correction's cancellation: without the redo the solve reports
+    # convergence with a residual defect of 1e-7 and a Lyapunov defect of
+    # 9.4e-12, which passes the 1e-11 gate.
     prob = _fem1d_problem(3000, 6, np.random.default_rng([215, 1, 5]))
     res = rc.solve(prob, rc.SolverOptions(mode="hybrid", tol=1e-9),
                    rc.HamiltonianShifts())
