@@ -40,7 +40,7 @@ def build_parser():
                    default="precomputed")
     p.add_argument("--window", type=int, default=None,
                    help="window size for the hamiltonian strategy "
-                        "(default 6p)")
+                        "(default 3p)")
     p.add_argument("--out-z", help="write the solution factor Z (Matrix Market)")
     p.add_argument("--out-log", help="write the convergence log (CSV)")
     p.add_argument("--verify", action="store_true",

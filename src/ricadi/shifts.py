@@ -75,7 +75,12 @@ class HamiltonianShifts:
 
     The batch size is ignored. The shift is the scored Ritz value itself,
     whatever the sign of its Im; on real data brad realifies it with its
-    conjugate. E is factored at the first step of every solve (q = 0) and
+    conjugate. The projection window is the last `window` columns of Z,
+    3p by default: a step's window QR costs O(n l^2) and its eig O(l^3), and
+    on the benchmark's workloads 3p takes about as many steps as the earlier
+    6p at well under half the shift-selection time (README, "Shift
+    selection", has the measurements and the windows tried). E is
+    factored at the first step of every solve (q = 0) and
     kept for the rest of it, so a solve factors E once, not once per step,
     and a source reused after E changed in place does not solve with the
     old E.
@@ -86,7 +91,7 @@ class HamiltonianShifts:
         self._e_factor = None  # E's Factor (None without E), made at q = 0
 
     def next_shifts(self, state, problem, batch=1):
-        l = self.window if self.window is not None else 6 * problem.p
+        l = self.window if self.window is not None else 3 * problem.p
         if state.q == 0 or self._e_factor is None:
             self._e_factor = None if problem.E is None else factor_e(problem.E)
         H = projected_hamiltonian(state, problem, l, self._e_factor)

@@ -14,15 +14,18 @@ MODES = ("r2adi", "radi", "hybrid")
 
 # An open-loop step whose correction Ztil - Z Y12 amplifies roundoff by more
 # than this factor (BradState.gram_cancellation) is redone with the
-# closed-loop body, which corrects nothing. Seen: at most 0.052, 8.7e-4 and
-# 8e4 on the small-batch, cd2d and fem1d inputs of tests/bitwise_digest.py;
-# 3.9e8 and 1.6e13 on a step of the two FEM redo tests, whose converged
-# factors then have a residual defect of 3e-11 and 1e-7 instead of 5e-14.
+# closed-loop body, which corrects nothing. Seen (max_cancellation of
+# tests/bitwise_digest.py): at most 0.051 and 1.2e-3 on the small-batch and
+# cd2d inputs, 4e4 on fem1d but for one redone step of 2.4e7 (fem1d/i1);
+# 3.9e8 and 1.6e13 on a step of the two FEM redo tests at a 6p window, whose
+# converged factors then have a residual defect of 3e-11 and 1e-7 instead of
+# 5e-14.
 MAX_GRAM_CANCELLATION = 1e6
 # A converged state must satisfy its q-by-q Lyapunov identity to this
 # relative accuracy (brad.lyapunov_defect), or R R* is not the residual of
-# Z Z*. Seen: below 1e-15 on those 66 inputs, and 9.4e-12 on the 1e-7 solve
-# above: this gate does not catch it, so the redo is its only guard.
+# Z Z*. Seen (max_lyapunov_defect): below 5e-16 on those 66 inputs, and
+# 9.4e-12 on the 1e-7 solve above: this gate does not catch it, so the redo
+# is its only guard.
 MAX_LYAPUNOV_DEFECT = 1e-11
 
 

@@ -11,7 +11,11 @@ whether the solve converged. Two checkouts compute the same iterates
 bitwise exactly when their outputs are identical (diff them). Each
 workload's totals of steps, q, redone steps and closed-loop steps go to
 stderr, one line each, so a change that moves iterates shows by how much
-without touching the digest. It is a script, not a pytest module.
+without touching the digest. The same line gives the largest
+gram_cancellation of any open-loop absorption, a redone one included, and
+the largest Lyapunov identity defect of a final state: the figures the
+MAX_GRAM_CANCELLATION and MAX_LYAPUNOV_DEFECT comments in solver.py quote.
+It is a script, not a pytest module.
 """
 
 import os
@@ -31,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import ricadi as rc  # noqa: E402
+import ricadi.brad as brad  # noqa: E402
 from workloads import TOL, WORKLOADS, build_inputs  # noqa: E402
 
 SEED = 302
@@ -64,8 +69,20 @@ def solve(entry):
 
 
 def main():
+    # every open-loop absorption, kept or redone: solve reads brad.absorb_r2adi
+    cancellations = []
+    absorb_r2adi = brad.absorb_r2adi
+
+    def recording_absorb_r2adi(state, problem, block):
+        new = absorb_r2adi(state, problem, block)
+        cancellations.append(new.gram_cancellation)
+        return new
+
+    brad.absorb_r2adi = recording_absorb_r2adi
     totals = {}  # workload -> [inputs, steps, q, redone, closed-loop]
+    worst = {}  # workload -> [max cancellation, max Lyapunov defect]
     for workload, entry in inputs():
+        cancellations.clear()
         res = solve(entry)
         steps, q = len(res.records), res.state.q
         print(f"{workload}/{entry['name']}", sha256(res.Z), sha256(res.R),
@@ -74,9 +91,15 @@ def main():
                   sum(r.closed_loop for r in res.records))
         total = totals.setdefault(workload, [0] * len(counts))
         total[:] = map(sum, zip(total, counts))
+        peaks = (max(cancellations, default=0.0), brad.lyapunov_defect(res.state))
+        peak = worst.setdefault(workload, [0.0, 0.0])
+        peak[:] = map(max, zip(peak, peaks))
     for workload, (count, steps, q, redone, closed) in totals.items():
+        cancellation, defect = worst[workload]
         print(f"{workload}: {count} inputs, steps={steps}, q={q}, "
-              f"redone={redone}, closed_loop={closed}", file=sys.stderr)
+              f"redone={redone}, closed_loop={closed}, "
+              f"max_cancellation={cancellation:.2g}, "
+              f"max_lyapunov_defect={defect:.2g}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -228,6 +228,32 @@ def test_hamiltonian_window_limits_basis():
     assert mu.real > 0
 
 
+def test_default_window_is_3p_columns(monkeypatch):
+    # the default window is 3p: the same shifts as window=3p, and no
+    # projected Hamiltonian wider than 2 * 3p = 36 at p = 6
+    prob = random_problem(47, n=80, m=1, p=2)
+    options = rc.SolverOptions(tol=1e-9)
+    default = rc.solve(prob, options, rc.HamiltonianShifts())
+    explicit = rc.solve(prob, options, rc.HamiltonianShifts(window=6))
+    assert default.converged
+    assert ([r.shifts for r in default.records]
+            == [r.shifts for r in explicit.records])
+
+    sizes = []
+    projected = shifts_mod.projected_hamiltonian
+
+    def spy(state, problem, l, e_factor=None):
+        H = projected(state, problem, l, e_factor)
+        sizes.append(H.shape)
+        return H
+
+    monkeypatch.setattr(shifts_mod, "projected_hamiltonian", spy)
+    prob = random_problem(48, n=120, m=1, p=6)
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-9), rc.HamiltonianShifts())
+    assert res.converged and res.state.q > 36
+    assert max(sizes) == (36, 36)
+
+
 def test_shift_strategy_error_when_nothing_admissible(monkeypatch):
     prob = scalar_problem()
     state = brad.init_state(prob)

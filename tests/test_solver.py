@@ -472,12 +472,14 @@ def _fem1d_problem(n, p, rng):
 
 
 def test_open_loop_cancellation_is_redone_small():
-    # One open-loop step of this solve (step 8, q = 42) corrects its block
-    # with ||Y12* Y12|| / lambda_min(G) = 3.9e8; absorbed as it is, it leaves
-    # the converged factor with a dense defect of 3e-11 instead of 5e-14.
+    # With a window of 36 = 6p columns, one open-loop step of this solve
+    # (step 8, q = 42) corrects its block with ||Y12* Y12|| / lambda_min(G) =
+    # 3.9e8; absorbed as it is, it leaves the converged factor with a dense
+    # defect of 3e-11 instead of 5e-14. At the default 3p window no step of
+    # this input cancels by more than 2e4, so nothing would be redone.
     prob = _fem1d_problem(499, 6, np.random.default_rng(340))
     res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=1e-9),
-                   rc.HamiltonianShifts())
+                   rc.HamiltonianShifts(window=36))
     assert res.converged
     assert dense_defect(prob, res) <= 1e-11
     assert any(r.redone for r in res.records)
@@ -485,8 +487,11 @@ def test_open_loop_cancellation_is_redone_small():
 
 def test_open_loop_cancellation_is_redone_fem1d_3000(monkeypatch):
     # The input of instance 5 of the benchmark's fem1d-mass-hybrid workload
-    # at seed 215. Step 9 (q = 48, mu = 128.5) loses 13 digits to the
-    # open-loop correction's cancellation: without the redo the solve reports
+    # at seed 215. Step 10 (q = 54, mu = 46.0 +- 9.8i) loses 7 digits to the
+    # open-loop correction's cancellation (7.8e6) and is redone: the solve
+    # converges in 38 steps at q = 252 with a residual defect of 2.2e-13, and
+    # 5.7e-13 without the redo. With a 6p window (36 columns) step 9 (q = 48,
+    # mu = 128.5) loses 13 digits, and without the redo that solve reports
     # convergence with a residual defect of 1e-7 and a Lyapunov defect of
     # 9.4e-12, which passes the 1e-11 gate.
     prob = _fem1d_problem(3000, 6, np.random.default_rng([215, 1, 5]))
