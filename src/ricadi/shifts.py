@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ShiftsExhaustedError, ShiftStrategyError
 from .kernels import singular_pivots
-from .shifted import Factor
+from .shifted import DENSE_LU_BELOW_N, Factor
 
 _SCORE_CLAMP = 1e12
 
@@ -99,20 +99,21 @@ class HamiltonianShifts:
 
 
 def factor_e(E):
-    """Return E's Factor (SuperLU for sparse E, dense LU otherwise).
+    """Return E's Factor: SuperLU for a sparse E with n >= DENSE_LU_BELOW_N,
+    dense LU otherwise, the rule shifted.factorize follows.
 
     Raises ShiftStrategyError when E is singular. Drop the result on the
     thread that called this: a SuperLU factor dropped on another thread
     leaves its memory unreusable.
     """
-    if sp.issparse(E):
+    if sp.issparse(E) and E.shape[0] >= DENSE_LU_BELOW_N:
         try:
             lu = spla.splu(E.tocsc())
         except RuntimeError as exc:
             raise ShiftStrategyError(f"mass matrix E is singular: {exc}") from exc
         pivots = lu.U.diagonal()
     else:
-        lu = sla.lu_factor(E)
+        lu = sla.lu_factor(E.toarray() if sp.issparse(E) else E)
         pivots = np.diag(lu[0])
     if singular_pivots(pivots):
         raise ShiftStrategyError("mass matrix E is singular")

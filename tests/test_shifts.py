@@ -12,6 +12,7 @@ import ricadi.brad as brad
 import ricadi.shifts as shifts_mod
 from conftest import fem1d_pair, random_problem, rotating_problem, scalar_problem
 from ricadi.errors import ShiftsExhaustedError, ShiftStrategyError
+from ricadi.shifted import DENSE_LU_BELOW_N
 from ricadi.shifts import projected_hamiltonian
 
 
@@ -267,12 +268,13 @@ def test_shift_strategy_error_when_nothing_admissible(monkeypatch):
 
 def test_hamiltonian_source_factors_e_once_per_e(monkeypatch):
     factored = []
+    factor_e = shifts_mod.factor_e
 
-    def spy(M, *args, **kwargs):
-        factored.append(M.shape)
-        return spla.splu(M, *args, **kwargs)
+    def spy(E):
+        factored.append(E.shape)
+        return factor_e(E)
 
-    monkeypatch.setattr(shifts_mod, "spla", SimpleNamespace(splu=spy))
+    monkeypatch.setattr(shifts_mod, "factor_e", spy)
     prob = random_problem(60, n=40, m=2, p=2, generalized=True)
     src = rc.HamiltonianShifts()
     res = rc.solve(prob, rc.SolverOptions(tol=1e-9, max_iter=60), src)
@@ -302,6 +304,27 @@ def test_reused_hamiltonian_source_sees_e_changed_in_place():
     assert fresh.converged
     assert again.records[0].shifts == fresh.records[0].shifts
     np.testing.assert_array_equal(again.Z, fresh.Z)
+
+
+@pytest.mark.parametrize("n, superlu", [(DENSE_LU_BELOW_N - 1, False),
+                                         (DENSE_LU_BELOW_N, True)])
+def test_e_factor_follows_the_dense_lu_threshold(monkeypatch, n, superlu):
+    # E's factor is dense LU below the threshold, as A* - mu E*'s is
+    splu_calls = []
+
+    def spy(M, *args, **kwargs):
+        splu_calls.append(M.shape)
+        return spla.splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(shifts_mod, "spla", SimpleNamespace(splu=spy))
+    E = fem1d_pair(n)[1]
+    f = shifts_mod.factor_e(E)
+    assert splu_calls == ([(n, n)] if superlu else [])
+    assert isinstance(f.lu, tuple) is not superlu
+    rhs = np.random.default_rng(0).standard_normal((n, 3))
+    for block in (rhs, rhs + 1j * rhs[:, ::-1]):
+        W = f.solve(block)
+        assert np.linalg.norm(E @ W - block) <= 1e-12 * np.linalg.norm(block)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

@@ -6,6 +6,7 @@ would turn its per-layer metrics into nulls without failing a run.
 
 import ricadi as rc
 from conftest import PERFBENCH, random_problem
+from ricadi.shifted import DENSE_LU_BELOW_N
 
 
 def test_trace_hooks_resolve(monkeypatch):
@@ -28,7 +29,9 @@ def test_traced_hamiltonian_solve_with_e(monkeypatch):
     import layers
     import tracer
 
-    prob = random_problem(67, n=40, m=1, p=2, generalized=True)
+    # E is factored by SuperLU, through the hooked shifts.spla.splu, only
+    # from n = DENSE_LU_BELOW_N on
+    prob = random_problem(67, n=DENSE_LU_BELOW_N, m=1, p=2, generalized=True)
     source = rc.HamiltonianShifts()
     t = tracer.Tracer()
     try:
