@@ -77,10 +77,10 @@ class HamiltonianShifts:
     whatever the sign of its Im; on real data brad realifies it with its
     conjugate. The projection window is the last `window` columns of Z,
     3p by default: a step's window QR costs O(n l^2) and its eig O(l^3), and
-    on the benchmark's workloads 3p takes about as many steps as the earlier
-    6p at well under half the shift-selection time (README, "Shift
-    selection", has the measurements and the windows tried). E is
-    factored at the first step of every solve (q = 0) and
+    on the benchmark's workloads 3p takes about as many steps as 6p at
+    well under half the shift-selection time (README, "Shift selection",
+    has the measurements and the windows tried). E is factored at the
+    first step of every solve (q = 0) and
     kept for the rest of it, so a solve factors E once, not once per step,
     and a source reused after E changed in place does not solve with the
     old E.

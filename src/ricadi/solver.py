@@ -17,9 +17,9 @@ MODES = ("r2adi", "radi", "hybrid")
 # closed-loop body, which corrects nothing. Seen (max_cancellation of
 # tests/bitwise_digest.py): at most 0.051 and 1.2e-3 on the small-batch and
 # cd2d inputs, 4e4 on fem1d but for one redone step of 2.4e7 (fem1d/i1);
-# 3.9e8 and 1.6e13 on a step of the two FEM redo tests at a 6p window, whose
-# converged factors then have a residual defect of 3e-11 and 1e-7 instead of
-# 5e-14.
+# 3.9e8 and 1.6e13 on a step of the two FEM redo tests' inputs at a 6p
+# window, whose converged factors then have a residual defect of 3e-11 and
+# 1e-7 instead of 5e-14.
 MAX_GRAM_CANCELLATION = 1e6
 # A converged state must satisfy its q-by-q Lyapunov identity to this
 # relative accuracy (brad.lyapunov_defect), or R R* is not the residual of
