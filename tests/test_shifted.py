@@ -63,8 +63,8 @@ def _e_pair(E):
 
 
 # Every producer of a Factor, each with the real matrix its factor solves with:
-# factorize on its dense (n < 500) and SuperLU branches, factor_e on both
-# storages of E.
+# factorize and factor_e each on their dense (n < 500) and SuperLU branches,
+# factor_e also on a dense E.
 FACTOR_PRODUCERS = {
     "factorize-n40": lambda: _shifted_pair(
         *_pair(random_problem(44, n=40, generalized=True)), 1.5),
@@ -73,12 +73,15 @@ FACTOR_PRODUCERS = {
     "factor_e-sparse": lambda: _e_pair(random_problem(44, n=30, generalized=True).E),
     "factor_e-dense": lambda: _e_pair(
         random_problem(44, n=30, generalized=True).E.toarray()),
+    "factor_e-n600": lambda: _e_pair(fem1d_pair(600)[1]),
 }
 
 
 def _produce(producer):
     f, M = FACTOR_PRODUCERS[producer]()
     assert isinstance(f, shifted_mod.Factor) and f.n == M.shape[0]
+    # the branch its name promises: dense LU below the threshold, else SuperLU
+    assert isinstance(f.lu, tuple) is (f.n < shifted_mod.DENSE_LU_BELOW_N)
     return f, M
 
 

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import ricadi as rc
@@ -337,6 +338,19 @@ def test_singular_e_factor_raises(storage):
     E = E.tocsr() if storage == "sparse" else E.toarray()
     with pytest.raises(ShiftStrategyError, match="mass matrix E is singular"):
         shifts_mod.factor_e(E)
+
+
+@pytest.mark.parametrize("row, scale", [(3, 0.0), (-1, 1e-30)])
+def test_singular_superlu_e_factor_raises(row, scale):
+    # from n = DENSE_LU_BELOW_N on SuperLU factors a sparse E: a zero row
+    # makes it fail, and its message is passed on; a last row scaled by
+    # 1e-30 leaves a negligible last pivot, which the pivot check reports
+    E = fem1d_pair(DENSE_LU_BELOW_N)[1].toarray()
+    E[row] *= scale
+    with pytest.raises(ShiftStrategyError,
+                       match="mass matrix E is singular") as info:
+        shifts_mod.factor_e(sp.csr_matrix(E))
+    assert isinstance(info.value.__cause__, RuntimeError) is (scale == 0.0)
 
 
 def _states(prob, mode, steps=6):

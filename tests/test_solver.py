@@ -487,16 +487,18 @@ def test_open_loop_cancellation_is_redone_small():
 
 def test_open_loop_cancellation_is_redone_fem1d_3000(monkeypatch):
     # The input of instance 5 of the benchmark's fem1d-mass-hybrid workload
-    # at seed 215. Step 10 (q = 54, mu = 46.0 +- 9.8i) loses 7 digits to the
-    # open-loop correction's cancellation (7.8e6) and is redone: the solve
-    # converges in 38 steps at q = 252 with a residual defect of 2.2e-13, and
-    # 5.7e-13 without the redo. With a 6p window (36 columns) step 9 (q = 48,
-    # mu = 128.5) loses 13 digits, and without the redo that solve reports
-    # convergence with a residual defect of 1e-7 and a Lyapunov defect of
-    # 9.4e-12, which passes the 1e-11 gate.
+    # at seed 215, on its 6p-window trajectory (36 columns). Step 9 (q = 48,
+    # mu = 128.5) loses 13 digits to the open-loop correction's cancellation
+    # (1.6e13) and is redone: the solve converges in 43 steps at q = 276 with
+    # a residual defect of 5.0e-14. Without the redo it reports convergence
+    # with a residual defect of 9.9e-8 and a Lyapunov defect of 9.4e-12, which
+    # passes the 1e-11 gate, so the redo is this answer's only guard. At the
+    # default 3p window step 10 (q = 54, mu = 46.0 +- 9.8i) cancels by 7.8e6
+    # and is redone (38 steps, q = 252, defect 2.2e-13), but without the redo
+    # that solve is still correct (defect 5.7e-13).
     prob = _fem1d_problem(3000, 6, np.random.default_rng([215, 1, 5]))
     res = rc.solve(prob, rc.SolverOptions(mode="hybrid", tol=1e-9),
-                   rc.HamiltonianShifts())
+                   rc.HamiltonianShifts(window=36))
     assert res.converged
     # checked with the benchmark's own residual check, as the workload is
     monkeypatch.syspath_prepend(str(PERFBENCH))
