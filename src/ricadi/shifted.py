@@ -1,11 +1,13 @@
 """Factored solves with the large shifted matrices (A* - mu E*).
 
-Every factorization of a large matrix is a Factor: factorize makes one per
-shift and shifts.factor_e one of E per solve. A factor serves any number of
-right-hand sides, and the Sherman-Morrison-Woodbury formula turns the rank-m
-feedback correction (A* - K B* - mu E*) into one solve with the factor plus
-an m-by-m solve.
+Every factorization of a large matrix is a Factor, made by factor_lu's one
+dense/sparse rule: factorize makes one per shift and shifts.factor_e one of E
+per solve. A factor serves any number of right-hand sides, and the
+Sherman-Morrison-Woodbury formula turns the rank-m feedback correction
+(A* - K B* - mu E*) into one solve with the factor plus an m-by-m solve.
 """
+
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,19 +65,31 @@ def factorize(A, E=None, mu=0.0):
     n = A.shape[0]
     Eh = sp.identity(n, format="csc") if E is None else sp.csc_matrix(E.conj().T)
     M = sp.csc_matrix(A.conj().T) - mu * Eh
-    singular = f"shifted matrix A* - mu E* is singular for mu = {mu}"
-    if n < DENSE_LU_BELOW_N:
-        lu = sla.lu_factor(M.toarray())
+    return factor_lu(M, partial(spla.splu, permc_spec="MMD_AT_PLUS_A"),
+                     f"shifted matrix A* - mu E* is singular for mu = {mu}",
+                     lambda msg: SingularShiftError(msg, shift=mu), shift=mu)
+
+
+def factor_lu(M, splu, singular, error, shift=None):
+    """Return M's Factor by the one dense/sparse rule of every Factor.
+
+    A dense M, or one with n < DENSE_LU_BELOW_N, is factored by dense LU;
+    a larger sparse M by splu(M in CSC). A singular M raises error(message),
+    the message being singular, followed by SuperLU's own when splu fails.
+    """
+    n = M.shape[0]
+    if n < DENSE_LU_BELOW_N or not sp.issparse(M):
+        lu = sla.lu_factor(M.toarray() if sp.issparse(M) else M)
         pivots = np.diag(lu[0])
     else:
         try:
-            lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A")
+            lu = splu(sp.csc_matrix(M))
         except RuntimeError as exc:
-            raise SingularShiftError(f"{singular}: {exc}", shift=mu) from exc
+            raise error(f"{singular}: {exc}") from exc
         pivots = lu.U.diagonal()
     if singular_pivots(pivots):
-        raise SingularShiftError(singular, shift=mu)
-    return Factor(lu, n, M.dtype, shift=mu)
+        raise error(singular)
+    return Factor(lu, n, M.dtype, shift=shift)
 
 
 def solve_factored(f, RHS):

@@ -4,13 +4,10 @@ import cmath
 import operator
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ShiftsExhaustedError, ShiftStrategyError
-from .kernels import singular_pivots
-from .shifted import DENSE_LU_BELOW_N, Factor
+from .shifted import factor_lu
 
 _SCORE_CLAMP = 1e12
 
@@ -99,25 +96,17 @@ class HamiltonianShifts:
 
 
 def factor_e(E):
-    """Return E's Factor: SuperLU for a sparse E with n >= DENSE_LU_BELOW_N,
-    dense LU otherwise, the rule shifted.factorize follows.
+    """Return E's Factor by shifted.factor_lu's dense/sparse rule, SuperLU
+    (from n = DENSE_LU_BELOW_N on, sparse E only) with its default ordering,
+    called through this module's spla so that a trace of shifts.spla.splu
+    sees E's factors apart from the shifted ones.
 
     Raises ShiftStrategyError when E is singular. Drop the result on the
     thread that called this: a SuperLU factor dropped on another thread
     leaves its memory unreusable.
     """
-    if sp.issparse(E) and E.shape[0] >= DENSE_LU_BELOW_N:
-        try:
-            lu = spla.splu(E.tocsc())
-        except RuntimeError as exc:
-            raise ShiftStrategyError(f"mass matrix E is singular: {exc}") from exc
-        pivots = lu.U.diagonal()
-    else:
-        lu = sla.lu_factor(E.toarray() if sp.issparse(E) else E)
-        pivots = np.diag(lu[0])
-    if singular_pivots(pivots):
-        raise ShiftStrategyError("mass matrix E is singular")
-    return Factor(lu, E.shape[0], E.dtype)
+    return factor_lu(E, spla.splu, "mass matrix E is singular",
+                     ShiftStrategyError)
 
 
 def projected_hamiltonian(state, problem, l, e_factor=None):
