@@ -90,8 +90,8 @@ def init_state(problem):
     )
 
 
-def _expansion_solve(state, problem, mu, closed_loop):
-    f = shifted.factorize(problem.A, problem.E, mu)
+def _expansion_solve(state, problem, mu, closed_loop, system):
+    f = shifted.factorize(problem.A, problem.E, mu, system)
     if closed_loop and state.m > 0:
         return shifted.smw_solve(f, state.K, problem.B, state.R)
     return shifted.solve_factored(f, state.R)
@@ -102,7 +102,7 @@ def expand_simple(state, problem, mu, closed_loop=False):
     return expand_parallel(state, problem, [mu], closed_loop)
 
 
-def expand_parallel(state, problem, shifts, closed_loop=False):
+def expand_parallel(state, problem, shifts, closed_loop=False, system=None):
     """Expand by l >= 1 pairwise distinct shifts.
 
     One system solve with the residual factor per shift, except on a real
@@ -111,7 +111,9 @@ def expand_parallel(state, problem, shifts, closed_loop=False):
     holding both makes one solve W for the pair; Re W and Im W are
     interleaved per column, so the new diagonal block of the small matrix
     has 2-by-2 rotation-like blocks and the pair adds only real columns.
-    Several solves run concurrently, one thread each.
+    Several solves run concurrently, one thread each. system is the
+    problem's shifted.ShiftedSystem, which the threads share; without one
+    each factorization builds its own.
     """
     shifts = [admissible_shift(mu) for mu in shifts]
     if not shifts:
@@ -123,15 +125,18 @@ def expand_parallel(state, problem, shifts, closed_loop=False):
     solves = (list(dict.fromkeys(complex(mu.real, abs(mu.imag)) for mu in shifts))
               if realify else shifts)
     if len(solves) == 1:
-        results = [_expansion_solve(state, problem, solves[0], closed_loop)]
+        results = [_expansion_solve(state, problem, solves[0], closed_loop,
+                                    system)]
     else:
         # Each factor is made and dropped inside its worker. A SuperLU factor
         # dropped on another thread than the one that made it leaves its
         # memory unreusable (RSS grows by the factor's size every time), so
-        # no factor may be handed out of these threads or into them.
+        # no factor may be handed out of these threads or into them; the
+        # system's held matrices are only read.
         with ThreadPoolExecutor(max_workers=len(solves)) as pool:
             results = list(pool.map(
-                lambda mu: _expansion_solve(state, problem, mu, closed_loop),
+                lambda mu: _expansion_solve(state, problem, mu, closed_loop,
+                                            system),
                 solves))
     Zs, U1s, Ds, poles = zip(*(_block_part(mu, W, state.p, realify)
                                for mu, W in zip(solves, results)))

@@ -1,10 +1,11 @@
 """Factored solves with the large shifted matrices (A* - mu E*).
 
 Every factorization of a large matrix is a Factor, made by factor_lu's one
-dense/sparse rule: factorize makes one per shift and shifts.factor_e one of E
-per solve. A factor serves any number of right-hand sides, and the
-Sherman-Morrison-Woodbury formula turns the rank-m feedback correction
-(A* - K B* - mu E*) into one solve with the factor plus an m-by-m solve.
+dense/sparse rule: factorize makes one per shift, from the A* and E* that a
+ShiftedSystem holds for one solve, and shifts.factor_e one of E per solve. A
+factor serves any number of right-hand sides, and the Sherman-Morrison-Woodbury
+formula turns the rank-m feedback correction (A* - K B* - mu E*) into one solve
+with the factor plus an m-by-m solve.
 """
 
 from functools import partial
@@ -49,37 +50,85 @@ class Factor:
         return self.lu.solve(RHS)
 
 
-def factorize(A, E=None, mu=0.0):
+class ShiftedSystem:
+    """A* and E* of one pencil, assembled once for every shift of a solve.
+
+    Below DENSE_LU_BELOW_N they are held as dense Fortran-ordered arrays,
+    from there on in CSC; E* is None when E is None. The system only reads
+    them, so the threads of a parallel expansion may share one; the matrices
+    and factors formed from it belong to the caller.
+    """
+
+    def __init__(self, A, E=None):
+        n = A.shape[0]
+        # For real CSR input the CSC conjugate transposes are views: a copy
+        # held for the whole solve moved the heap's layout, and with it peak
+        # RSS and the benchmark's host-speed reference, on cd2d (CHANGES.md).
+        Ah = sp.csr_matrix(A).conj(copy=False).T
+        Eh = None if E is None else sp.csr_matrix(E).conj(copy=False).T
+        if n < DENSE_LU_BELOW_N:
+            # Fortran order lets LAPACK factor each shifted matrix in place
+            Ah = Ah.toarray(order="F")
+            Eh = None if Eh is None else Eh.toarray(order="F")
+        self.Ah, self.Eh, self.n = Ah, Eh, n
+
+    def matrix(self, mu):
+        """Return a new A* - mu E*, bitwise as scipy forms it in CSC.
+
+        Dense, and Fortran-ordered like the held arrays, below
+        DENSE_LU_BELOW_N: the entries that csc(A*) - mu * csc(E*) gives once
+        made dense.
+        """
+        if sp.issparse(self.Ah):
+            Eh = sp.identity(self.n, format="csc") if self.Eh is None else self.Eh
+            return self.Ah - mu * Eh
+        if self.Eh is None:
+            M = self.Ah.astype(np.result_type(self.Ah, mu), order="F")
+            M[np.diag_indices(self.n)] -= mu
+            return M
+        M = np.empty_like(self.Ah, dtype=np.result_type(self.Ah, self.Eh, mu),
+                          order="F")
+        np.multiply(self.Eh, mu, out=M)
+        return np.subtract(self.Ah, M, out=M)
+
+
+def factorize(A, E=None, mu=0.0, system=None):
     """Factor A* - mu E* (E* omitted when E is None).
 
-    The matrix is A.conj().T - mu * E.conj().T as scipy forms it, in CSC,
-    made dense for n < DENSE_LU_BELOW_N. Dense LU factors it there, SuperLU
-    otherwise; SuperLU orders by minimum degree on the pattern of M* + M
-    (MMD_AT_PLUS_A: about 40% less fill than COLAMD on 2-D stencils).
-    Deterministic for fixed input. Returns a Factor; raises
-    SingularShiftError when a pivot is negligible.
+    system is the ShiftedSystem of (A, E) that forms the matrix; without one
+    a system is built for this call alone. The matrix is A.conj().T -
+    mu * E.conj().T as scipy forms it in CSC, dense for n < DENSE_LU_BELOW_N.
+    Dense LU factors it there, in place, SuperLU otherwise; SuperLU orders by
+    minimum degree on the pattern of M* + M (MMD_AT_PLUS_A: about 40% less
+    fill than COLAMD on 2-D stencils). Deterministic for fixed input. Returns
+    a Factor; raises SingularShiftError when a pivot is negligible.
     """
     mu = complex(mu)
     if mu.imag == 0.0:
         mu = mu.real
-    n = A.shape[0]
-    Eh = sp.identity(n, format="csc") if E is None else sp.csc_matrix(E.conj().T)
-    M = sp.csc_matrix(A.conj().T) - mu * Eh
-    return factor_lu(M, partial(spla.splu, permc_spec="MMD_AT_PLUS_A"),
+    if system is None:
+        system = ShiftedSystem(A, E)
+    return factor_lu(system.matrix(mu),
+                     partial(spla.splu, permc_spec="MMD_AT_PLUS_A"),
                      f"shifted matrix A* - mu E* is singular for mu = {mu}",
-                     lambda msg: SingularShiftError(msg, shift=mu), shift=mu)
+                     lambda msg: SingularShiftError(msg, shift=mu), shift=mu,
+                     overwrite=True)
 
 
-def factor_lu(M, splu, singular, error, shift=None):
+def factor_lu(M, splu, singular, error, shift=None, overwrite=False):
     """Return M's Factor by the one dense/sparse rule of every Factor.
 
     A dense M, or one with n < DENSE_LU_BELOW_N, is factored by dense LU;
     a larger sparse M by splu(M in CSC). A singular M raises error(message),
     the message being singular, followed by SuperLU's own when splu fails.
+    Dense LU overwrites only an array made for this factor: the dense copy
+    of a sparse M, or M itself when overwrite says the caller made it so.
     """
     n = M.shape[0]
     if n < DENSE_LU_BELOW_N or not sp.issparse(M):
-        lu = sla.lu_factor(M.toarray() if sp.issparse(M) else M)
+        if sp.issparse(M):
+            M, overwrite = M.toarray(order="F"), True
+        lu = sla.lu_factor(M, overwrite_a=overwrite)
         pivots = np.diag(lu[0])
     else:
         try:

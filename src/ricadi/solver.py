@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import brad
+from . import brad, shifted
 from .errors import ExpansionDegenerateError, ShiftsExhaustedError
 from .kernels import spectral_norm_gram
 from .shifts import PrecomputedShifts, positive_int
@@ -55,8 +55,10 @@ class ConvergenceRecord:
     that of the absorption; total_s covers all three. closed_loop says which
     body absorbed the step; redone that an open-loop absorption of it was
     discarded for cancellation or a degenerate Gram (absorb_s then includes
-    the closed-loop expansion that replaced it). The convergence log stores
-    the times but not shifts, closed_loop or redone.
+    the closed-loop expansion that replaced it). kind is the absorbed
+    block's ExpansionBlock.kind: 'simple', 'parallel' or 'realified'. The
+    convergence log stores the times but not shifts, closed_loop, redone or
+    kind (empty on a record read back from a log).
     """
 
     iter: int
@@ -69,6 +71,7 @@ class ConvergenceRecord:
     redone: bool = False
     shift_s: float = 0.0
     shifts: tuple = ()
+    kind: str = ""
 
 
 @dataclass
@@ -101,7 +104,9 @@ def solve(problem, options=None, shifts=None, callback=None):
     MAX_GRAM_CANCELLATION is redone with the closed-loop body; hybrid mode
     then stays closed-loop. A solve reports convergence only if its state
     also passes the Lyapunov identity. The optional callback(state, record)
-    is invoked after every absorption step.
+    is invoked after every absorption step. A* and E* are assembled once per
+    solve, in a shifted.ShiftedSystem that every step's factorizations share
+    and that the solve drops when it ends.
     """
     options = options or SolverOptions()
     if shifts is None:
@@ -114,6 +119,7 @@ def solve(problem, options=None, shifts=None, callback=None):
     if not norm_cc > 0:
         # C* C is zero or underflows, so no residual can be relative to it
         raise ValueError("C must not be zero: residuals are relative to ||C* C||")
+    system = shifted.ShiftedSystem(problem.A, problem.E)
     records = []
     relres = 1.0
     converged = relres < options.tol
@@ -136,7 +142,7 @@ def solve(problem, options=None, shifts=None, callback=None):
         else:
             closed_loop = stay_closed or state.q >= hybrid_switch
 
-        block = brad.expand_parallel(state, problem, batch, closed_loop)
+        block = brad.expand_parallel(state, problem, batch, closed_loop, system)
         t1 = time.perf_counter()
         redone = False
         if closed_loop:
@@ -149,7 +155,8 @@ def solve(problem, options=None, shifts=None, callback=None):
                 redone = True
             if redone:
                 closed_loop = stay_closed = True
-                block = brad.expand_parallel(state, problem, batch, closed_loop)
+                block = brad.expand_parallel(state, problem, batch, closed_loop,
+                                             system)
                 new = brad.absorb_radi(state, problem, block)
         state = new
         t2 = time.perf_counter()
@@ -160,6 +167,7 @@ def solve(problem, options=None, shifts=None, callback=None):
             expansion_s=t1 - t_shift, absorb_s=t2 - t1, total_s=t2 - t0,
             closed_loop=closed_loop, redone=redone,
             shift_s=t_shift - t0, shifts=tuple(dict.fromkeys(block.poles)),
+            kind=block.kind,
         )
         records.append(rec)
         if callback is not None:

@@ -102,9 +102,9 @@ def realified_runs():
     counts = {"complex": 0, "real": 0}
     original = shifted_mod.factorize
 
-    def counting(A, E=None, mu=0.0):
+    def counting(A, E=None, mu=0.0, *args):
         counts["complex" if complex(mu).imag != 0 else "real"] += 1
-        return original(A, E, mu)
+        return original(A, E, mu, *args)
 
     shifted_mod.factorize = counting
     try:

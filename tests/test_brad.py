@@ -138,7 +138,7 @@ def test_expand_realified_mapping(monkeypatch):
     state = brad.init_state(prob)
     monkeypatch.setattr(
         brad, "_expansion_solve",
-        lambda state, problem, mu, closed_loop: np.array([[0.3 - 0.4j]]))
+        lambda state, problem, mu, *args: np.array([[0.3 - 0.4j]]))
     block = brad.expand_realified(state, prob, 1 + 1j)
     np.testing.assert_allclose(block.Ztil, [[0.3, -0.4]])
     np.testing.assert_array_equal(block.U1, [[1.0, 0.0]])

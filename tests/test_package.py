@@ -64,6 +64,21 @@ def test_oracle_imports_no_other_ricadi_module():
             assert not any(a.name.startswith("ricadi") for a in node.names)
 
 
+def test_shifted_keeps_no_module_state():
+    # a module-level cache in shifted once kept a failed solve's A alive:
+    # shifted binds only imports, functions, classes and its one constant
+    tree = ast.parse((SRC / "shifted.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            assert [ast.unparse(t) for t in node.targets] == ["DENSE_LU_BELOW_N"]
+        else:
+            assert isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
+                                     ast.ClassDef)) or (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            ), ast.unparse(node)
+    assert not any(isinstance(n, ast.Global) for n in ast.walk(tree))
+
+
 def test_verification_lives_only_in_oracle():
     for name in ("brad_residual_check", "closed_loop_pole_check",
                  "eigenvalue_match_distance"):

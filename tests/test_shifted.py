@@ -62,14 +62,22 @@ def _e_pair(E):
     return shifts_mod.factor_e(E), (E.toarray() if sp.issparse(E) else E)
 
 
+def _system_pair(A, E, mu):
+    _, M = _shifted_pair(A, E, mu)
+    return factorize(A, E, mu, shifted_mod.ShiftedSystem(A, E)), M
+
+
 # Every producer of a Factor, each with the real matrix its factor solves with:
 # factorize and factor_e each on their dense (n < 500) and SuperLU branches,
-# factor_e also on a dense E.
+# factorize also from a system made beforehand, factor_e also on a dense E.
 FACTOR_PRODUCERS = {
     "factorize-n40": lambda: _shifted_pair(
         *_pair(random_problem(44, n=40, generalized=True)), 1.5),
     "factorize-n600": lambda: _shifted_pair(
         stable_sparse(600, 5, density=0.01), None, 2.5),
+    "system-n40": lambda: _system_pair(
+        *_pair(random_problem(43, n=40, generalized=True)), 1.5),
+    "system-n600": lambda: _system_pair(*fem1d_pair(600), 2.5),
     "factor_e-sparse": lambda: _e_pair(random_problem(44, n=30, generalized=True).E),
     "factor_e-dense": lambda: _e_pair(
         random_problem(44, n=30, generalized=True).E.toarray()),
@@ -285,12 +293,103 @@ def test_parallel_batch_is_factored_in_the_pool(monkeypatch):
     spans = []
     original = shifted_mod.factorize
 
-    def recording(A, E, mu):
+    def recording(*args):
         spans.append(threading.get_ident())
-        return original(A, E, mu)
+        return original(*args)
 
     monkeypatch.setattr(shifted_mod, "factorize", recording)
     prob = random_problem(50, n=40, m=1, p=1)
     rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=2, parallel_width=2),
              [1.0, 2.0, 4.0, 8.0])
     assert len(spans) == 4 and threading.get_ident() not in spans
+
+
+def _snapshot(M):
+    """The bytes of a dense or sparse matrix (None for None)."""
+    if M is None:
+        return None
+    if sp.issparse(M):
+        return tuple(getattr(M, a).tobytes() for a in ("data", "indices", "indptr"))
+    return M.tobytes()
+
+
+INPLACE_CASES = {
+    "n60": lambda: (random_problem(49, n=60).A, None),
+    "n60-E": lambda: _pair(random_problem(49, n=60, generalized=True)),
+    "n60-dense-E": lambda: (random_problem(49, n=60).A.toarray(),
+                            random_problem(49, n=60, generalized=True).E.toarray()),
+    "n600": lambda: (stable_sparse(600, 5, density=0.01), None),
+    "n600-E": lambda: fem1d_pair(600),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPLACE_CASES))
+def test_factorize_leaves_the_operators_intact(case):
+    # the dense shifted matrix is factored in place, never an input or the
+    # system's held A* and E*
+    A, E = INPLACE_CASES[case]()
+    system = shifted_mod.ShiftedSystem(A, E)
+    before = [_snapshot(M) for M in (A, E, system.Ah, system.Eh)]
+    rhs = np.random.default_rng(6).standard_normal((A.shape[0], 2))
+    for mu in (2.5, 1.5 + 0.75j):
+        f = factorize(A, E, mu, system)
+        M = _scipy_difference(sp.csr_matrix(A),
+                              None if E is None else sp.csr_matrix(E), mu)
+        np.testing.assert_allclose(M @ f.solve(rhs), rhs, atol=1e-8)
+        factorize(A, E, mu)  # a throwaway system
+    assert [_snapshot(M) for M in (A, E, system.Ah, system.Eh)] == before
+
+
+def test_dense_factor_overwrites_the_matrix_the_system_formed():
+    # lu_factor skips LAPACK's copy only for a Fortran-ordered array of the
+    # factor's dtype; a C-ordered one would be copied without notice
+    A, E = _pair(random_problem(49, n=60, generalized=True))
+    for E_ in (E, None):
+        system = shifted_mod.ShiftedSystem(A, E_)
+        formed = []
+        matrix = system.matrix
+        system.matrix = lambda mu: formed.append(matrix(mu)) or formed[-1]
+        for mu in (2.5, 1.5 + 0.75j):
+            f = factorize(A, E_, mu, system)
+            M = formed[-1]
+            assert M.flags.f_contiguous and M.dtype == f.lu[0].dtype
+            assert np.shares_memory(f.lu[0], M)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_factor_e_copies_a_dense_e(order):
+    # LAPACK would factor a Fortran-ordered E in place if allowed to
+    E = random_problem(49, n=60, generalized=True).E.toarray(order=order)
+    before = E.tobytes()
+    f = shifts_mod.factor_e(E)
+    assert E.tobytes() == before
+    assert not np.shares_memory(f.lu[0], E)
+
+
+def test_parallel_solve_shares_one_system_between_threads(monkeypatch):
+    # n = 600: SuperLU factors made on two pool threads from one held pencil
+    A, E = fem1d_pair(600)
+    rng = np.random.default_rng(7)
+    prob = rc.ProblemSpec(A=A, B=rng.standard_normal((600, 1)),
+                          C=rng.standard_normal((2, 600)), E=E)
+    shifts = [1.0, 2.0 + 1.0j, 40.0, 300.0, 900.0, 5e3]
+    formed = []
+    matrix = shifted_mod.ShiftedSystem.matrix
+
+    def recording(system, mu):
+        M = matrix(system, mu)
+        formed.append((mu, M.copy()))
+        return M
+
+    monkeypatch.setattr(shifted_mod.ShiftedSystem, "matrix", recording)
+    options = rc.SolverOptions(tol=1e-280, max_iter=3, parallel_width=2)
+    first = rc.solve(prob, options, shifts)
+    assert len(formed) == 6
+    assert [r.kind for r in first.records] == ["realified", "parallel", "parallel"]
+    again = rc.solve(prob, options, shifts)
+    for name in ("Z", "R"):
+        assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+    for mu, M in formed:
+        want = _scipy_difference(A, E, mu)
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(M, attr).tobytes() == getattr(want, attr).tobytes()

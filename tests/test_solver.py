@@ -267,9 +267,9 @@ def spy_factorize(monkeypatch):
     factored = []
     factorize = shifted_mod.factorize
 
-    def spy(A, E=None, mu=0.0):
+    def spy(A, E=None, mu=0.0, *args):
         factored.append(complex(mu))
-        return factorize(A, E, mu)
+        return factorize(A, E, mu, *args)
 
     monkeypatch.setattr(shifted_mod, "factorize", spy)
     return factored
@@ -343,6 +343,27 @@ def test_hamiltonian_records_both_members_of_each_pair():
         mu = rec.shifts[0]
         assert rec.shifts == ((mu, mu.conjugate()) if mu.imag else (mu,))
     assert res.state.q == sum(len(rec.shifts) for rec in res.records)
+
+
+def test_records_give_the_expansion_kind(tmp_path):
+    prob = random_problem(63, n=30, m=1, p=1)
+    shifts = [1.0, 2.0, 4.0, 8.0]
+    simple = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=2), shifts)
+    assert [r.kind for r in simple.records] == ["simple"] * 2
+    wide = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=2,
+                                           parallel_width=2), shifts)
+    assert [r.kind for r in wide.records] == ["parallel"] * 2
+    # a Hamiltonian shift with Im != 0 on real data is a realified pair
+    res = rc.solve(rotating_problem(30, seed=42),
+                   rc.SolverOptions(tol=1e-10, max_iter=60), rc.HamiltonianShifts())
+    kinds = [r.kind for r in res.records]
+    assert kinds == ["realified" if r.shifts[0].imag else "simple"
+                     for r in res.records]
+    assert "realified" in kinds and "simple" in kinds
+    # the log keeps its seven columns
+    rc.write_convergence_log(res.records, tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_text().splitlines()[0] == (
+        "iter,subspace_dim,rel_residual,expansion_s,absorb_s,total_s,shift_s")
 
 
 def test_empty_shift_list_is_rejected():
