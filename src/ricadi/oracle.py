@@ -2,7 +2,8 @@
 
 This module imports no other ricadi module and shares no kernels with the
 iterative solver beyond elementary dense linear algebra, so it can serve as
-an independent oracle. solve imports none of it.
+an independent oracle. solve imports none of it. It reads a ProblemSpec as
+that class stores it: A and E sparse, B and C dense.
 """
 
 from dataclasses import dataclass
@@ -21,10 +22,6 @@ class DenseSolution:
     closed_loop_spectrum: np.ndarray
 
 
-def _dense(M):
-    return M.toarray() if sp.issparse(M) else np.asarray(M)
-
-
 def dense_care(problem):
     """Stabilizing solution of the (generalized) Riccati equation, dense.
 
@@ -34,10 +31,8 @@ def dense_care(problem):
     n = problem.n
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense solver limited to n <= {DENSE_ORACLE_MAX_N}")
-    A = _dense(problem.A)
-    B = np.asarray(problem.B)
-    C = np.asarray(problem.C)
-    E = None if problem.E is None else _dense(problem.E)
+    A, B, C = problem.A.toarray(), problem.B, problem.C
+    E = None if problem.E is None else problem.E.toarray()
     CtC = C.conj().T @ C
     CtC = 0.5 * (CtC + CtC.conj().T)
     m = problem.m
@@ -82,10 +77,8 @@ def dense_residual(problem, X):
     n = problem.n
     if X.shape != (n, n):
         raise ValueError(f"X must be {n}x{n}, got {X.shape}")
-    A = _dense(problem.A)
-    B = np.asarray(problem.B)
-    C = np.asarray(problem.C)
-    XE = X if problem.E is None else X @ _dense(problem.E)
+    A, B, C = problem.A.toarray(), problem.B, problem.C
+    XE = X if problem.E is None else X @ problem.E.toarray()
     res = (A.conj().T @ XE + XE.conj().T @ A + C.conj().T @ C
            - XE.conj().T @ B @ (B.conj().T @ XE))
     return res, float(np.linalg.norm(res, 2))
@@ -126,7 +119,7 @@ def brad_residual_check(state, problem):
     # A* Z = C* h + E* Z Hminus, the decomposition identity in the
     # E-transformed variables without forming inv(E).
     defect = A.conj().T @ Z - Cstar @ h - EZ @ Hm
-    a_norm = sp.linalg.norm(A, 1) if sp.issparse(A) else np.linalg.norm(A, 1)
+    a_norm = sp.linalg.norm(A, 1)
     z_norm = np.linalg.norm(Z)
     scale = a_norm * z_norm + z_norm * np.linalg.norm(Hm) + 1e-300
     out["brad_identity"] = float(np.linalg.norm(defect) / scale)

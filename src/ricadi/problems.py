@@ -16,13 +16,20 @@ def _entries(M):
     return M.data if sp.issparse(M) else np.asarray(M)
 
 
+def _dense_2d(M):
+    return np.atleast_2d(M.toarray() if sp.issparse(M) else np.asarray(M))
+
+
 @dataclass
 class ProblemSpec:
     """The quadruple (A, B, C, E) of a (generalized) Riccati equation.
 
-    A is n-by-n (sparse or dense), B is n-by-m dense, C is p-by-n dense and
-    E is an optional regular n-by-n matrix (identity when absent). m = 0
-    encodes the Lyapunov special case B = 0. A complex matrix whose
+    A is n-by-n, B is n-by-m, C is p-by-n and E is an optional regular
+    n-by-n matrix (identity when absent); m = 0 encodes the Lyapunov special
+    case B = 0. Each may be given dense or sparse, and its format is fixed
+    here: A and E are stored as CSR (a CSR input's arrays are shared, not
+    copied), B and C as dense 2-D arrays. So a problem built here and one
+    read by load_problem run the same arithmetic. A complex matrix whose
     imaginary parts are all zero is stored as its real part, so real data
     is real-typed.
     """
@@ -33,15 +40,15 @@ class ProblemSpec:
     E: object = None
 
     def __post_init__(self):
+        self.A = sp.csr_matrix(self.A)
+        self.E = None if self.E is None else sp.csr_matrix(self.E)
         if self.A.shape[0] != self.A.shape[1]:
             raise ValueError(f"A must be square, got {self.A.shape}")
         n = self.A.shape[0]
         if n < 1:
             raise ValueError("n must be at least 1")
-        if self.B is None:
-            self.B = np.zeros((n, 0))
-        self.B = np.atleast_2d(np.asarray(self.B))
-        self.C = np.atleast_2d(np.asarray(self.C))
+        self.B = np.zeros((n, 0)) if self.B is None else _dense_2d(self.B)
+        self.C = _dense_2d(self.C)
         if self.B.shape[0] != n:
             raise ValueError(f"B must have {n} rows, got {self.B.shape}")
         if self.C.shape[1] != n:
@@ -86,12 +93,7 @@ def read_matrix_market(path):
         M = scipy.io.mmread(path)
     except (ValueError, TypeError, OSError) as exc:
         raise MatrixMarketError(f"{path}: {exc}") from exc
-    if sp.issparse(M):
-        M = M.tocsr()
-        if np.issubdtype(M.dtype, np.integer):
-            M = M.astype(np.float64)
-        return M
-    M = np.asarray(M)
+    M = M.tocsr() if sp.issparse(M) else np.asarray(M)
     if np.issubdtype(M.dtype, np.integer):
         M = M.astype(np.float64)
     return M
@@ -170,21 +172,9 @@ def read_convergence_log(path):
 
 
 def load_problem(a_path, c_path, b_path=None, e_path=None):
-    """Assemble a ProblemSpec from Matrix Market files; B and C are densified."""
-    A = read_matrix_market(a_path)
-    if not sp.issparse(A):
-        A = sp.csr_matrix(A)
-    C = read_matrix_market(c_path)
-    if sp.issparse(C):
-        C = C.toarray()
-    B = None
-    if b_path is not None:
-        B = read_matrix_market(b_path)
-        if sp.issparse(B):
-            B = B.toarray()
-    E = None
-    if e_path is not None:
-        E = read_matrix_market(e_path)
-        if not sp.issparse(E):
-            E = sp.csr_matrix(E)
-    return ProblemSpec(A=A, B=B, C=C, E=E)
+    """Assemble a ProblemSpec from Matrix Market files (B = 0, E = I when omitted)."""
+    return ProblemSpec(
+        A=read_matrix_market(a_path),
+        C=read_matrix_market(c_path),
+        B=None if b_path is None else read_matrix_market(b_path),
+        E=None if e_path is None else read_matrix_market(e_path))

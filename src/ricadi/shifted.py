@@ -111,24 +111,24 @@ def factorize(A, E=None, mu=0.0, system=None):
     return factor_lu(system.matrix(mu),
                      partial(spla.splu, permc_spec="MMD_AT_PLUS_A"),
                      f"shifted matrix A* - mu E* is singular for mu = {mu}",
-                     lambda msg: SingularShiftError(msg, shift=mu), shift=mu,
-                     overwrite=True)
+                     lambda msg: SingularShiftError(msg, shift=mu), shift=mu)
 
 
-def factor_lu(M, splu, singular, error, shift=None, overwrite=False):
+def factor_lu(M, splu, singular, error, shift=None):
     """Return M's Factor by the one dense/sparse rule of every Factor.
 
-    A dense M, or one with n < DENSE_LU_BELOW_N, is factored by dense LU;
-    a larger sparse M by splu(M in CSC). A singular M raises error(message),
-    the message being singular, followed by SuperLU's own when splu fails.
-    Dense LU overwrites only an array made for this factor: the dense copy
-    of a sparse M, or M itself when overwrite says the caller made it so.
+    The rule is by size alone: M is factored by dense LU when
+    n < DENSE_LU_BELOW_N, otherwise by splu(M in CSC). Dense LU works in
+    place, so a dense M must be an array made for this factor (a
+    ShiftedSystem's matrix); a sparse M is copied to a Fortran-ordered array
+    first. A singular M raises error(message), the message being singular,
+    followed by SuperLU's own when splu fails.
     """
     n = M.shape[0]
-    if n < DENSE_LU_BELOW_N or not sp.issparse(M):
+    if n < DENSE_LU_BELOW_N:
         if sp.issparse(M):
-            M, overwrite = M.toarray(order="F"), True
-        lu = sla.lu_factor(M, overwrite_a=overwrite)
+            M = M.toarray(order="F")
+        lu = sla.lu_factor(M, overwrite_a=True)
         pivots = np.diag(lu[0])
     else:
         try:

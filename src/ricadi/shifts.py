@@ -4,6 +4,7 @@ import cmath
 import operator
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ShiftsExhaustedError, ShiftStrategyError
@@ -96,16 +97,17 @@ class HamiltonianShifts:
 
 
 def factor_e(E):
-    """Return E's Factor by shifted.factor_lu's dense/sparse rule, SuperLU
-    (from n = DENSE_LU_BELOW_N on, sparse E only) with its default ordering,
-    called through this module's spla so that a trace of shifts.spla.splu
-    sees E's factors apart from the shifted ones.
+    """Return E's Factor by shifted.factor_lu's rule: dense LU of a copy below
+    DENSE_LU_BELOW_N, dense or sparse E alike, and from there on SuperLU
+    with its default ordering, called through this module's spla so that a
+    trace of shifts.spla.splu sees E's factors apart from the shifted ones.
+    E itself is never overwritten.
 
     Raises ShiftStrategyError when E is singular. Drop the result on the
     thread that called this: a SuperLU factor dropped on another thread
     leaves its memory unreusable.
     """
-    return factor_lu(E, spla.splu, "mass matrix E is singular",
+    return factor_lu(sp.csr_matrix(E), spla.splu, "mass matrix E is singular",
                      ShiftStrategyError)
 
 

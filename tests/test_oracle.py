@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import ricadi as rc
 import ricadi.brad as brad
-from ricadi.oracle import eigenvalue_match_distance
+from ricadi.oracle import DENSE_ORACLE_MAX_N, eigenvalue_match_distance
 from conftest import (
     projected_system_zeros,
     random_problem,
@@ -60,6 +60,16 @@ def test_dense_residual_zero_solution():
     CtC = prob.C.conj().T @ prob.C
     np.testing.assert_allclose(res, CtC, atol=1e-14)
     np.testing.assert_allclose(norm, np.linalg.norm(CtC, 2), atol=1e-12)
+
+
+def test_dense_references_reject_large_or_misshapen_input():
+    n = DENSE_ORACLE_MAX_N + 1
+    big = rc.ProblemSpec(A=sp.diags(-np.ones(n)), B=None, C=np.ones((1, n)))
+    with pytest.raises(ValueError, match=f"limited to n <= {DENSE_ORACLE_MAX_N}"):
+        rc.dense_care(big)
+    prob = random_problem(71, n=10, m=1, p=2)
+    with pytest.raises(ValueError, match=r"X must be 10x10, got \(10, 9\)"):
+        rc.dense_residual(prob, np.zeros((10, 9)))
 
 
 def test_dense_residual_matches_rank_p_factor():

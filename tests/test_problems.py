@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ricadi as rc
-from conftest import write_shift_file
+from conftest import random_problem, write_shift_file
 from ricadi.errors import MatrixMarketError
 from ricadi.problems import read_convergence_log, write_matrix_market
 from ricadi.solver import ConvergenceRecord
@@ -56,6 +56,20 @@ def test_read_mm_dense_array(tmp_path):
     assert not sp.issparse(M)
     np.testing.assert_allclose(M, [[1.0, 3.0], [2.0, 4.0]])
     assert M.dtype == np.float64  # integer data promoted
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("array", "2 2\n1\n2\n3\n4\n"),
+    ("coordinate", "2 2 4\n1 1 1\n2 1 2\n1 2 3\n2 2 4\n"),
+])
+def test_read_mm_promotes_integer_data(tmp_path, kind, body):
+    path = tmp_path / "int.mtx"
+    path.write_text(f"%%MatrixMarket matrix {kind} integer general\n{body}")
+    M = rc.read_matrix_market(path)
+    assert sp.issparse(M) is (kind == "coordinate")
+    assert M.dtype == np.float64
+    np.testing.assert_array_equal(M.toarray() if sp.issparse(M) else M,
+                                  [[1.0, 3.0], [2.0, 4.0]])
 
 
 def test_read_mm_malformed(tmp_path):
@@ -189,6 +203,30 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError, match="square"):
         rc.ProblemSpec(A=sp.csr_matrix(np.ones((2, 3))), B=None,
                        C=np.ones((1, 3)))
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        rc.ProblemSpec(A=np.zeros((0, 0)), B=None, C=np.ones((1, 0)))
+    with pytest.raises(ValueError, match="C must have at least one row"):
+        rc.ProblemSpec(A=A, B=None, C=np.ones((0, 3)))
+    with pytest.raises(ValueError, match="E must be 3x3"):
+        rc.ProblemSpec(A=A, B=None, C=np.ones((1, 3)), E=sp.identity(2))
+
+
+@pytest.mark.parametrize("fmt", ["csr", "coo"])
+def test_sparse_b_and_c_solve_as_their_dense_form(fmt):
+    # ProblemSpec stores B and C dense whatever their input format
+    dense = random_problem(12, n=40, m=2, p=2)
+    sparse = rc.ProblemSpec(A=dense.A, B=sp.coo_matrix(dense.B).asformat(fmt),
+                            C=sp.coo_matrix(dense.C).asformat(fmt))
+    for name in ("B", "C"):
+        M = getattr(sparse, name)
+        assert isinstance(M, np.ndarray)
+        assert M.tobytes() == getattr(dense, name).tobytes()
+    options = rc.SolverOptions(mode="hybrid", tol=1e-10, max_iter=40)
+    want = rc.solve(dense, options, rc.HamiltonianShifts())
+    got = rc.solve(sparse, options, rc.HamiltonianShifts())
+    assert want.converged
+    for name in ("Z", "R"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "E"])
@@ -212,15 +250,13 @@ def test_problem_spec_is_real():
     prob = rc.ProblemSpec(A=A.astype(complex), B=np.ones((2, 1), complex),
                           C=np.ones((1, 2)), E=np.eye(2, dtype=complex))
     assert prob.is_real
-    assert sp.issparse(prob.A) and prob.A.dtype == np.float64
-    for M in (prob.B, prob.E):
-        assert M.dtype == np.float64 and M.flags["C_CONTIGUOUS"]
+    for M in (prob.A, prob.E):
+        assert M.format == "csr" and M.dtype == np.float64
+    assert prob.B.dtype == np.float64 and prob.B.flags["C_CONTIGUOUS"]
     np.testing.assert_array_equal(prob.A.toarray(), -np.eye(2))
 
 
 def test_load_problem(tmp_path):
-    from conftest import random_problem
-
     prob = random_problem(11, n=8, m=2, p=1, generalized=True)
     paths = {}
     for name, M in (("a", prob.A), ("b", prob.B), ("c", prob.C),
@@ -236,3 +272,29 @@ def test_load_problem(tmp_path):
 
     lyap = rc.load_problem(paths["a"], paths["c"])
     assert lyap.m == 0 and lyap.E is None
+
+
+def test_load_problem_fixes_each_format(tmp_path):
+    # A and E written as arrays, B and C as coordinates load into the same
+    # formats, and solve bitwise the same, as the other way round
+    prob = random_problem(13, n=20, m=2, p=2, generalized=True)
+    loaded = []
+    for case, (as_operator, as_block) in {
+            "array-ops": (sp.csr_matrix.toarray, sp.csr_matrix),
+            "coordinate-ops": (sp.csr_matrix, np.asarray)}.items():
+        paths = {}
+        for name in ("a", "b", "c", "e"):
+            M = getattr(prob, name.upper())
+            paths[name] = tmp_path / f"{case}-{name}.mtx"
+            write_matrix_market(as_operator(M) if name in "ae" else as_block(M),
+                                paths[name])
+        back = rc.load_problem(paths["a"], paths["c"], b_path=paths["b"],
+                               e_path=paths["e"])
+        assert back.A.format == back.E.format == "csr"
+        assert isinstance(back.B, np.ndarray) and isinstance(back.C, np.ndarray)
+        loaded.append(back)
+    options = rc.SolverOptions(tol=1e-10, max_iter=40)
+    first, second = (rc.solve(p, options, rc.HamiltonianShifts()) for p in loaded)
+    assert first.converged
+    for name in ("Z", "R"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes()

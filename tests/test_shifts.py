@@ -328,6 +328,42 @@ def test_e_factor_follows_the_dense_lu_threshold(monkeypatch, n, superlu):
         assert np.linalg.norm(E @ W - block) <= 1e-12 * np.linalg.norm(block)
 
 
+def test_dense_e_from_the_threshold_on_is_factored_by_superlu(monkeypatch):
+    # the rule is by size alone: a dense E goes to SuperLU as a sparse one
+    # does, and is left as it was
+    splu_calls = []
+
+    def spy(M, *args, **kwargs):
+        splu_calls.append(M.shape)
+        return spla.splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(shifts_mod, "spla", SimpleNamespace(splu=spy))
+    n = DENSE_LU_BELOW_N
+    E = fem1d_pair(n)[1].toarray(order="F")
+    before = E.tobytes()
+    f = shifts_mod.factor_e(E)
+    assert splu_calls == [(n, n)] and not isinstance(f.lu, tuple)
+    assert E.tobytes() == before
+    rhs = np.random.default_rng(1).standard_normal((n, 2))
+    assert np.linalg.norm(E @ f.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("mode", ["r2adi", "hybrid"])
+@pytest.mark.parametrize("generalized", [False, True])
+def test_dense_operators_solve_as_their_csr_form(mode, generalized):
+    # ProblemSpec stores a dense A and E as CSR, so shift selection and
+    # absorption run the same sparse products as on CSR input
+    prob = random_problem(5, n=200, m=2, p=2, generalized=generalized)
+    dense = rc.ProblemSpec(A=prob.A.toarray(), B=prob.B, C=prob.C,
+                           E=None if prob.E is None else prob.E.toarray())
+    options = rc.SolverOptions(mode=mode, tol=1e-10, max_iter=60)
+    want = rc.solve(prob, options, rc.HamiltonianShifts())
+    got = rc.solve(dense, options, rc.HamiltonianShifts())
+    assert want.converged
+    for name in ("Z", "R"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("storage", ["sparse", "dense"])
 def test_singular_e_factor_raises(storage):
