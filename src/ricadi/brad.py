@@ -255,13 +255,3 @@ def absorb_radi(state, problem, block):
     return _absorb(state, problem, block, block.Ztil, block.U1,
                    problem.B.conj().T @ block.Ztil)
 
-
-def lyapunov_defect(state):
-    """||Hm + Hm* - (SB* SB + h* h)||_F / ||Hm||_F.
-
-    The q-by-q Lyapunov identity of the normalized state; while it holds,
-    R R* is the residual of X = Z Z*. Costs O((m + p) q^2), no n-sized work.
-    """
-    Hm, h = state.Hminus, state.h
-    lyap = Hm + Hm.conj().T - (state.SB.conj().T @ state.SB + h.conj().T @ h)
-    return float(np.linalg.norm(lyap) / max(np.linalg.norm(Hm), 1e-300))

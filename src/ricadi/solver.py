@@ -8,6 +8,7 @@ import numpy as np
 from . import brad, shifted
 from .errors import ExpansionDegenerateError, ShiftsExhaustedError
 from .kernels import spectral_norm_gram
+from .oracle import residual_defect
 from .shifts import PrecomputedShifts, positive_int
 
 MODES = ("r2adi", "radi", "hybrid")
@@ -19,14 +20,9 @@ MODES = ("r2adi", "radi", "hybrid")
 # cd2d inputs, 4e4 on fem1d but for one redone step of 2.4e7 (fem1d/i1);
 # 3.9e8 and 1.6e13 on a step of the two FEM redo tests' inputs at a 6p
 # window, whose converged factors then have a residual defect of 3e-11 and
-# 1e-7 instead of 5e-14.
+# 1e-7 instead of 5e-14. oracle.residual_defect only detects such an answer
+# (solve then reports it unconverged); the redo turns it into a right one.
 MAX_GRAM_CANCELLATION = 1e6
-# A converged state must satisfy its q-by-q Lyapunov identity to this
-# relative accuracy (brad.lyapunov_defect), or R R* is not the residual of
-# Z Z*. Seen (max_lyapunov_defect): below 5e-16 on those 66 inputs, and
-# 9.4e-12 on the 1e-7 solve above: this gate does not catch it, so the redo
-# is its only guard.
-MAX_LYAPUNOV_DEFECT = 1e-11
 
 
 @dataclass
@@ -99,14 +95,15 @@ def solve(problem, options=None, shifts=None, callback=None):
     nonempty list of shifts. Each batch is one brad.expand_parallel step; on
     real data a complex shift is its realified conjugate pair, one solve and
     one batch slot, and the state stays real. Hybrid mode switches from the
-    open-loop to the closed-loop body once q >= max(p, min(n // 20, 100)). An open-loop step whose Gram is not
-    positive definite or amplifies roundoff by more than
-    MAX_GRAM_CANCELLATION is redone with the closed-loop body; hybrid mode
-    then stays closed-loop. A solve reports convergence only if its state
-    also passes the Lyapunov identity. The optional callback(state, record)
-    is invoked after every absorption step. A* and E* are assembled once per
-    solve, in a shifted.ShiftedSystem that every step's factorizations share
-    and that the solve drops when it ends.
+    open-loop to the closed-loop body once q >= max(p, min(n // 20, 100)).
+    An open-loop step whose Gram is not positive definite or amplifies
+    roundoff by more than MAX_GRAM_CANCELLATION is redone with the
+    closed-loop body; hybrid mode then stays closed-loop. Convergence is
+    reported only if oracle.residual_defect's estimate of the answer's
+    ||R(Z Z*) - R R*|| / ||C* C|| is at most tol too. The optional
+    callback(state, record) is invoked after every absorption step. A* and
+    E* are assembled once per solve, in a shifted.ShiftedSystem that every
+    step's factorizations share and that the solve drops when it ends.
     """
     options = options or SolverOptions()
     if shifts is None:
@@ -174,12 +171,11 @@ def solve(problem, options=None, shifts=None, callback=None):
             callback(state, rec)
         converged = relres < options.tol
     if converged:
-        defect = brad.lyapunov_defect(state)
-        if not defect <= MAX_LYAPUNOV_DEFECT:
+        defect = residual_defect(problem, state.Z, state.R)
+        if not defect <= options.tol:
             converged = False
-            message = (f"not converged: Lyapunov identity defect {defect:.2e} "
-                       f"exceeds {MAX_LYAPUNOV_DEFECT:.0e}, so R no longer "
-                       f"describes the residual of Z Z*")
+            message = (f"not converged: residual defect {defect:.2e} exceeds "
+                       f"tol = {options.tol:.2e}: R R* is not the residual of Z Z*")
     elif not message:
         message = "not converged: max_iter reached"
     return SolveResult(Z=state.Z, R=state.R, records=records, state=state,

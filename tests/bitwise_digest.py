@@ -12,9 +12,10 @@ bitwise exactly when their outputs are identical (diff them). Each
 workload's totals of steps, q, redone steps and closed-loop steps go to
 stderr, one line each, so a change that moves iterates shows by how much
 without touching the digest. The same line gives the largest
-gram_cancellation of any open-loop absorption, a redone one included, and
-the largest Lyapunov identity defect of a final state: the figures the
-MAX_GRAM_CANCELLATION and MAX_LYAPUNOV_DEFECT comments in solver.py quote.
+gram_cancellation of any open-loop absorption, a redone one included (the
+figures the MAX_GRAM_CANCELLATION comment in solver.py quotes), and the
+largest residual defect ||R(Z Z*) - R R*|| / ||C* C|| of an answer, as
+ricadi.oracle.residual_defect estimates it.
 It is a script, not a pytest module.
 """
 
@@ -36,6 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import ricadi as rc  # noqa: E402
 import ricadi.brad as brad  # noqa: E402
+from ricadi.oracle import residual_defect  # noqa: E402
 from workloads import TOL, WORKLOADS, build_inputs  # noqa: E402
 
 SEED = 302
@@ -65,7 +67,7 @@ def solve(entry):
         source = rc.PrecomputedShifts(list(entry["shift_list"]) * CYCLE_REPEATS)
     options = rc.SolverOptions(mode=entry["mode"], tol=TOL,
                                parallel_width=entry["parallel_width"])
-    return rc.solve(problem, options, source)
+    return problem, rc.solve(problem, options, source)
 
 
 def main():
@@ -80,10 +82,10 @@ def main():
 
     brad.absorb_r2adi = recording_absorb_r2adi
     totals = {}  # workload -> [inputs, steps, q, redone, closed-loop]
-    worst = {}  # workload -> [max cancellation, max Lyapunov defect]
+    worst = {}  # workload -> [max cancellation, max residual defect]
     for workload, entry in inputs():
         cancellations.clear()
-        res = solve(entry)
+        problem, res = solve(entry)
         steps, q = len(res.records), res.state.q
         print(f"{workload}/{entry['name']}", sha256(res.Z), sha256(res.R),
               f"steps={steps}", f"q={q}", f"converged={res.converged}", flush=True)
@@ -91,7 +93,8 @@ def main():
                   sum(r.closed_loop for r in res.records))
         total = totals.setdefault(workload, [0] * len(counts))
         total[:] = map(sum, zip(total, counts))
-        peaks = (max(cancellations, default=0.0), brad.lyapunov_defect(res.state))
+        peaks = (max(cancellations, default=0.0),
+                 residual_defect(problem, res.Z, res.R))
         peak = worst.setdefault(workload, [0.0, 0.0])
         peak[:] = map(max, zip(peak, peaks))
     for workload, (count, steps, q, redone, closed) in totals.items():
@@ -99,7 +102,7 @@ def main():
         print(f"{workload}: {count} inputs, steps={steps}, q={q}, "
               f"redone={redone}, closed_loop={closed}, "
               f"max_cancellation={cancellation:.2g}, "
-              f"max_lyapunov_defect={defect:.2g}", file=sys.stderr)
+              f"max_residual_defect={defect:.2g}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import ricadi as rc
 from conftest import random_problem, write_shift_file
 from ricadi.cli import main, run
-from ricadi.oracle import DENSE_ORACLE_MAX_N
+from ricadi.oracle import DENSE_ORACLE_MAX_N, residual_defect
 from ricadi.problems import read_convergence_log, write_matrix_market
 
 
@@ -132,15 +132,20 @@ def test_cli_verify_without_a_stabilizing_solution(tmp_path, capsys):
     assert lines[-1].startswith("RESULT")
 
 
-def test_cli_verify_skips_beyond_the_dense_oracle(tmp_path, capsys):
+def test_cli_verify_estimates_the_residual_beyond_the_dense_oracle(tmp_path, capsys):
     n = DENSE_ORACLE_MAX_N + 1
     prob = rc.ProblemSpec(A=sp.diags(-np.arange(1.0, n + 1)), B=None,
                           C=np.ones((1, n)))
-    code = run(write_problem(prob, tmp_path, shifts=[1.0])
-               + ["--max-iter", "1", "--verify"])
+    code = run(write_problem(prob, tmp_path)
+               + ["--shift-strategy", "hamiltonian", "--verify"])
     lines = capsys.readouterr().out.splitlines()
-    assert code == 2  # one shift does not converge
-    assert f"verify         : skipped (n > {DENSE_ORACLE_MAX_N})" in lines
+    assert code == 0
+    # the library's estimate of the same answer, as solve computed it
+    res = rc.solve(prob, rc.SolverOptions(), rc.HamiltonianShifts())
+    defect = residual_defect(prob, res.Z, res.R)
+    assert defect <= 1e-12
+    assert (f"verify         : |R(ZZ*) - RR*| / |C*C| ~ {defect:.3e} (estimate)"
+            in lines)
     assert lines[-1].startswith("RESULT")
 
 

@@ -6,7 +6,11 @@ import scipy.sparse as sp
 
 import ricadi as rc
 import ricadi.brad as brad
-from ricadi.oracle import DENSE_ORACLE_MAX_N, eigenvalue_match_distance
+from ricadi.oracle import (
+    DENSE_ORACLE_MAX_N,
+    eigenvalue_match_distance,
+    residual_defect,
+)
 from conftest import (
     projected_system_zeros,
     random_problem,
@@ -81,6 +85,45 @@ def test_dense_residual_matches_rank_p_factor():
     mat, _ = rc.dense_residual(prob, X)
     cc = np.linalg.norm(prob.C.conj().T @ prob.C, 2)
     assert np.linalg.norm(mat - res.R @ res.R.conj().T, 2) <= 1e-9 * cc
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("generalized", [False, True])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_residual_defect_is_a_sharp_lower_bound(complex_data, generalized, m):
+    # An arbitrary Z and R, so that R(Z Z*) - R R* is far from zero. Over 200
+    # such inputs (n = 5 to 300, every data kind) the estimate read at least
+    # 0.87 of the exact value; the stated factor is 2.
+    n = 120
+    prob = random_problem(74, n=n, m=m, p=2, generalized=generalized,
+                          complex_data=complex_data)
+    rng = np.random.default_rng(74)
+    Z, R = 0.1 * rng.standard_normal((n, 6)), rng.standard_normal((n, 2))
+    if complex_data:
+        Z = Z + 0.1j * rng.standard_normal(Z.shape)
+        R = R + 1j * rng.standard_normal(R.shape)
+    mat, _ = rc.dense_residual(prob, Z @ Z.conj().T)
+    cc = np.linalg.norm(prob.C.conj().T @ prob.C, 2)
+    exact = np.linalg.norm(mat - R @ R.conj().T, 2) / cc
+    estimate = residual_defect(prob, Z, R)
+    assert exact / 2 <= estimate <= exact * (1 + 1e-12)
+    assert residual_defect(prob, Z, R) == estimate
+
+
+@pytest.mark.parametrize("generalized", [False, True])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_residual_defect_of_a_solve(complex_data, generalized):
+    prob = random_problem(75, n=DENSE_ORACLE_MAX_N, m=1, p=2,
+                          generalized=generalized, complex_data=complex_data)
+    # the initial state, Z empty and R = C*, has no defect at all
+    assert residual_defect(prob, np.zeros((prob.n, 0)), prob.C.conj().T) == 0.0
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-9), rc.HamiltonianShifts())
+    assert res.converged
+    mat, _ = rc.dense_residual(prob, res.Z @ res.Z.conj().T)
+    cc = np.linalg.norm(prob.C.conj().T @ prob.C, 2)
+    exact = np.linalg.norm(mat - res.R @ res.R.conj().T, 2) / cc
+    # both read roundoff here, where neither bounds the other
+    assert max(exact, residual_defect(prob, res.Z, res.R)) <= 1e-14
 
 
 def test_rational_factor_telescoping():

@@ -81,6 +81,6 @@ def test_shifted_keeps_no_module_state():
 
 def test_verification_lives_only_in_oracle():
     for name in ("brad_residual_check", "closed_loop_pole_check",
-                 "eigenvalue_match_distance"):
+                 "eigenvalue_match_distance", "residual_defect"):
         assert getattr(rc.oracle, name).__module__ == "ricadi.oracle"
         assert not hasattr(brad, name) and not hasattr(kernels, name)

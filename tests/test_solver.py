@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import ricadi as rc
 import ricadi.brad as brad
 import ricadi.shifted as shifted_mod
+import ricadi.shifts as shifts_mod
 import ricadi.solver as solver_mod
 from conftest import (
     RecordingShifts,
@@ -27,6 +28,7 @@ from conftest import (
     scalar_problem,
 )
 from ricadi.errors import ExpansionDegenerateError, SingularShiftError
+from ricadi.oracle import residual_defect
 
 
 def test_options_validation():
@@ -472,18 +474,92 @@ def test_degenerate_open_loop_step_is_redone_and_hybrid_stays_closed(monkeypatch
     assert_invariants(res.state, prob)
 
 
-def test_broken_lyapunov_identity_is_not_reported_converged():
+def _solve_corrupting_last_step(corrupt):
     prob = random_problem(66, n=30, m=1, p=1)
 
-    def corrupt(state, record):
+    def callback(state, record):
         if record.rel_residual < 1e-9:  # the last step
-            state.Hminus = state.Hminus + 1e-6 * np.eye(state.q)
+            corrupt(state)
 
     res = rc.solve(prob, rc.SolverOptions(tol=1e-9), rc.HamiltonianShifts(),
-                   callback=corrupt)
+                   callback=callback)
     assert res.rel_residual < 1e-9
+    return prob, res
+
+
+def test_corrupted_residual_factor_is_not_reported_converged():
+    # after the last step R R* grows by ~1e-6 ||C* C||: the Gram residual is
+    # not formed again, but the answer's own residual defect reads ~1e-6
+    def corrupt(state):
+        state.R = state.R + 1e-3 * np.ones_like(state.R)
+
+    prob, res = _solve_corrupting_last_step(corrupt)
     assert not res.converged
-    assert "Lyapunov identity" in res.message
+    defect = residual_defect(prob, res.Z, res.R)
+    assert f"residual defect {defect:.2e}" in res.message
+    exact = dense_defect(prob, res)
+    assert 0.5 * exact <= defect <= exact * (1 + 1e-9)
+
+
+def test_corrupted_hminus_alone_is_reported_converged():
+    # Z and R stay right, so the answer is right whatever the state's q-by-q
+    # Lyapunov identity reads
+    def corrupt(state):
+        state.Hminus = state.Hminus + 1e-6 * np.eye(state.q)
+
+    prob, res = _solve_corrupting_last_step(corrupt)
+    assert rc.brad_residual_check(res.state, prob)["lyap_identity"] > 1e-8
+    assert res.converged, res.message
+    assert dense_defect(prob, res) <= 1e-11
+
+
+class _TopTwoHamiltonianShifts:
+    """The two best admissible Ritz values of one projection, for real data.
+
+    Ranked as shifts._best_shift ranks them; a conjugate pair counts once.
+    On the input below its trajectory drifts the q-by-q Lyapunov identity
+    while Z and R stay right.
+    """
+
+    def next_shifts(self, state, problem, batch=1):
+        H = shifts_mod.projected_hamiltonian(state, problem, 3 * problem.p)
+        w, V = np.linalg.eig(H)
+        V = V / np.linalg.norm(V, axis=0)
+        r, qv = np.split(V, 2)
+        qn = np.linalg.norm(qv, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.minimum(qn**2 / np.abs(np.sum(qv.conj() * r, axis=0)), 1e12)
+        score[qn == 0] = 0.0
+        ok = w.real < 0
+        mus, score = -w[ok], score[ok]
+        out = []
+        for mu in mus[np.lexsort((-mus.imag, -mus.real, np.abs(mus.imag), score))[::-1]]:
+            mu = complex(mu.real, 0.0) if abs(mu.imag) <= 1e-14 * abs(mu.real) else complex(mu)
+            if not any(min(abs(mu - t), abs(mu.conjugate() - t)) <= 1e-8 * abs(t)
+                       for t in out):
+                out.append(mu)
+        return out[:2]
+
+
+def test_right_answer_with_a_drifted_lyapunov_identity_is_reported_converged(
+        monkeypatch):
+    # Instance 2 of the benchmark's cd2d-adaptive workload at seed 302, two
+    # Hamiltonian shifts per step: at step 10 (shifts 48440 and 48278 +-
+    # 24.1i) the state's Lyapunov identity defect jumps from 3e-13 to about
+    # 1e-5 (9e-6 to 1.2e-5, by BLAS threads), which a gate on it would
+    # reject, yet the answer's residual defect stays near 1e-12
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    from workloads import build_inputs
+
+    entry = build_inputs("cd2d-adaptive", 302)[2]
+    prob = rc.ProblemSpec(A=entry["A"], B=entry["B"], C=entry["C"])
+    res = rc.solve(prob, rc.SolverOptions(tol=1e-9, parallel_width=2),
+                   _TopTwoHamiltonianShifts())
+    assert any(r.kind == "parallel" for r in res.records)
+    assert rc.brad_residual_check(res.state, prob)["lyap_identity"] > 1e-8
+    assert res.converged, res.message
+    assert checks.matfree_defect(prob, res.Z, res.R) <= 1e-11
 
 
 def _fem1d_problem(n, p, rng):
@@ -511,15 +587,15 @@ def test_open_loop_cancellation_is_redone_fem1d_3000(monkeypatch):
     # at seed 215, on its 6p-window trajectory (36 columns). Step 9 (q = 48,
     # mu = 128.5) loses 13 digits to the open-loop correction's cancellation
     # (1.6e13) and is redone: the solve converges in 43 steps at q = 276 with
-    # a residual defect of 5.0e-14. Without the redo it reports convergence
-    # with a residual defect of 9.9e-8 and a Lyapunov defect of 9.4e-12, which
-    # passes the 1e-11 gate, so the redo is this answer's only guard. At the
-    # default 3p window step 10 (q = 54, mu = 46.0 +- 9.8i) cancels by 7.8e6
-    # and is redone (38 steps, q = 252, defect 2.2e-13), but without the redo
-    # that solve is still correct (defect 5.7e-13).
+    # a residual defect of 5.0e-14. Without the redo its Gram residual still
+    # drops below tol, but the answer's residual defect reads 9.9e-8: solve
+    # reports it unconverged, and only the redo turns it into a right answer.
+    # At the default 3p window step 10 (q = 54, mu = 46.0 +- 9.8i) cancels by
+    # 7.8e6 and is redone (38 steps, q = 252, defect 2.2e-13), but without
+    # the redo that solve is still correct (defect 5.7e-13).
     prob = _fem1d_problem(3000, 6, np.random.default_rng([215, 1, 5]))
-    res = rc.solve(prob, rc.SolverOptions(mode="hybrid", tol=1e-9),
-                   rc.HamiltonianShifts(window=36))
+    options = rc.SolverOptions(mode="hybrid", tol=1e-9)
+    res = rc.solve(prob, options, rc.HamiltonianShifts(window=36))
     assert res.converged
     # checked with the benchmark's own residual check, as the workload is
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -529,6 +605,13 @@ def test_open_loop_cancellation_is_redone_fem1d_3000(monkeypatch):
     first = next(r.iter for r in res.records if r.redone)
     # hybrid stays closed-loop from the first redone step on
     assert all(r.closed_loop for r in res.records[first - 1:])
+
+    monkeypatch.setattr(solver_mod, "MAX_GRAM_CANCELLATION", np.inf)
+    res = rc.solve(prob, options, rc.HamiltonianShifts(window=36))
+    assert res.rel_residual < options.tol and not any(r.redone for r in res.records)
+    assert not res.converged
+    assert "residual defect" in res.message
+    assert checks.matfree_defect(prob, res.Z, res.R) > 1e-8
 
 
 @pytest.mark.parametrize("seed", [0, 1])
