@@ -131,8 +131,8 @@ def expand_parallel(state, problem, shifts, closed_loop=False, system=None):
         # Each factor is made and dropped inside its worker. A SuperLU factor
         # dropped on another thread than the one that made it leaves its
         # memory unreusable (RSS grows by the factor's size every time), so
-        # no factor may be handed out of these threads or into them; the
-        # system's held matrices are only read.
+        # no factor may be handed out of these threads; the shared system,
+        # E's factor included, is only read here and dropped by the solve.
         with ThreadPoolExecutor(max_workers=len(solves)) as pool:
             results = list(pool.map(
                 lambda mu: _expansion_solve(state, problem, mu, closed_loop,

@@ -42,7 +42,7 @@ class ShiftsExhaustedError(RicadiError):
 
 
 class ShiftStrategyError(RicadiError):
-    """The adaptive shift strategy produced no admissible shift."""
+    """No admissible shift was found, or the mass matrix E is singular."""
 
 
 class MatrixMarketError(RicadiError):

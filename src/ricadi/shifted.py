@@ -2,10 +2,10 @@
 
 Every factorization of a large matrix is a Factor, made by factor_lu's one
 dense/sparse rule: factorize makes one per shift, from the A* and E* that a
-ShiftedSystem holds for one solve, and shifts.factor_e one of E per solve. A
-factor serves any number of right-hand sides, and the Sherman-Morrison-Woodbury
-formula turns the rank-m feedback correction (A* - K B* - mu E*) into one solve
-with the factor plus an m-by-m solve.
+ShiftedSystem holds for one solve, and shifts.factor_e the one of E that it
+holds too. A factor serves any number of right-hand sides, and the
+Sherman-Morrison-Woodbury formula turns the rank-m feedback correction
+(A* - K B* - mu E*) into one solve with the factor plus an m-by-m solve.
 """
 
 from functools import partial
@@ -25,7 +25,7 @@ DENSE_LU_BELOW_N = 500
 class Factor:
     """One LU factorization of an n-by-n matrix M, applied to any number of blocks.
 
-    lu is a dense (lu, piv) pair from scipy.linalg.lu_factor or a SuperLU object,
+    lu is a dense (lu, piv) pair from dense_lu or a SuperLU object,
     dtype that of M, and shift the mu of M = A* - mu E* (None for E's factor).
     """
 
@@ -54,12 +54,12 @@ class ShiftedSystem:
     """A* and E* of one pencil, assembled once for every shift of a solve.
 
     Below DENSE_LU_BELOW_N they are held as dense Fortran-ordered arrays,
-    from there on in CSC; E* is None when E is None. The system only reads
-    them, so the threads of a parallel expansion may share one; the matrices
-    and factors formed from it belong to the caller.
+    from there on in CSC; E* and e_factor, E's Factor (shifts.factor_e), are
+    None when E is None. The system only reads them, so the threads of a
+    parallel expansion may share one; what is formed from it is the caller's.
     """
 
-    def __init__(self, A, E=None):
+    def __init__(self, A, E=None, e_factor=None):
         n = A.shape[0]
         # For real CSR input the CSC conjugate transposes are views: a copy
         # held for the whole solve moved the heap's layout, and with it peak
@@ -70,7 +70,7 @@ class ShiftedSystem:
             # Fortran order lets LAPACK factor each shifted matrix in place
             Ah = Ah.toarray(order="F")
             Eh = None if Eh is None else Eh.toarray(order="F")
-        self.Ah, self.Eh, self.n = Ah, Eh, n
+        self.Ah, self.Eh, self.n, self.e_factor = Ah, Eh, n, e_factor
 
     def matrix(self, mu):
         """Return a new A* - mu E*, bitwise as scipy forms it in CSC.
@@ -128,7 +128,7 @@ def factor_lu(M, splu, singular, error, shift=None):
     if n < DENSE_LU_BELOW_N:
         if sp.issparse(M):
             M = M.toarray(order="F")
-        lu = sla.lu_factor(M, overwrite_a=True)
+        lu = dense_lu(M)
         pivots = np.diag(lu[0])
     else:
         try:
@@ -139,6 +139,12 @@ def factor_lu(M, splu, singular, error, shift=None):
     if singular_pivots(pivots):
         raise error(singular)
     return Factor(lu, n, M.dtype, shift=shift)
+
+
+def dense_lu(M):
+    """sla.lu_factor(M, overwrite_a=True), silent at a zero pivot (callers check)."""
+    getrf, = sla.get_lapack_funcs(("getrf",), (M,))
+    return getrf(np.asarray_chkfinite(M), overwrite_a=True)[:2]
 
 
 def solve_factored(f, RHS):
@@ -158,7 +164,7 @@ def smw_solve(f, K, B, RHS):
     LN = f.solve(np.hstack([RHS, K]))
     L, N = LN[:, :k], LN[:, k:]
     cap = np.eye(m, dtype=LN.dtype) - B.conj().T @ N
-    lu, piv = sla.lu_factor(cap)
+    lu, piv = dense_lu(cap)
     if singular_pivots(np.diag(lu)):
         raise SMWSingularError(
             f"SMW capacitance singular for mu = {f.shift}", shift=f.shift

@@ -51,7 +51,7 @@ class PrecomputedShifts:
             raise ValueError("the shift list is empty")
         self.cursor = 0
 
-    def next_shifts(self, state, problem, batch=1):
+    def next_shifts(self, state, problem, batch, system):
         if self.cursor >= len(self.shifts):
             raise ShiftsExhaustedError("no shifts remain")
         real = problem.is_real
@@ -77,22 +77,17 @@ class HamiltonianShifts:
     3p by default: a step's window QR costs O(n l^2) and its eig O(l^3), and
     on the benchmark's workloads 3p takes about as many steps as 6p at
     well under half the shift-selection time (README, "Shift selection",
-    has the measurements and the windows tried). E is factored at the
-    first step of every solve (q = 0) and
-    kept for the rest of it, so a solve factors E once, not once per step,
-    and a source reused after E changed in place does not solve with the
-    old E.
+    has the measurements and the windows tried). E's factor is the solve's
+    own, read from the ShiftedSystem it passes in, so the source keeps
+    nothing but its window and one source may serve any number of solves.
     """
 
     def __init__(self, window=None):
         self.window = None if window is None else positive_int("window", window)
-        self._e_factor = None  # E's Factor (None without E), made at q = 0
 
-    def next_shifts(self, state, problem, batch=1):
+    def next_shifts(self, state, problem, batch, system):
         l = self.window if self.window is not None else 3 * problem.p
-        if state.q == 0 or self._e_factor is None:
-            self._e_factor = None if problem.E is None else factor_e(problem.E)
-        H = projected_hamiltonian(state, problem, l, self._e_factor)
+        H = projected_hamiltonian(state, problem, l, system.e_factor)
         return [_best_shift(H)]
 
 
@@ -101,17 +96,14 @@ def factor_e(E):
     DENSE_LU_BELOW_N, dense or sparse E alike, and from there on SuperLU
     with its default ordering, called through this module's spla so that a
     trace of shifts.spla.splu sees E's factors apart from the shifted ones.
-    E itself is never overwritten.
-
-    Raises ShiftStrategyError when E is singular. Drop the result on the
-    thread that called this: a SuperLU factor dropped on another thread
-    leaves its memory unreusable.
+    E itself is never overwritten. solve factors E with this once per solve;
+    a singular E raises ShiftStrategyError.
     """
     return factor_lu(sp.csr_matrix(E), spla.splu, "mass matrix E is singular",
                      ShiftStrategyError)
 
 
-def projected_hamiltonian(state, problem, l, e_factor=None):
+def projected_hamiltonian(state, problem, l, e_factor):
     """Assemble the 2u-by-2u projected residual Hamiltonian matrix.
 
     The basis U is an orthonormal span of the last min(l, q) stored columns
@@ -119,7 +111,7 @@ def projected_hamiltonian(state, problem, l, e_factor=None):
     instead). The closed-loop matrix acts through the cached feedback K,
     so only the window's columns of Z are read; with a mass matrix E present
     the action is evaluated in the E-transformed variables without forming
-    inv(E) explicitly; e_factor is E's Factor (factor_e(E) when omitted).
+    inv(E) explicitly; e_factor is E's Factor, None exactly when E is None.
     """
     A, B, E = problem.A, problem.B, problem.E
     q = state.q
@@ -128,7 +120,7 @@ def projected_hamiltonian(state, problem, l, e_factor=None):
     else:
         base = state.Z[:, max(q - l, 0):]
     U, _ = np.linalg.qr(base)
-    EU = U if E is None else (e_factor or factor_e(E)).solve(U)
+    EU = U if E is None else e_factor.solve(U)
     # B* Z Z* U is K* EU, since K* = B* Z Z* E: O(n m l), not O(n q l)
     AtilU = A @ EU - B @ (state.K.conj().T @ EU)
     H11 = U.conj().T @ AtilU

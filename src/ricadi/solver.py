@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import brad, shifted
+from . import brad, shifted, shifts as shift_sources
 from .errors import ExpansionDegenerateError, ShiftsExhaustedError
 from .kernels import spectral_norm_gram
 from .oracle import residual_defect
@@ -102,8 +102,9 @@ def solve(problem, options=None, shifts=None, callback=None):
     reported only if oracle.residual_defect's estimate of the answer's
     ||R(Z Z*) - R R*|| / ||C* C|| is at most tol too. The optional
     callback(state, record) is invoked after every absorption step. A* and
-    E* are assembled once per solve, in a shifted.ShiftedSystem that every
-    step's factorizations share and that the solve drops when it ends.
+    E* are assembled, and E factored (shifts.factor_e), once per solve in a
+    shifted.ShiftedSystem that every step's factorizations and next_shifts
+    share and that the solve drops when it returns.
     """
     options = options or SolverOptions()
     if shifts is None:
@@ -116,7 +117,8 @@ def solve(problem, options=None, shifts=None, callback=None):
     if not norm_cc > 0:
         # C* C is zero or underflows, so no residual can be relative to it
         raise ValueError("C must not be zero: residuals are relative to ||C* C||")
-    system = shifted.ShiftedSystem(problem.A, problem.E)
+    e_factor = None if problem.E is None else shift_sources.factor_e(problem.E)
+    system = shifted.ShiftedSystem(problem.A, problem.E, e_factor)
     records = []
     relres = 1.0
     converged = relres < options.tol
@@ -127,7 +129,7 @@ def solve(problem, options=None, shifts=None, callback=None):
             break
         t0 = time.perf_counter()
         try:
-            batch = source.next_shifts(state, problem, batch=options.parallel_width)
+            batch = source.next_shifts(state, problem, options.parallel_width, system)
         except ShiftsExhaustedError:
             message = "not converged: shift source exhausted"
             break

@@ -63,6 +63,15 @@ def random_problem(seed, n=30, m=1, p=1, generalized=False, complex_data=False):
     return rc.ProblemSpec(A=A, B=B, C=C, E=E)
 
 
+def singular_e_problem(seed, n):
+    """random_problem(seed, n, m=1, p=2, generalized=True) with E's last row
+    zeroed, so that E is singular and A* - mu E* is not."""
+    prob = random_problem(seed, n=n, m=1, p=2, generalized=True)
+    E = prob.E.tolil()
+    E[-1, :] = 0.0
+    return replace(prob, E=E.tocsr())
+
+
 def rotating_problem(n, seed):
     """Real non-normal problem (m = p = 1) whose residual Hamiltonian has
     complex modes: A is a perturbed block diagonal of damped rotations."""
@@ -149,8 +158,8 @@ class RecordingShifts:
         self.emitted = []
         self.batches = []
 
-    def next_shifts(self, state, problem, batch=1):
-        out = self.inner.next_shifts(state, problem, batch=batch)
+    def next_shifts(self, state, problem, batch, system):
+        out = self.inner.next_shifts(state, problem, batch, system)
         self.emitted.extend(out)
         self.batches.append(list(out))
         return out

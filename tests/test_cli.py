@@ -1,11 +1,16 @@
 """Tests for the command-line driver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import ricadi as rc
-from conftest import random_problem, write_shift_file
+from conftest import random_problem, singular_e_problem, write_shift_file
 from ricadi.cli import main, run
 from ricadi.oracle import DENSE_ORACLE_MAX_N, residual_defect
 from ricadi.problems import read_convergence_log, write_matrix_market
@@ -198,6 +203,19 @@ def test_cli_window_below_one_is_an_input_error(tmp_path, capsys):
                + ["--shift-strategy", "hamiltonian", "--window", "0"])
     assert code == 1
     assert "ricadi: error: window must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_singular_e_is_one_error_with_warnings_as_errors(tmp_path):
+    # scipy's lu_factor first warned "Diagonal number 60 is exactly zero",
+    # and under -W error the CLI died of that warning with a traceback
+    args = write_problem(singular_e_problem(82, 60), tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(rc.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "ricadi.cli", *args,
+                          "--shift-strategy", "hamiltonian"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr == "ricadi: error: mass matrix E is singular\n"
+    assert out.stdout == ""
 
 
 def test_cli_main_raises_system_exit(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for shift sources: precomputed replay and the adaptive strategy."""
 
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -13,13 +14,24 @@ import ricadi.brad as brad
 import ricadi.shifts as shifts_mod
 from conftest import fem1d_pair, random_problem, rotating_problem, scalar_problem
 from ricadi.errors import ShiftsExhaustedError, ShiftStrategyError
-from ricadi.shifted import DENSE_LU_BELOW_N
+from ricadi.shifted import DENSE_LU_BELOW_N, ShiftedSystem
 from ricadi.shifts import projected_hamiltonian
+
+
+def e_factor_of(problem):
+    """E's Factor as solve makes it, None without E."""
+    return None if problem.E is None else shifts_mod.factor_e(problem.E)
+
+
+def system_of(problem):
+    """The ShiftedSystem that a solve of problem hands its shift source."""
+    return ShiftedSystem(problem.A, problem.E, e_factor_of(problem))
 
 
 def residual_hamiltonian_shift(state, problem, l):
     """The shift HamiltonianShifts picks from the window of the last l columns."""
-    return shifts_mod._best_shift(shifts_mod.projected_hamiltonian(state, problem, l))
+    return shifts_mod._best_shift(shifts_mod.projected_hamiltonian(
+        state, problem, l, e_factor_of(problem)))
 
 
 def zu_projected_hamiltonian(state, problem, l, e_factor=None):
@@ -90,25 +102,25 @@ def test_precomputed_order_and_pairing():
     src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j])
     prob = scalar_problem()
     state = brad.init_state(prob)
-    assert src.next_shifts(state, prob, batch=1) == [1 + 0j]
-    assert src.next_shifts(state, prob, batch=1) == [2 + 1j]
+    assert src.next_shifts(state, prob, batch=1, system=None) == [1 + 0j]
+    assert src.next_shifts(state, prob, batch=1, system=None) == [2 + 1j]
     with pytest.raises(ShiftsExhaustedError):
-        src.next_shifts(state, prob, batch=1)
+        src.next_shifts(state, prob, batch=1, system=None)
 
 
 def test_precomputed_pair_takes_one_batch_slot():
     prob = scalar_problem()
     state = brad.init_state(prob)
     src = rc.PrecomputedShifts([1.0, 2 + 1j, 3.0, 4.0])
-    assert src.next_shifts(state, prob, batch=3) == [1 + 0j, 2 + 1j, 3 + 0j]
-    assert src.next_shifts(state, prob, batch=3) == [4 + 0j]
+    assert src.next_shifts(state, prob, batch=3, system=None) == [1 + 0j, 2 + 1j, 3 + 0j]
+    assert src.next_shifts(state, prob, batch=3, system=None) == [4 + 0j]
     src = rc.PrecomputedShifts([1.0, 2 + 1j, 2 - 1j, 3.0])
-    assert src.next_shifts(state, prob, batch=2) == [1 + 0j, 2 + 1j]
-    assert src.next_shifts(state, prob, batch=2) == [3 + 0j]
+    assert src.next_shifts(state, prob, batch=2, system=None) == [1 + 0j, 2 + 1j]
+    assert src.next_shifts(state, prob, batch=2, system=None) == [3 + 0j]
     # a conjugate further on is the same pair: the batch ends before it
     src = rc.PrecomputedShifts([2 + 1j, 3.0, 2 - 1j])
-    assert src.next_shifts(state, prob, batch=3) == [2 + 1j, 3 + 0j]
-    assert src.next_shifts(state, prob, batch=3) == [2 - 1j]
+    assert src.next_shifts(state, prob, batch=3, system=None) == [2 + 1j, 3 + 0j]
+    assert src.next_shifts(state, prob, batch=3, system=None) == [2 - 1j]
 
 
 def test_precomputed_pair_puts_positive_imaginary_first():
@@ -117,9 +129,9 @@ def test_precomputed_pair_puts_positive_imaginary_first():
     src = rc.PrecomputedShifts([2 - 1j, 2 + 1j, 3 - 1j, 4.0])
     prob = random_problem(5, n=6)
     state = brad.init_state(prob)
-    batch = src.next_shifts(state, prob, batch=2)
+    batch = src.next_shifts(state, prob, batch=2, system=None)
     assert batch == [2 - 1j, 3 - 1j]
-    assert src.next_shifts(state, prob, batch=2) == [4 + 0j]
+    assert src.next_shifts(state, prob, batch=2, system=None) == [4 + 0j]
     block = brad.expand_parallel(state, prob, batch)
     assert block.kind == "realified" and not np.iscomplexobj(block.Ztil)
     assert block.poles == [2 + 1j, 2 - 1j, 3 + 1j, 3 - 1j]
@@ -129,8 +141,8 @@ def test_precomputed_batching_stops_at_duplicate():
     src = rc.PrecomputedShifts([1.0, 2.0, 2.0, 3.0])
     prob = scalar_problem()
     state = brad.init_state(prob)
-    assert src.next_shifts(state, prob, batch=4) == [1 + 0j, 2 + 0j]
-    assert src.next_shifts(state, prob, batch=4) == [2 + 0j, 3 + 0j]
+    assert src.next_shifts(state, prob, batch=4, system=None) == [1 + 0j, 2 + 0j]
+    assert src.next_shifts(state, prob, batch=4, system=None) == [2 + 0j, 3 + 0j]
 
 
 def test_precomputed_no_pairing_by_default():
@@ -138,8 +150,8 @@ def test_precomputed_no_pairing_by_default():
     src = rc.PrecomputedShifts([2 + 1j, 2 - 1j])
     prob = random_problem(5, n=4, complex_data=True)
     state = brad.init_state(prob)
-    assert src.next_shifts(state, prob, batch=1) == [2 + 1j]
-    assert src.next_shifts(state, prob, batch=1) == [2 - 1j]
+    assert src.next_shifts(state, prob, batch=1, system=None) == [2 + 1j]
+    assert src.next_shifts(state, prob, batch=1, system=None) == [2 - 1j]
 
 
 def test_precomputed_rejects_empty_list():
@@ -160,7 +172,7 @@ def test_precomputed_rejects_bad_shift():
 def test_hamiltonian_scalar_pipeline_step2():
     prob, state = scalar_state_after_step1()
     # Atil = -1 - 0.4 = -1.4, BB* = 1, RR* = 0.04: eigenvalues +-sqrt(2)
-    H = projected_hamiltonian(state, prob, l=6)
+    H = projected_hamiltonian(state, prob, l=6, e_factor=None)
     np.testing.assert_allclose(H, [[-1.4, 1.0], [0.04, 1.4]], atol=1e-13)
     np.testing.assert_allclose(sorted(np.linalg.eigvals(H).real),
                                [-np.sqrt(2), np.sqrt(2)], atol=1e-13)
@@ -171,7 +183,8 @@ def test_hamiltonian_scalar_pipeline_step2():
 def test_hamiltonian_source_emits_sqrt2():
     prob, state = scalar_state_after_step1()
     src = rc.HamiltonianShifts()
-    assert abs(src.next_shifts(state, prob)[0] - np.sqrt(2)) < 1e-12
+    assert abs(src.next_shifts(state, prob, 1, system_of(prob))[0]
+               - np.sqrt(2)) < 1e-12
 
 
 def test_hamiltonian_bootstrap_admissible():
@@ -186,7 +199,7 @@ def test_hamiltonian_structure():
     for mu in (1.0, 2.0):
         state = brad.absorb_r2adi(state, prob,
                                 brad.expand_simple(state, prob, mu))
-    H = projected_hamiltonian(state, prob, l=12)
+    H = projected_hamiltonian(state, prob, l=12, e_factor=None)
     assert hamiltonian_defect(H) <= 1e-12 * np.linalg.norm(H)
 
 
@@ -204,7 +217,7 @@ def test_hamiltonian_pairs_on_real_problems():
     state = brad.init_state(prob)
     saw_pair = False
     for _ in range(8):
-        batch = src.next_shifts(state, prob)
+        batch = src.next_shifts(state, prob, 1, system_of(prob))
         assert len(batch) == 1
         block = brad.expand_parallel(state, prob, batch)
         if batch[0].imag:
@@ -224,7 +237,7 @@ def test_hamiltonian_window_limits_basis():
     for mu in (1.0, 2.0, 3.0, 4.0):
         state = brad.absorb_r2adi(state, prob,
                                 brad.expand_simple(state, prob, mu))
-    H = projected_hamiltonian(state, prob, l=2)
+    H = projected_hamiltonian(state, prob, l=2, e_factor=None)
     assert H.shape == (4, 4)  # 2u with u = min(l, q) = 2
     mu = residual_hamiltonian_shift(state, prob, l=2)
     assert mu.real > 0
@@ -261,30 +274,66 @@ def test_shift_strategy_error_when_nothing_admissible(monkeypatch):
     state = brad.init_state(prob)
     monkeypatch.setattr(
         shifts_mod, "projected_hamiltonian",
-        lambda state, problem, l: np.array([[1.0, 0.0], [0.0, 2.0]]))
+        lambda state, problem, l, e_factor: np.array([[1.0, 0.0], [0.0, 2.0]]))
     # both candidate shifts -lambda have negative real part
     with pytest.raises(ShiftStrategyError):
         residual_hamiltonian_shift(state, prob, l=6)
 
 
 def test_hamiltonian_source_factors_e_once_per_e(monkeypatch):
+    # solve factors E once, before its first step, whatever the source, and
+    # E's factor lives exactly as long as the solve: the source keeps none
     factored = []
     factor_e = shifts_mod.factor_e
 
     def spy(E):
-        factored.append(E.shape)
-        return factor_e(E)
+        f = factor_e(E)
+        factored.append(weakref.ref(f))
+        return f
 
     monkeypatch.setattr(shifts_mod, "factor_e", spy)
     prob = random_problem(60, n=40, m=2, p=2, generalized=True)
     src = rc.HamiltonianShifts()
     res = rc.solve(prob, rc.SolverOptions(tol=1e-9, max_iter=60), src)
     assert res.converged and len(res.records) > 5
-    assert len(factored) == 1
-    # each solve factors E at its first step: another E is factored
+    assert len(factored) == 1 and factored[0]() is None
+    # every solve with E factors its own: another E, and a precomputed source
     other = random_problem(61, n=40, m=2, p=2, generalized=True)
     rc.solve(other, rc.SolverOptions(tol=1e-9, max_iter=60), src)
-    assert len(factored) == 2
+    res = rc.solve(other, rc.SolverOptions(tol=1e-280, max_iter=6),
+                   [1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    assert len(res.records) == 6
+    assert len(factored) == 3 and all(f() is None for f in factored)
+    assert vars(src) == {"window": None}
+    # without E nothing is factored
+    plain = random_problem(62, n=40, m=2, p=2)
+    rc.solve(plain, rc.SolverOptions(tol=1e-9, max_iter=60), src)
+    rc.solve(plain, rc.SolverOptions(tol=1e-280, max_iter=2), [1.0, 2.0])
+    assert len(factored) == 3
+
+
+@pytest.mark.parametrize("n", [120, 90])
+def test_one_hamiltonian_source_serves_nested_solves(n):
+    # A solve nested in another's callback with the same source used to
+    # leave its E's factor to the outer solve: at n = 120 the outer solve
+    # then took 8 steps instead of 7 and ended with another Z, and at
+    # n = 90 it raised "RHS must have 90 rows, got (120, 4)"
+    options = rc.SolverOptions(mode="r2adi")
+    prob = random_problem(5, n=120, m=1, p=2, generalized=True)
+    alone = rc.solve(prob, options, rc.HamiltonianShifts())
+    assert alone.converged
+    src = rc.HamiltonianShifts()
+    inner = random_problem(6, n=n, m=1, p=2, generalized=True)
+    nested = []
+
+    def nest(state, record):
+        if record.iter == 2:
+            nested.append(rc.solve(inner, options, src))
+
+    shared = rc.solve(prob, options, src, callback=nest)
+    assert len(nested) == 1 and nested[0].converged
+    for name in ("Z", "R"):
+        assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes()
 
 
 def test_reused_hamiltonian_source_sees_e_changed_in_place():
@@ -364,7 +413,6 @@ def test_dense_operators_solve_as_their_csr_form(mode, generalized):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("storage", ["sparse", "dense"])
 def test_singular_e_factor_raises(storage):
     # a singular E is reported by name when it is factored, not later as
@@ -423,12 +471,14 @@ def test_shift_selection_reads_only_the_window(generalized):
     blind = replace(state, Z=state.Z.copy(), SB=state.SB.copy())
     blind.Z[:, :-l] = np.nan
     blind.SB[:, :-l] = np.nan
-    H = projected_hamiltonian(state, prob, l)
-    H_blind = projected_hamiltonian(blind, prob, l)
+    system = system_of(prob)
+    H = projected_hamiltonian(state, prob, l, system.e_factor)
+    H_blind = projected_hamiltonian(blind, prob, l, system.e_factor)
     assert np.all(np.isfinite(H_blind))
     np.testing.assert_array_equal(H_blind, H)
     src = rc.HamiltonianShifts(window=l)
-    assert src.next_shifts(blind, prob) == src.next_shifts(state, prob)
+    assert (src.next_shifts(blind, prob, 1, system)
+            == src.next_shifts(state, prob, 1, system))
 
 
 def _random_hamiltonian(rng, u, complex_data):

@@ -26,8 +26,13 @@ from conftest import (
     rel2,
     rotating_problem,
     scalar_problem,
+    singular_e_problem,
 )
-from ricadi.errors import ExpansionDegenerateError, SingularShiftError
+from ricadi.errors import (
+    ExpansionDegenerateError,
+    ShiftStrategyError,
+    SingularShiftError,
+)
 from ricadi.oracle import residual_defect
 
 
@@ -191,9 +196,9 @@ def test_records_time_shift_selection_apart(monkeypatch):
         def __init__(self):
             self.inner = rc.PrecomputedShifts([1.0, 2.0, 4.0])
 
-        def next_shifts(self, state, problem, batch=1):
+        def next_shifts(self, state, problem, batch, system):
             time.sleep(0.05)
-            return self.inner.next_shifts(state, problem, batch)
+            return self.inner.next_shifts(state, problem, batch, system)
 
     prob = random_problem(58, n=30, m=1, p=1)
     res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=3,
@@ -260,7 +265,7 @@ class FixedBatches:
     def __init__(self, *batches):
         self.batches = list(batches)
 
-    def next_shifts(self, state, problem, batch=1):
+    def next_shifts(self, state, problem, batch, system):
         return self.batches.pop(0)
 
 
@@ -378,7 +383,6 @@ def test_empty_batch_is_rejected():
         rc.solve(scalar_problem(), rc.SolverOptions(), FixedBatches([]))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_failed_solve_keeps_no_reference_to_the_problem():
     # A* - 2 I is singular, so the second step raises; nothing in the
     # package may keep A (or the matrices formed from it) alive afterwards
@@ -390,6 +394,21 @@ def test_failed_solve_keeps_no_reference_to_the_problem():
     del prob, A
     gc.collect()
     assert alive() is None
+
+
+@pytest.mark.parametrize("n", [60, 600])  # dense LU of E, then SuperLU
+@pytest.mark.parametrize("source", ["precomputed", "hamiltonian"])
+def test_singular_e_fails_before_the_first_step(n, source):
+    # only A* - mu E* was factored for precomputed shifts, and it is not
+    # singular: such a solve ran all 80 steps and reported "max_iter reached"
+    prob = singular_e_problem(5, n)
+    shifts = (rc.PrecomputedShifts([1, 2, 4, 8] * 20) if source == "precomputed"
+              else rc.HamiltonianShifts())
+    steps = []
+    with pytest.raises(ShiftStrategyError, match="mass matrix E is singular"):
+        rc.solve(prob, rc.SolverOptions(mode="radi", max_iter=80), shifts,
+                 callback=lambda state, record: steps.append(record))
+    assert steps == []
 
 
 def test_generalized_problem_converges():
@@ -521,8 +540,9 @@ class _TopTwoHamiltonianShifts:
     while Z and R stay right.
     """
 
-    def next_shifts(self, state, problem, batch=1):
-        H = shifts_mod.projected_hamiltonian(state, problem, 3 * problem.p)
+    def next_shifts(self, state, problem, batch, system):
+        H = shifts_mod.projected_hamiltonian(state, problem, 3 * problem.p,
+                                             system.e_factor)
         w, V = np.linalg.eig(H)
         V = V / np.linalg.norm(V, axis=0)
         r, qv = np.split(V, 2)
