@@ -38,12 +38,11 @@ class BradState:
     operand. Its eigenvalues are the recorded poles. gram_cancellation
     is ||Y12* Y12||_2 / lambda_min(G) of the open-loop absorption that made
     the state, G its corrected block's Gram (0 after a closed-loop one): the
-    factor by which the correction Ztil - Z Y12 amplified roundoff.
+    factor by which the correction Ztil - Z Y12 amplified roundoff. The
+    state holds no sizes: q is Z's column count, and n, p and m are the
+    problem's, which every brad function receives.
     """
 
-    n: int
-    p: int
-    m: int
     Z: np.ndarray
     h: np.ndarray
     Hminus: np.ndarray
@@ -76,23 +75,21 @@ class ExpansionBlock:
 
 def init_state(problem):
     """Fresh empty state: R = C*, K = 0, no basis columns yet."""
-    n, p, m = problem.n, problem.p, problem.m
     dtype = np.float64 if problem.is_real else np.complex128
     return BradState(
-        n=n, p=p, m=m,
-        Z=np.zeros((n, 0), dtype=dtype),
-        h=np.zeros((p, 0), dtype=dtype),
+        Z=np.zeros((problem.n, 0), dtype=dtype),
+        h=np.zeros((problem.p, 0), dtype=dtype),
         Hminus=np.zeros((0, 0), dtype=dtype),
-        SB=np.zeros((m, 0), dtype=dtype),
+        SB=np.zeros((problem.m, 0), dtype=dtype),
         R=problem.C.conj().T.astype(dtype, copy=True),
-        K=np.zeros((n, m), dtype=dtype),
+        K=np.zeros((problem.n, problem.m), dtype=dtype),
         poles=[],
     )
 
 
 def _expansion_solve(state, problem, mu, closed_loop, system):
     f = shifted.factorize(problem.A, problem.E, mu, system)
-    if closed_loop and state.m > 0:
+    if closed_loop and problem.m > 0:
         return shifted.smw_solve(f, state.K, problem.B, state.R)
     return shifted.solve_factored(f, state.R)
 
@@ -138,7 +135,7 @@ def expand_parallel(state, problem, shifts, closed_loop=False, system=None):
                 lambda mu: _expansion_solve(state, problem, mu, closed_loop,
                                             system),
                 solves))
-    Zs, U1s, Ds, poles = zip(*(_block_part(mu, W, state.p, realify)
+    Zs, U1s, Ds, poles = zip(*(_block_part(mu, W, problem.p, realify)
                                for mu, W in zip(solves, results)))
     Ztil = Zs[0] if len(Zs) == 1 else np.hstack(Zs)
     dtype = np.result_type(Ztil, *Ds)
@@ -177,8 +174,6 @@ def expand_realified(state, problem, mu, closed_loop=False):
 
 def _right_divide_upper(X, G):
     """X @ inv(G) for upper triangular G."""
-    if X.shape[0] == 0 or G.shape[0] == 0:
-        return X.astype(np.result_type(X.dtype, G.dtype))
     return sla.solve_triangular(G.T, X.T, lower=True).T
 
 
@@ -193,12 +188,12 @@ def _append(state, problem, Zhat, U1hat, U2hat, Dhat, poles):
     Hnew[:q_old, q_old:] = U2hat
     Hnew[q_old:, q_old:] = Dhat
     state.Hminus = Hnew
-    state.Z = np.hstack([state.Z, Zhat]) if q_old else Zhat
-    state.h = np.hstack([state.h, U1hat]) if q_old else U1hat
     SBhat = problem.B.conj().T @ Zhat
-    state.SB = np.hstack([state.SB, SBhat]) if q_old else SBhat
+    state.Z = np.hstack([state.Z, Zhat])
+    state.h = np.hstack([state.h, U1hat])
+    state.SB = np.hstack([state.SB, SBhat])
     state.R = state.R + EZhat @ U1hat.conj().T
-    state.K = state.K + EZhat @ (Zhat.conj().T @ problem.B)
+    state.K = state.K + EZhat @ SBhat.conj().T
     state.poles = state.poles + list(poles)
     return state
 
@@ -250,7 +245,7 @@ def _cancellation(YY, gram):
 
 def absorb_radi(state, problem, block):
     """Absorb a closed-loop expansion block (Lyapunov RADI iteration body)."""
-    if not block.closed_loop and state.m > 0 and np.any(state.K):
+    if not block.closed_loop and problem.m > 0 and np.any(state.K):
         raise ValueError("absorb_radi requires a closed-loop expansion block")
     return _absorb(state, problem, block, block.Ztil, block.U1,
                    problem.B.conj().T @ block.Ztil)

@@ -2,7 +2,8 @@
 
 Cholesky factorization in the G*G convention (conjugate transpose first),
 Gram-based spectral norms for tall skinny factors, and the small Sylvester
-and Lyapunov equation solvers that update the low-rank state.
+and Lyapunov equation solvers that update the low-rank state. The
+factorization and the solvers are single LAPACK calls (potrf, trsyl).
 """
 
 import numpy as np
@@ -28,25 +29,25 @@ def hermitian_part(M):
 def cholesky_upper(M):
     """Factor a Hermitian positive definite M as G*G with upper triangular G.
 
-    The diagonal of G is real and positive. Raises NotPositiveDefiniteError
-    on a nonpositive pivot, which upstream signals a shift-condition
-    violation or near-deflation.
+    One LAPACK potrf call; the diagonal of G is real and positive. Raises
+    NotPositiveDefiniteError at the first pivot G[i, i]**2 that is not above
+    both 0 and 1e-13 max |diag M|, which upstream signals a shift-condition
+    violation or near-deflation; a NaN pivot fails, and a NaN on M's
+    diagonal fails pivot 0. Pivots potrf accepted are checked before the one
+    it rejected, so the reported index is the first that fails the rule.
     """
     M = hermitian_part(np.atleast_2d(M))
-    k = M.shape[0]
-    dtype = np.result_type(M.dtype, np.float64)
-    G = np.zeros((k, k), dtype=dtype)
-    scale = max(float(np.max(np.abs(np.diag(M)))) if k else 0.0, 0.0)
-    for i in range(k):
-        d = M[i, i].real - np.vdot(G[:i, i], G[:i, i]).real
-        if d <= _PIVOT_TOL * scale or d <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"not positive definite: pivot {i} is {d:.3e}", pivot=i
-            )
-        gii = np.sqrt(d)
-        G[i, i] = gii
-        if i + 1 < k:
-            G[i, i + 1:] = (M[i, i + 1:] - G[:i, i].conj() @ G[:i, i + 1:]) / gii
+    M = M.astype(np.result_type(M.dtype, np.float64), copy=False)
+    potrf, = sla.get_lapack_funcs(("potrf",), (M,))
+    G, info = potrf(M, lower=False, clean=True)
+    k = info - 1 if info > 0 else M.shape[0]
+    pivots = G.diagonal().real ** 2
+    ok = pivots[:k] > _PIVOT_TOL * np.abs(M.diagonal()).max(initial=0.0)
+    i = k if ok.all() else int(np.argmin(ok))
+    if i < M.shape[0]:
+        d = pivots[i] if i < k else G[i, i].real
+        raise NotPositiveDefiniteError(
+            f"not positive definite: pivot {i} is {d:.3e}", pivot=i)
     return G
 
 

@@ -42,7 +42,10 @@ class PrecomputedShifts:
     realifies it), and an entry right after it that equals its conjugate is
     consumed with it. A batch ends early at an entry already in it, where on
     a real problem an entry and its conjugate count as the same (parallel
-    expansion needs pairwise distinct shifts).
+    expansion needs pairwise distinct shifts). The cursor is the source's
+    only state and is never reset: one instance replays its list once across
+    all the solves it serves, so a second solve with it goes on where the
+    first stopped. solve wraps a plain list in a fresh source.
     """
 
     def __init__(self, shifts):

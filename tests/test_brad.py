@@ -332,19 +332,26 @@ def test_absorb_does_not_mutate_input_state():
     brad.absorb_r2adi(state, prob, block)
     assert state.q == 0
     np.testing.assert_array_equal(state.R, [[1.0]])
-    # every field of a two-step state survives both absorption bodies
+    # every field of an empty and of a two-step state survives both
+    # absorption bodies bitwise, and no array of either result shares memory
+    # with the other result or with the input state
     prob = random_problem(37, n=20, m=2, p=2)
-    state = brad.init_state(prob)
-    for mu in (1.0, 2.0):
-        state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, mu))
     names = ("Z", "h", "Hminus", "SB", "R", "K")
-    snapshot = {k: getattr(state, k).copy() for k in names}
-    poles = list(state.poles)
-    brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 3.0))
-    brad.absorb_radi(state, prob, brad.expand_simple(state, prob, 4.0, closed_loop=True))
-    for k in names:
-        np.testing.assert_array_equal(getattr(state, k), snapshot[k], err_msg=k)
-    assert state.poles == poles
+    state = brad.init_state(prob)
+    for mu in (None, 1.0, 2.0):
+        if mu is not None:
+            state = brad.absorb_r2adi(state, prob,
+                                      brad.expand_simple(state, prob, mu))
+        snapshot = {k: getattr(state, k).tobytes() for k in names}
+        poles = list(state.poles)
+        a = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 3.0))
+        b = brad.absorb_radi(state, prob,
+                             brad.expand_simple(state, prob, 4.0, closed_loop=True))
+        for k in names:
+            assert getattr(state, k).tobytes() == snapshot[k], k
+            for x, y in ((a, b), (a, state), (b, state)):
+                assert not np.shares_memory(getattr(x, k), getattr(y, k)), k
+        assert state.poles == poles
 
 
 def test_invariants_random_complex_three_steps():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ricadi import kernels as kn
@@ -62,6 +62,90 @@ def test_cholesky_near_singular():
     M = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
     with pytest.raises(NotPositiveDefiniteError):
         kn.cholesky_upper(M)
+
+
+# pivot 1 is about 1e-14 > 0, under the 1e-13 relative floor; in the second
+# matrix potrf accepts it and rejects pivot 2, but the rule rejects pivot 1
+@pytest.mark.parametrize("M", [[[1.0, 1.0], [1.0, 1.0 + 1e-14]],
+                               np.diag([1.0, 1e-14, -1.0])])
+def test_cholesky_reports_first_tiny_pivot(M):
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        kn.cholesky_upper(np.array(M))
+    assert exc.value.pivot == 1
+
+
+def test_cholesky_pivot_rule_is_scale_free():
+    matrices = [np.eye(2), np.array([[2.0, 1.0], [1.0, 2.0]]),
+                np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]),
+                np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
+                np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([1.0, -1.0]),
+                np.diag([1.0, 1e-14, -1.0]), np.diag([1e-3, 1.0, 1e-15])]
+    for M in matrices:
+        decisions = []
+        for s in (1.0, 1e-15):
+            try:
+                kn.cholesky_upper(s * M)
+                decisions.append(None)
+            except NotPositiveDefiniteError as exc:
+                decisions.append(exc.pivot)
+        assert decisions[0] == decisions[1], M
+
+
+@pytest.mark.parametrize("M", [[[1.0, np.nan], [np.nan, 1.0]],
+                               [[np.nan, 0.0], [0.0, 1.0]],
+                               [[1.0, 0.0], [0.0, np.nan]]])
+def test_cholesky_nan_gram_raises(M):
+    with pytest.raises(NotPositiveDefiniteError):
+        kn.cholesky_upper(np.array(M))
+
+
+def row_loop_pivots(M):
+    """Reference: the row-by-row Cholesky loop and its pivot rule.
+
+    Returns (first rejected pivot or None, the pivots it computed, the
+    rule's floor 1e-13 max |diag M|).
+    """
+    M = hermitian_part(np.atleast_2d(M))
+    k = M.shape[0]
+    G = np.zeros((k, k), dtype=np.result_type(M.dtype, np.float64))
+    floor = 1e-13 * float(np.max(np.abs(np.diag(M))))
+    pivots = []
+    for i in range(k):
+        d = M[i, i].real - np.vdot(G[:i, i], G[:i, i]).real
+        pivots.append(d)
+        if d <= floor or d <= 0.0:
+            return i, pivots, floor
+        G[i, i] = np.sqrt(d)
+        G[i, i + 1:] = (M[i, i + 1:] - G[:i, i].conj() @ G[:i, i + 1:]) / G[i, i]
+    return None, pivots, floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(),
+       st.sampled_from([0.0, 1e-17, 1e-15, 1e-12, 1e-9]),
+       st.floats(-20, 20))
+def test_cholesky_pivot_rule_matches_row_loop(seed, k, complex_data, eps, log_scale):
+    # Grams F F* + eps I of rank-deficient F, with a random diagonal scaling,
+    # sit near the rule's floor; LAPACK and the loop round differently, so a
+    # pivot within 4x of the floor may be decided either way and is skipped
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, k + 1))
+    F = rng.standard_normal((k, r))
+    if complex_data:
+        F = F + 1j * rng.standard_normal((k, r))
+    S = np.diag(10.0 ** rng.uniform(-3, 3, k))
+    M = 10.0 ** log_scale * (S @ (F @ F.conj().T + eps * np.eye(k)) @ S)
+    expected, pivots, floor = row_loop_pivots(M)
+    assume(all(not floor / 4 <= d <= 4 * floor for d in pivots))
+    try:
+        G = kn.cholesky_upper(M)
+        got = None
+    except NotPositiveDefiniteError as exc:
+        got = exc.pivot
+    assert got == expected
+    if got is None:
+        np.testing.assert_allclose(G.conj().T @ G, hermitian_part(M),
+                                   atol=1e-12 * np.abs(M).max())
 
 
 @settings(max_examples=30, deadline=None)
