@@ -177,7 +177,7 @@ def _right_divide_upper(X, G):
     return sla.solve_triangular(G.T, X.T, lower=True).T
 
 
-def _append(state, problem, Zhat, U1hat, U2hat, Dhat, poles):
+def _append(state, problem, Zhat, U1hat, U2hat, Dhat, SBhat, poles):
     E = problem.E
     EZhat = Zhat if E is None else E.conj().T @ Zhat
     q_old = state.q
@@ -188,7 +188,6 @@ def _append(state, problem, Zhat, U1hat, U2hat, Dhat, poles):
     Hnew[:q_old, q_old:] = U2hat
     Hnew[q_old:, q_old:] = Dhat
     state.Hminus = Hnew
-    SBhat = problem.B.conj().T @ Zhat
     state.Z = np.hstack([state.Z, Zhat])
     state.h = np.hstack([state.h, U1hat])
     state.SB = np.hstack([state.SB, SBhat])
@@ -203,9 +202,9 @@ def _absorb(state, problem, block, Zt, U1t, BZt, YY=None):
 
     (Zt, U1t) satisfies (A* - K B*) Zt - E* Zt D = R U1t for the state's K
     and R, and BZt = B* Zt. Its coupling is h* U1t + SB* BZt, its Gram G
-    solves D* G + G D = BZt* BZt + U1t* U1t, and the block, coupling and D
-    are divided by the Cholesky factor G22 of G; the input state is not
-    mutated. YY = Y12* Y12 of an open-loop correction sets gram_cancellation.
+    solves D* G + G D = BZt* BZt + U1t* U1t, and the block, BZt, coupling
+    and D are divided by the Cholesky factor G22 of G; the input state is
+    kept. YY = Y12* Y12 of an open-loop correction sets gram_cancellation.
     """
     U2t = state.h.conj().T @ U1t + state.SB.conj().T @ BZt
     gram = solve_lyapunov_small(block.D, BZt.conj().T @ BZt + U1t.conj().T @ U1t)
@@ -219,10 +218,11 @@ def _absorb(state, problem, block, Zt, U1t, BZt, YY=None):
     U2hat = _right_divide_upper(U2t, G22)
     Dhat = _right_divide_upper(G22 @ block.D, G22)
     Zhat = _right_divide_upper(Zt, G22)
+    SBhat = _right_divide_upper(BZt, G22)
     cancellation = 0.0 if YY is None else _cancellation(YY, gram)
     # _append only rebinds fields, so a shallow copy keeps `state` intact.
     return _append(replace(state, gram_cancellation=cancellation), problem,
-                   Zhat, U1hat, U2hat, Dhat, block.poles)
+                   Zhat, U1hat, U2hat, Dhat, SBhat, block.poles)
 
 
 def absorb_r2adi(state, problem, block):

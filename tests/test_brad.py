@@ -244,10 +244,10 @@ def schur_complement_absorb_r2adi(state, problem, block):
     def div(X):
         return brad._right_divide_upper(X, G22)
 
-    return brad._append(replace(state), problem, div(Ztil - state.Z @ Y12),
-                        div(U1 - state.h @ Y12),
+    Zhat = div(Ztil - state.Z @ Y12)
+    return brad._append(replace(state), problem, Zhat, div(U1 - state.h @ Y12),
                         div(-state.Hminus @ Y12 + U2 + Y12 @ D),
-                        div(G22 @ D), block.poles)
+                        div(G22 @ D), problem.B.conj().T @ Zhat, block.poles)
 
 
 # (complex data, E, shifts absorbed before, batch of the compared step)

@@ -1,5 +1,7 @@
 """Tests for the small dense kernels."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -102,22 +104,54 @@ def test_cholesky_nan_gram_raises(M):
 def row_loop_pivots(M):
     """Reference: the row-by-row Cholesky loop and its pivot rule.
 
-    Returns (first rejected pivot or None, the pivots it computed, the
-    rule's floor 1e-13 max |diag M|).
+    Returns (first rejected pivot or None, the rule's floor
+    1e-13 max |diag M|).
     """
     M = hermitian_part(np.atleast_2d(M))
     k = M.shape[0]
     G = np.zeros((k, k), dtype=np.result_type(M.dtype, np.float64))
     floor = 1e-13 * float(np.max(np.abs(np.diag(M))))
-    pivots = []
     for i in range(k):
         d = M[i, i].real - np.vdot(G[:i, i], G[:i, i]).real
-        pivots.append(d)
         if d <= floor or d <= 0.0:
-            return i, pivots, floor
+            return i, floor
         G[i, i] = np.sqrt(d)
         G[i, i + 1:] = (M[i, i + 1:] - G[:i, i].conj() @ G[:i, i + 1:]) / G[i, i]
-    return None, pivots, floor
+    return None, floor
+
+
+def exact_pivots(M):
+    """The pivots of hermitian_part(M) in exact arithmetic, up to the first
+    zero, each with a first-order bound on how far it moves under a backward
+    error of 4 (k + 2) u sqrt(M_ii M_jj) in entry (i, j).
+
+    A complex M is eliminated as its real form, in which each entry is a
+    2-by-2 block and each pivot comes twice. With l row j of the inverse
+    unit-triangular LDL* factor, pivot j is l M l*, so the bound is
+    4 (k + 2) u (sum_i |l_i| sqrt(M_ii))**2.
+    """
+    M = hermitian_part(np.atleast_2d(M))
+    k, step = M.shape[0], 1
+    if np.iscomplexobj(M):
+        M = np.kron(M.real, np.eye(2)) + np.kron(M.imag, [[0, -1], [1, 0]])
+        step = 2
+    A = [[Fraction(x) for x in row] for row in M.tolist()]
+    L = [[Fraction(int(i == j)) for j in range(len(A))] for i in range(len(A))]
+    scale = np.sqrt(np.abs(np.diag(M)))
+    tau = 2 * (k + 2) * np.finfo(float).eps
+    pivots, spreads = [], []
+    for j in range(len(A)):
+        d = A[j][j]
+        if j % step == 0:
+            pivots.append(d)
+            spreads.append(tau * float(np.abs(np.array(L[j], float)) @ scale) ** 2)
+        if d == 0:
+            break
+        for i in range(j + 1, len(A)):
+            f = A[i][j] / d
+            A[i] = [a - f * b for a, b in zip(A[i], A[j])]
+            L[i] = [a - f * b for a, b in zip(L[i], L[j])]
+    return pivots, spreads
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,8 +160,9 @@ def row_loop_pivots(M):
        st.floats(-20, 20))
 def test_cholesky_pivot_rule_matches_row_loop(seed, k, complex_data, eps, log_scale):
     # Grams F F* + eps I of rank-deficient F, with a random diagonal scaling,
-    # sit near the rule's floor; LAPACK and the loop round differently, so a
-    # pivot within 4x of the floor may be decided either way and is skipped
+    # sit near the rule's floor. LAPACK and the loop round differently, so a
+    # draw is skipped when a pivot up to the decided one lies within twice
+    # its rounding bound of the floor; about 3% are
     rng = np.random.default_rng(seed)
     r = int(rng.integers(1, k + 1))
     F = rng.standard_normal((k, r))
@@ -135,8 +170,10 @@ def test_cholesky_pivot_rule_matches_row_loop(seed, k, complex_data, eps, log_sc
         F = F + 1j * rng.standard_normal((k, r))
     S = np.diag(10.0 ** rng.uniform(-3, 3, k))
     M = 10.0 ** log_scale * (S @ (F @ F.conj().T + eps * np.eye(k)) @ S)
-    expected, pivots, floor = row_loop_pivots(M)
-    assume(all(not floor / 4 <= d <= 4 * floor for d in pivots))
+    expected, floor = row_loop_pivots(M)
+    pivots, spreads = exact_pivots(M)
+    decided = [abs(float(d - Fraction(floor))) > 2 * e for d, e in zip(pivots, spreads)]
+    assume(all(decided[:len(pivots) if expected is None else expected + 1]))
     try:
         G = kn.cholesky_upper(M)
         got = None
