@@ -1,6 +1,6 @@
 """Tests for the BRAD state: expansion, absorption, invariants."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -58,8 +58,7 @@ def test_expand_simple_scalar():
 
 def test_expand_simple_converged_residual():
     prob = scalar_problem()
-    state = brad.init_state(prob)
-    state.R = np.zeros((1, 1))
+    state = replace(brad.init_state(prob), R=np.zeros((1, 1)))
     block = brad.expand_simple(state, prob, 1.0)
     np.testing.assert_array_equal(block.Ztil, [[0.0]])
 
@@ -244,10 +243,17 @@ def schur_complement_absorb_r2adi(state, problem, block):
     def div(X):
         return brad._right_divide_upper(X, G22)
 
+    # the reference appends the block with its own bookkeeping
     Zhat = div(Ztil - state.Z @ Y12)
-    return brad._append(replace(state), problem, Zhat, div(U1 - state.h @ Y12),
-                        div(-state.Hminus @ Y12 + U2 + Y12 @ D),
-                        div(G22 @ D), problem.B.conj().T @ Zhat, block.poles)
+    U1hat, SBhat = div(U1 - state.h @ Y12), problem.B.conj().T @ Zhat
+    EZhat = Zhat if problem.E is None else problem.E.conj().T @ Zhat
+    Hminus = np.block([[state.Hminus, div(-state.Hminus @ Y12 + U2 + Y12 @ D)],
+                       [np.zeros((D.shape[0], state.q)), div(G22 @ D)]])
+    return brad.BradState(
+        Z=np.hstack([state.Z, Zhat]), h=np.hstack([state.h, U1hat]),
+        Hminus=Hminus, SB=np.hstack([state.SB, SBhat]),
+        R=state.R + EZhat @ U1hat.conj().T, K=state.K + EZhat @ SBhat.conj().T,
+        poles=state.poles + block.poles)
 
 
 # (complex data, E, shifts absorbed before, batch of the compared step)
@@ -354,6 +360,15 @@ def test_absorb_does_not_mutate_input_state():
         assert state.poles == poles
 
 
+def test_state_and_block_fields_cannot_be_rebound():
+    prob, state = scalar_state_after_step1()
+    block = brad.expand_simple(state, prob, 2.0)
+    for obj, name in ((state, "R"), (state, "gram_cancellation"),
+                      (block, "Ztil"), (block, "poles")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+
+
 def test_invariants_random_complex_three_steps():
     prob = random_problem(35, n=30, m=2, p=2, complex_data=True)
     state = brad.init_state(prob)
@@ -411,6 +426,6 @@ def test_residual_check_detects_corruption():
     prob = random_problem(37, n=20, m=1, p=1)
     state = brad.init_state(prob)
     state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
-    state.Z = state.Z + 0.01
+    state = replace(state, Z=state.Z + 0.01)
     checks = rc.brad_residual_check(state, prob)
     assert checks["brad_identity"] > 1e-3

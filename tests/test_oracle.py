@@ -1,5 +1,7 @@
 """Tests for the dense reference solver and verification identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -180,7 +182,7 @@ def test_pole_check_detects_corruption():
     prob = random_problem(76, n=20, m=1, p=1)
     state = brad.init_state(prob)
     state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
-    state.h = state.h + 0.1
+    state = replace(state, h=state.h + 0.1)
     assert rc.closed_loop_pole_check(state, prob) > 1e-3
 
 

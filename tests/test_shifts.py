@@ -205,7 +205,8 @@ def test_hamiltonian_structure():
 
 def test_hamiltonian_converged_state_still_admissible():
     prob, state = scalar_state_after_step1()
-    state.R = np.zeros_like(state.R)  # pretend exact convergence
+    # pretend exact convergence
+    state = replace(state, R=np.zeros_like(state.R))
     mu = residual_hamiltonian_shift(state, prob, l=6)
     assert mu.real > 0
 

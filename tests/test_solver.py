@@ -512,6 +512,7 @@ def test_degenerate_open_loop_step_is_redone_and_hybrid_stays_closed(monkeypatch
 
 
 def _solve_corrupting_last_step(corrupt):
+    # corrupt writes into the solve's own (frozen) state's arrays in place
     prob = random_problem(66, n=30, m=1, p=1)
 
     def callback(state, record):
@@ -528,7 +529,7 @@ def test_corrupted_residual_factor_is_not_reported_converged():
     # after the last step R R* grows by ~1e-6 ||C* C||: the Gram residual is
     # not formed again, but the answer's own residual defect reads ~1e-6
     def corrupt(state):
-        state.R = state.R + 1e-3 * np.ones_like(state.R)
+        state.R[...] += 1e-3
 
     prob, res = _solve_corrupting_last_step(corrupt)
     assert not res.converged
@@ -542,7 +543,7 @@ def test_corrupted_hminus_alone_is_reported_converged():
     # Z and R stay right, so the answer is right whatever the state's q-by-q
     # Lyapunov identity reads
     def corrupt(state):
-        state.Hminus = state.Hminus + 1e-6 * np.eye(state.q)
+        state.Hminus[...] += 1e-6 * np.eye(state.q)
 
     prob, res = _solve_corrupting_last_step(corrupt)
     assert rc.brad_residual_check(res.state, prob)["lyap_identity"] > 1e-8
