@@ -8,12 +8,7 @@ ricadi.shifted.*.
 """
 
 from . import brad, shifted
-from .oracle import (
-    brad_residual_check,
-    closed_loop_pole_check,
-    dense_care,
-    dense_residual,
-)
+from .oracle import dense_care, dense_residual
 from .problems import (
     ProblemSpec,
     load_problem,
@@ -31,8 +26,6 @@ __all__ = [
     "ProblemSpec",
     "SolveResult",
     "SolverOptions",
-    "brad_residual_check",
-    "closed_loop_pole_check",
     "dense_care",
     "dense_residual",
     "load_problem",

@@ -127,7 +127,6 @@ def read_shift_file(path):
     return shifts
 
 
-# shift_s came last, so a log written before it has the first six columns.
 LOG_HEADER = ["iter", "subspace_dim", "rel_residual",
               "expansion_s", "absorb_s", "total_s", "shift_s"]
 
@@ -147,28 +146,6 @@ def write_convergence_log(records, path):
                 f"{r.total_s:.17g}",
                 f"{r.shift_s:.17g}",
             ])
-
-
-def read_convergence_log(path):
-    from .solver import ConvergenceRecord
-
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header not in (LOG_HEADER, LOG_HEADER[:6]):
-            raise ValueError(f"{path}: unexpected log header {header}")
-        for row in reader:
-            records.append(ConvergenceRecord(
-                iter=int(row[0]),
-                subspace_dim=int(row[1]),
-                rel_residual=float(row[2]),
-                expansion_s=float(row[3]),
-                absorb_s=float(row[4]),
-                total_s=float(row[5]),
-                shift_s=float(row[6]) if len(row) > 6 else 0.0,
-            ))
-    return records
 
 
 def load_problem(a_path, c_path, b_path=None, e_path=None):

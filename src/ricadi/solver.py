@@ -54,7 +54,7 @@ class ConvergenceRecord:
     the closed-loop expansion that replaced it). kind is the absorbed
     block's ExpansionBlock.kind: 'simple', 'parallel' or 'realified'. The
     convergence log stores the times but not shifts, closed_loop, redone or
-    kind (empty on a record read back from a log).
+    kind.
     """
 
     iter: int

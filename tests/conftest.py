@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 import ricadi as rc
 import ricadi.brad as brad
+from invariants import brad_residual_check
 from ricadi.oracle import DENSE_ORACLE_MAX_N
 
 INVARIANT_TOL = 1e-10
@@ -129,7 +130,7 @@ def rel2(X, Y):
 
 
 def assert_invariants(state, problem, tol=INVARIANT_TOL):
-    checks = rc.brad_residual_check(state, problem)
+    checks = brad_residual_check(state, problem)
     bad = {k: v for k, v in checks.items() if not v <= tol}
     assert not bad, f"state invariants violated: {bad}"
     if np.iscomplexobj(state.Hminus):

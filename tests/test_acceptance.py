@@ -24,7 +24,11 @@ from conftest import (
     rel2,
     scalar_problem,
 )
-from ricadi.oracle import eigenvalue_match_distance
+from invariants import (
+    brad_residual_check,
+    closed_loop_pole_check,
+    eigenvalue_match_distance,
+)
 
 
 def report(name, ok, detail=""):
@@ -339,7 +343,7 @@ def test_criterion_07_brad_invariants(random_runs, parallel_runs,
     def sweep(problem, states):
         nonlocal worst, checked
         for state in states:
-            checks = rc.brad_residual_check(state, problem)
+            checks = brad_residual_check(state, problem)
             worst = max(worst, max(checks.values()))
             checked += 1
 
@@ -382,7 +386,7 @@ def test_criterion_09_closed_loop_poles(random_runs):
     for run in random_runs.runs:
         for state in run.states:
             worst_defect = max(worst_defect,
-                               rc.closed_loop_pole_check(state, run.problem))
+                               closed_loop_pole_check(state, run.problem))
             worst_pole = max(worst_pole, eigenvalue_match_distance(
                 np.linalg.eigvals(state.Hminus), state.poles))
             checked += 1

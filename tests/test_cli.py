@@ -11,9 +11,10 @@ import scipy.sparse as sp
 
 import ricadi as rc
 from conftest import random_problem, singular_e_problem, write_shift_file
+from invariants import read_convergence_log
 from ricadi.cli import main, run
 from ricadi.oracle import DENSE_ORACLE_MAX_N, residual_defect
-from ricadi.problems import read_convergence_log, write_matrix_market
+from ricadi.problems import write_matrix_market
 
 
 def write_problem(prob, tmp_path, shifts=None):

@@ -8,17 +8,14 @@ import scipy.sparse as sp
 
 import ricadi as rc
 import ricadi.brad as brad
-from ricadi.oracle import (
-    DENSE_ORACLE_MAX_N,
-    eigenvalue_match_distance,
-    residual_defect,
-)
+from ricadi.oracle import DENSE_ORACLE_MAX_N, residual_defect
 from conftest import (
     projected_system_zeros,
     random_problem,
     rational_residual_factor,
     scalar_problem,
 )
+from invariants import closed_loop_pole_check, eigenvalue_match_distance
 
 
 def test_dense_care_scalar():
@@ -175,7 +172,7 @@ def test_projected_zeros_and_pole_check_scalar():
     closed = state.Hminus - gram
     np.testing.assert_allclose(np.linalg.eigvals(closed), [-1.0],
                                atol=1e-13)
-    assert rc.closed_loop_pole_check(state, prob) <= 1e-12
+    assert closed_loop_pole_check(state, prob) <= 1e-12
 
 
 def test_pole_check_detects_corruption():
@@ -183,12 +180,12 @@ def test_pole_check_detects_corruption():
     state = brad.init_state(prob)
     state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
     state = replace(state, h=state.h + 0.1)
-    assert rc.closed_loop_pole_check(state, prob) > 1e-3
+    assert closed_loop_pole_check(state, prob) > 1e-3
 
 
 def test_pole_check_empty_state():
     prob = scalar_problem()
-    assert rc.closed_loop_pole_check(brad.init_state(prob), prob) == 0.0
+    assert closed_loop_pole_check(brad.init_state(prob), prob) == 0.0
 
 
 def test_projected_zeros_rational_factor_consistency():

@@ -7,17 +7,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import invariants
 import ricadi as rc
 import ricadi.brad as brad
 import ricadi.kernels as kernels
 
 SRC = Path(rc.__file__).resolve().parent
 
+# helpers only the tests call; they live in tests/invariants.py
+TEST_ONLY = ("brad_residual_check", "closed_loop_pole_check",
+             "eigenvalue_match_distance", "read_convergence_log")
+
 PUBLIC = {
     "ConvergenceRecord", "HamiltonianShifts", "PrecomputedShifts",
-    "ProblemSpec", "SolveResult", "SolverOptions", "brad_residual_check",
-    "closed_loop_pole_check", "dense_care", "dense_residual", "load_problem",
-    "read_matrix_market", "read_shift_file", "solve", "write_convergence_log",
+    "ProblemSpec", "SolveResult", "SolverOptions", "dense_care",
+    "dense_residual", "load_problem", "read_matrix_market", "read_shift_file",
+    "solve", "write_convergence_log",
 }
 
 # One small solve in a fresh interpreter; prints what it finds loaded.
@@ -40,7 +45,7 @@ print(json.dumps({
 
 
 def test_public_names():
-    assert len(rc.__all__) == len(PUBLIC) == 15
+    assert len(rc.__all__) == len(PUBLIC) == 13
     assert set(rc.__all__) == PUBLIC
     assert all(hasattr(rc, name) for name in rc.__all__)
 
@@ -56,12 +61,20 @@ def test_import_and_solve_leave_scipy_optimize_unloaded():
     assert seen["attributes"] == ["brad", "shifted", "oracle"]
 
 
-def test_oracle_imports_no_other_ricadi_module():
-    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text())):
+def assert_imports_no_ricadi_module(path):
+    for node in ast.walk(ast.parse(Path(path).read_text())):
         if isinstance(node, ast.ImportFrom):
             assert node.level == 0 and not (node.module or "").startswith("ricadi")
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("ricadi") for a in node.names)
+
+
+def test_oracle_imports_no_other_ricadi_module():
+    assert_imports_no_ricadi_module(SRC / "oracle.py")
+
+
+def test_invariants_import_no_ricadi_module():
+    assert_imports_no_ricadi_module(invariants.__file__)
 
 
 def test_shifted_keeps_no_module_state():
@@ -80,7 +93,15 @@ def test_shifted_keeps_no_module_state():
 
 
 def test_verification_lives_only_in_oracle():
-    for name in ("brad_residual_check", "closed_loop_pole_check",
-                 "eigenvalue_match_distance", "residual_defect"):
-        assert getattr(rc.oracle, name).__module__ == "ricadi.oracle"
+    # solve's own check is the oracle's; the test-only checks are defined in
+    # tests/invariants.py and in no module of the package
+    assert rc.oracle.residual_defect.__module__ == "ricadi.oracle"
+    for name in TEST_ONLY + ("residual_defect",):
         assert not hasattr(brad, name) and not hasattr(kernels, name)
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    for name in TEST_ONLY:
+        assert getattr(invariants, name).__module__ == "invariants"
+        assert name not in defined
+        assert not any(hasattr(m, name) for m in (rc, rc.oracle, rc.problems))

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import ricadi as rc
 from conftest import random_problem, write_shift_file
+from invariants import read_convergence_log
 from ricadi.errors import MatrixMarketError
-from ricadi.problems import read_convergence_log, write_matrix_market
+from ricadi.problems import write_matrix_market
 from ricadi.solver import ConvergenceRecord
 
 
