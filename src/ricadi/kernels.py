@@ -1,9 +1,10 @@
 """Small dense kernels used in every iteration step.
 
 Cholesky factorization in the G*G convention (conjugate transpose first),
-Gram-based spectral norms for tall skinny factors, and the small Sylvester
-and Lyapunov equation solvers that update the low-rank state. The
-factorization and the solvers are single LAPACK calls (potrf, trsyl).
+Gram-based spectral norms and orthonormal bases for tall skinny blocks, and
+the small Sylvester and Lyapunov equation solvers that update the low-rank
+state. The factorizations and the solvers are direct LAPACK calls (potrf,
+geqrf and orgqr, trsyl).
 """
 
 import numpy as np
@@ -49,6 +50,23 @@ def cholesky_upper(M):
         raise NotPositiveDefiniteError(
             f"not positive definite: pivot {i} is {d:.3e}", pivot=i)
     return G
+
+
+def orthonormal_basis(M):
+    """Q of the thin QR factorization of an n-by-k block M: min(n, k) columns.
+
+    One LAPACK geqrf call, then orgqr (ungqr on complex data), each with the
+    workspace LAPACK asks for: the calls numpy.linalg.qr makes, without its
+    copies or R.
+    """
+    M = np.asarray(M)
+    M = M.astype(np.result_type(M.dtype, np.float64), copy=False)
+    geqrf, orgqr = sla.get_lapack_funcs(
+        ("geqrf", "ungqr" if np.iscomplexobj(M) else "orgqr"), (M,))
+    k = min(M.shape)
+    qr, tau, _, _ = geqrf(M, lwork=int(geqrf(M, lwork=-1)[2][0].real))
+    lwork = int(orgqr(qr[:, :k], tau, lwork=-1)[1][0].real)
+    return orgqr(qr[:, :k], tau, lwork=lwork, overwrite_a=True)[0]
 
 
 def spectral_norm_gram(R):

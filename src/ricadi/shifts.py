@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ShiftsExhaustedError, ShiftStrategyError
+from .kernels import orthonormal_basis
 from .shifted import factor_lu
 
 _SCORE_CLAMP = 1e12
@@ -122,7 +123,7 @@ def projected_hamiltonian(state, problem, l, e_factor):
         base = problem.C.conj().T
     else:
         base = state.Z[:, max(q - l, 0):]
-    U, _ = np.linalg.qr(base)
+    U = orthonormal_basis(base)
     EU = U if E is None else e_factor.solve(U)
     # B* Z Z* U is K* EU, since K* = B* Z Z* E: O(n m l), not O(n q l)
     AtilU = A @ EU - B @ (state.K.conj().T @ EU)

@@ -198,6 +198,25 @@ def test_cholesky_random_spd(seed, k, complex_data):
                                atol=1e-12 * np.linalg.norm(M))
 
 
+# --------------------------------------------------------- orthonormal_basis
+
+# (n, q, window): the window is the last min(window, q) columns of an n-by-q
+# block, as projected_hamiltonian takes it from Z; the last block has fewer
+# columns than its window
+@pytest.mark.parametrize("n, q, window", [(3000, 18, 18), (300, 4, 4),
+                                          (300, 5, 18)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_orthonormal_basis_equals_numpy_qr(n, q, window, complex_):
+    rng = np.random.default_rng(q)
+    Z = rng.standard_normal((n, q))
+    if complex_:
+        Z = Z + 1j * rng.standard_normal((n, q))
+    M = Z[:, max(q - window, 0):]
+    Q = kn.orthonormal_basis(M)
+    assert Q.shape == (n, q) and Q.dtype == Z.dtype
+    np.testing.assert_array_equal(Q, np.linalg.qr(M)[0])
+
+
 # -------------------------------------------------------- spectral_norm_gram
 
 def test_gram_norm_canonical_column():
