@@ -24,14 +24,14 @@ def _dense_2d(M):
 class ProblemSpec:
     """The quadruple (A, B, C, E) of a (generalized) Riccati equation.
 
-    A is n-by-n, B is n-by-m, C is p-by-n and E is an optional regular
-    n-by-n matrix (identity when absent); m = 0 encodes the Lyapunov special
-    case B = 0. Each may be given dense or sparse, and its format is fixed
-    here: A and E are stored as CSR (a CSR input's arrays are shared, not
-    copied), B and C as dense 2-D arrays. So a problem built here and one
-    read by load_problem run the same arithmetic. A complex matrix whose
-    imaginary parts are all zero is stored as its real part, so real data
-    is real-typed.
+    A is n-by-n, B is n-by-m (a vector: one column), C is p-by-n (a vector:
+    one row) and E is an optional regular n-by-n matrix (identity when
+    absent); m = 0 encodes the Lyapunov special case B = 0. Each may be
+    given dense or sparse, and its format is fixed here: A and E are stored
+    as CSR (a CSR input's arrays are shared, not copied), B and C as dense
+    2-D arrays. So a problem built here and one read by load_problem run the
+    same arithmetic. A complex matrix whose imaginary parts are all zero is
+    stored as its real part, so real data is real-typed.
     """
 
     A: object
@@ -47,10 +47,13 @@ class ProblemSpec:
         n = self.A.shape[0]
         if n < 1:
             raise ValueError("n must be at least 1")
+        given = np.shape(self.B)
         self.B = np.zeros((n, 0)) if self.B is None else _dense_2d(self.B)
+        if len(given) == 1:
+            self.B = self.B.T
         self.C = _dense_2d(self.C)
         if self.B.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got {self.B.shape}")
+            raise ValueError(f"B must have {n} rows, got {given}")
         if self.C.shape[1] != n:
             raise ValueError(f"C must have {n} columns, got {self.C.shape}")
         if self.C.shape[0] < 1:

@@ -1,9 +1,10 @@
 """Factored solves with the large shifted matrices (A* - mu E*).
 
-Every factorization of a large matrix is a Factor, made by factor_lu's one
-dense/sparse rule: factorize makes one per shift, from the A* and E* that a
-ShiftedSystem holds for one solve, and shifts.factor_e the one of E that it
-holds too. A factor serves any number of right-hand sides, and the
+Every LU factorization is a Factor, whose constructor holds the one
+dense/sparse rule and the one pivot check: factorize makes one per shift,
+from the A* and E* that a ShiftedSystem holds for one solve,
+shifts.factor_e the one of E that it holds too, and smw_solve one of its
+m-by-m capacitance. A factor serves any number of right-hand sides, and the
 Sherman-Morrison-Woodbury formula turns the rank-m feedback correction
 (A* - K B* - mu E*) into one solve with the factor plus an m-by-m solve.
 """
@@ -25,15 +26,29 @@ DENSE_LU_BELOW_N = 500
 class Factor:
     """One LU factorization of an n-by-n matrix M, applied to any number of blocks.
 
-    lu is a dense (lu, piv) pair from dense_lu or a SuperLU object,
-    dtype that of M, and shift the mu of M = A* - mu E* (None for E's factor).
+    The rule is by size alone: dense LU when n < DENSE_LU_BELOW_N, else
+    splu(M in CSC). Dense LU works in place, so a dense M must be an array
+    made for this factor (a sparse M is copied to a Fortran-ordered array).
+    A singular or non-finite M raises error(message), the message being
+    singular, followed by LAPACK's wrapper's or SuperLU's reason if either
+    failed. lu is a dense (lu, piv) pair from dense_lu or a SuperLU object,
+    and shift the mu of M = A* - mu E* (None for E's factor).
     """
 
-    def __init__(self, lu, n, dtype, shift=None):
-        self.lu = lu
-        self.n = n
-        self.dtype = np.result_type(dtype, np.float64)
-        self.shift = shift
+    def __init__(self, M, splu, singular, error, shift=None):
+        n = M.shape[0]
+        try:  # LAPACK's wrapper rejects a non-finite M, SuperLU a singular one
+            if n < DENSE_LU_BELOW_N:
+                lu = dense_lu(M.toarray(order="F") if sp.issparse(M) else M)
+            else:
+                lu = splu(sp.csc_matrix(M))
+        except (ValueError, RuntimeError) as exc:
+            raise error(f"{singular}: {exc}") from exc
+        pivots = np.diag(lu[0]) if isinstance(lu, tuple) else lu.U.diagonal()
+        if singular_pivots(pivots):
+            raise error(singular)
+        self.lu, self.n, self.shift = lu, n, shift
+        self.dtype = np.result_type(M.dtype, np.float64)
 
     def solve(self, RHS):
         """Return W with M W = RHS, in the dtype of RHS promoted with M's."""
@@ -108,37 +123,10 @@ def factorize(A, E=None, mu=0.0, system=None):
         mu = mu.real
     if system is None:
         system = ShiftedSystem(A, E)
-    return factor_lu(system.matrix(mu),
-                     partial(spla.splu, permc_spec="MMD_AT_PLUS_A"),
-                     f"shifted matrix A* - mu E* is singular for mu = {mu}",
-                     lambda msg: SingularShiftError(msg, shift=mu), shift=mu)
-
-
-def factor_lu(M, splu, singular, error, shift=None):
-    """Return M's Factor by the one dense/sparse rule of every Factor.
-
-    The rule is by size alone: M is factored by dense LU when
-    n < DENSE_LU_BELOW_N, otherwise by splu(M in CSC). Dense LU works in
-    place, so a dense M must be an array made for this factor (a
-    ShiftedSystem's matrix); a sparse M is copied to a Fortran-ordered array
-    first. A singular M raises error(message), the message being singular,
-    followed by SuperLU's own when splu fails.
-    """
-    n = M.shape[0]
-    if n < DENSE_LU_BELOW_N:
-        if sp.issparse(M):
-            M = M.toarray(order="F")
-        lu = dense_lu(M)
-        pivots = np.diag(lu[0])
-    else:
-        try:
-            lu = splu(sp.csc_matrix(M))
-        except RuntimeError as exc:
-            raise error(f"{singular}: {exc}") from exc
-        pivots = lu.U.diagonal()
-    if singular_pivots(pivots):
-        raise error(singular)
-    return Factor(lu, n, M.dtype, shift=shift)
+    return Factor(system.matrix(mu),
+                  partial(spla.splu, permc_spec="MMD_AT_PLUS_A"),
+                  f"shifted matrix A* - mu E* is singular for mu = {mu}",
+                  lambda msg: SingularShiftError(msg, shift=mu), shift=mu)
 
 
 def dense_lu(M):
@@ -153,7 +141,13 @@ def solve_factored(f, RHS):
 
 
 def smw_solve(f, K, B, RHS):
-    """Solve (A* - K B* - mu E*) W = RHS via Sherman-Morrison-Woodbury."""
+    """Solve (A* - K B* - mu E*) W = RHS via Sherman-Morrison-Woodbury.
+
+    The m-by-m capacitance I - B* N, N = (A* - mu E*)^-1 K, is a Factor
+    under the same size rule, so an m >= DENSE_LU_BELOW_N would go to
+    SuperLU; no test or workload has m > 2. A singular capacitance raises
+    SMWSingularError carrying f's shift.
+    """
     K = np.atleast_2d(np.asarray(K))
     B = np.atleast_2d(np.asarray(B))
     RHS = np.atleast_2d(np.asarray(RHS))
@@ -163,10 +157,7 @@ def smw_solve(f, K, B, RHS):
     k = RHS.shape[1]
     LN = f.solve(np.hstack([RHS, K]))
     L, N = LN[:, :k], LN[:, k:]
-    cap = np.eye(m, dtype=LN.dtype) - B.conj().T @ N
-    lu, piv = dense_lu(cap)
-    if singular_pivots(np.diag(lu)):
-        raise SMWSingularError(
-            f"SMW capacitance singular for mu = {f.shift}", shift=f.shift
-        )
-    return L + N @ sla.lu_solve((lu, piv), B.conj().T @ L)
+    cap = Factor(np.eye(m, dtype=LN.dtype) - B.conj().T @ N, spla.splu,
+                 f"SMW capacitance singular for mu = {f.shift}",
+                 lambda msg: SMWSingularError(msg, shift=f.shift), shift=f.shift)
+    return L + N @ cap.solve(B.conj().T @ L)

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ShiftsExhaustedError, ShiftStrategyError
 from .kernels import orthonormal_basis
-from .shifted import factor_lu
+from .shifted import Factor
 
 _SCORE_CLAMP = 1e12
 
@@ -96,15 +96,15 @@ class HamiltonianShifts:
 
 
 def factor_e(E):
-    """Return E's Factor by shifted.factor_lu's rule: dense LU of a copy below
-    DENSE_LU_BELOW_N, dense or sparse E alike, and from there on SuperLU
-    with its default ordering, called through this module's spla so that a
-    trace of shifts.spla.splu sees E's factors apart from the shifted ones.
-    E itself is never overwritten. solve factors E with this once per solve;
-    a singular E raises ShiftStrategyError.
+    """Return E's Factor, made by the Factor constructor's rule: dense LU of a
+    copy below DENSE_LU_BELOW_N, dense or sparse E alike, and from there on
+    SuperLU with its default ordering, called through this module's spla so
+    that a trace of shifts.spla.splu sees E's factors apart from the shifted
+    ones. E itself is never overwritten. solve factors E with this once per
+    solve; a singular E raises ShiftStrategyError.
     """
-    return factor_lu(sp.csr_matrix(E), spla.splu, "mass matrix E is singular",
-                     ShiftStrategyError)
+    return Factor(sp.csr_matrix(E), spla.splu, "mass matrix E is singular",
+                  ShiftStrategyError)
 
 
 def projected_hamiltonian(state, problem, l, e_factor):

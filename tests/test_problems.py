@@ -1,5 +1,7 @@
 """Tests for problem data containers and file I/O."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -210,6 +212,23 @@ def test_problem_spec_validation():
         rc.ProblemSpec(A=A, B=None, C=np.ones((0, 3)))
     with pytest.raises(ValueError, match="E must be 3x3"):
         rc.ProblemSpec(A=A, B=None, C=np.ones((1, 3)), E=sp.identity(2))
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_vector_b_is_one_input_column(complex_data):
+    # a length-n B used to be read as one row and rejected
+    matrix = random_problem(13, n=40, m=1, p=2, complex_data=complex_data)
+    vector = rc.ProblemSpec(A=matrix.A, B=matrix.B[:, 0], C=matrix.C)
+    assert vector.B.shape == (40, 1) and vector.B.flags["C_CONTIGUOUS"]
+    assert vector.B.tobytes() == matrix.B.tobytes()
+    options = rc.SolverOptions(mode="hybrid", tol=1e-10, max_iter=40)
+    want = rc.solve(matrix, options, rc.HamiltonianShifts())
+    got = rc.solve(vector, options, rc.HamiltonianShifts())
+    assert want.converged
+    for name in ("Z", "R"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    with pytest.raises(ValueError, match=re.escape("B must have 40 rows, got (39,)")):
+        rc.ProblemSpec(A=matrix.A, B=np.ones(39), C=matrix.C)
 
 
 @pytest.mark.parametrize("fmt", ["csr", "coo"])

@@ -12,7 +12,7 @@ import ricadi as rc
 import ricadi.shifted as shifted_mod
 import ricadi.shifts as shifts_mod
 from conftest import fem1d_pair, random_problem, stable_sparse
-from ricadi.errors import SingularShiftError, SMWSingularError
+from ricadi.errors import ShiftStrategyError, SingularShiftError, SMWSingularError
 from ricadi.shifted import factorize, smw_solve, solve_factored
 
 
@@ -31,9 +31,36 @@ def test_factorize_diagonal():
 
 
 def test_factorize_singular_shift():
-    # mu in the spectrum of A*
-    with pytest.raises(SingularShiftError):
-        factorize(sp.csr_matrix(np.diag([1.0, -2.0])), mu=1.0)
+    # mu in the spectrum of A*, on the dense and on the SuperLU branch; the
+    # error carries the shift that failed
+    for n in (2, shifted_mod.DENSE_LU_BELOW_N + 100):
+        A = sp.diags(np.r_[1.0, -2.0 * np.ones(n - 1)], format="csr")
+        with pytest.raises(SingularShiftError) as exc:
+            factorize(A, mu=1.0)
+        assert exc.value.shift == 1.0
+
+
+@pytest.mark.parametrize("n", [60, 600])
+def test_factorize_non_finite_matrix_is_a_singular_shift(n):
+    # a NaN used to reach the dense branch's caller as scipy's ValueError
+    # while the SuperLU branch raised SingularShiftError
+    A = sp.lil_matrix(stable_sparse(n, 5, density=0.01))
+    A[3, 3] = np.nan
+    mu = 1.5 + 0.5j
+    with pytest.raises(SingularShiftError,
+                       match=r"singular for mu = \(1\.5\+0\.5j\): ") as exc:
+        factorize(A.tocsr(), mu=mu)
+    assert exc.value.shift == mu
+
+
+@pytest.mark.parametrize("n", [60, 600])
+def test_factor_e_non_finite_is_a_singular_e(n):
+    # dense LU refuses an infinite entry; SuperLU factors it, and the pivot
+    # check rejects the factor
+    E = sp.lil_matrix(fem1d_pair(n)[1])
+    E[0, 0] = np.inf
+    with pytest.raises(ShiftStrategyError, match="mass matrix E is singular"):
+        shifts_mod.factor_e(E.tocsr())
 
 
 def test_factorize_generalized():
@@ -219,10 +246,14 @@ def test_smw_matches_dense_solve():
 
 
 def test_smw_singular_capacitance():
-    # A* - mu = -2; with K = -2, B = 1 the capacitance 1 - B*N vanishes
-    f = factorize(sp.csr_matrix(np.array([[-1.0]])), mu=1.0)
-    with pytest.raises(SMWSingularError):
-        smw_solve(f, [[-2.0]], [[1.0]], [[1.0]])
+    # A* - mu = -2 I; with K = -2 e1, B = e1 the capacitance 1 - B*N
+    # vanishes, whether A* - mu is factored densely or by SuperLU
+    for n in (1, shifted_mod.DENSE_LU_BELOW_N + 100):
+        f = factorize(-sp.identity(n, format="csr"), mu=1.0)
+        e1 = np.eye(n, 1)
+        with pytest.raises(SMWSingularError) as exc:
+            smw_solve(f, -2.0 * e1, e1, np.ones((n, 1)))
+        assert exc.value.shift == 1.0
 
 
 def _scipy_difference(A, E, mu):
