@@ -13,7 +13,7 @@ from .problems import (
     write_convergence_log,
     write_matrix_market,
 )
-from .shifts import HamiltonianShifts, PrecomputedShifts
+from .shifts import PrecomputedShifts
 from .solver import SolverOptions, solve
 
 
@@ -27,20 +27,16 @@ def build_parser():
     p.add_argument("--b", help="Matrix Market file for B (omit for B = 0)")
     p.add_argument("--c", required=True, help="Matrix Market file for C")
     p.add_argument("--e", help="Matrix Market file for E (omit for E = I)")
-    p.add_argument("--shifts", help="shift file ('re im' per line)")
+    p.add_argument("--shifts", help="shift file ('re im' per line); without it "
+                                    "the residual Hamiltonian strategy picks them")
     p.add_argument("--mode", choices=["r2adi", "radi", "hybrid"],
                    default="r2adi")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--parallel-width", type=int, default=1,
-                   help="shifted solves per step from a precomputed list; "
+                   help="shifted solves per step from the --shifts list; "
                         "on real data a complex shift and its conjugate "
-                        "are one solve (the hamiltonian strategy gives one)")
-    p.add_argument("--shift-strategy", choices=["precomputed", "hamiltonian"],
-                   default="precomputed")
-    p.add_argument("--window", type=int, default=None,
-                   help="window size for the hamiltonian strategy "
-                        "(default 3p)")
+                        "are one solve (without --shifts, one shift per step)")
     p.add_argument("--out-z", help="write the solution factor Z (Matrix Market)")
     p.add_argument("--out-log", help="write the convergence log (CSV)")
     p.add_argument("--verify", action="store_true",
@@ -49,24 +45,11 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    precomputed = args.shift_strategy == "precomputed"
-    misuse = ("--shifts is required with" if precomputed and not args.shifts
-              else "--shifts is not used by" if not precomputed and args.shifts
-              else "--window is not used by"
-              if precomputed and args.window is not None else None)
-    if misuse:
-        print(parser.format_usage(), file=sys.stderr, end="")
-        print(f"ricadi: error: {misuse} the {args.shift_strategy} shift "
-              "strategy", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
     try:
         problem = load_problem(args.a, args.c, b_path=args.b, e_path=args.e)
-        if precomputed:
-            source = PrecomputedShifts(read_shift_file(args.shifts))
-        else:
-            source = HamiltonianShifts(window=args.window)
+        source = (None if args.shifts is None
+                  else PrecomputedShifts(read_shift_file(args.shifts)))
         options = SolverOptions(mode=args.mode, tol=args.tol, max_iter=args.max_iter,
                                 parallel_width=args.parallel_width)
         result = solve(problem, options, source)

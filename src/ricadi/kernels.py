@@ -16,9 +16,9 @@ _PIVOT_TOL = 1e-13
 
 
 def singular_pivots(d):
-    """True when min |d| <= 1e-14 max |d|, so all-zero pivots are singular."""
+    """True unless min |d| > 1e-14 max |d|: all-zero and NaN pivots are singular."""
     d = np.abs(d)
-    return bool(d.size and d.min() <= 1e-14 * d.max())
+    return bool(d.size and not d.min() > 1e-14 * d.max())
 
 
 def hermitian_part(M):

@@ -1,7 +1,6 @@
 """Shift supply: precomputed lists and the residual Hamiltonian strategy."""
 
 import cmath
-import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,17 +21,6 @@ def admissible_shift(s):
     if not s.real > 0:
         raise ValueError(f"shift real part must be positive: {s}")
     return s
-
-
-def positive_int(name, value):
-    """Return value as an int; it must be an integer of at least 1."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
 
 
 class PrecomputedShifts:
@@ -77,21 +65,17 @@ class HamiltonianShifts:
 
     The batch size is ignored. The shift is the scored Ritz value itself,
     whatever the sign of its Im; on real data brad realifies it with its
-    conjugate. The projection window is the last `window` columns of Z,
-    3p by default: a step's window QR costs O(n l^2) and its eig O(l^3), and
-    on the benchmark's workloads 3p takes about as many steps as 6p at
-    well under half the shift-selection time (README, "Shift selection",
-    has the measurements and the windows tried). E's factor is the solve's
-    own, read from the ShiftedSystem it passes in, so the source keeps
-    nothing but its window and one source may serve any number of solves.
+    conjugate. The projection window is the last 3p columns of Z: a step's
+    window QR costs O(n l^2) and its eig O(l^3), and on the benchmark's
+    workloads 3p takes about as many steps as 6p at well under half the
+    shift-selection time (README, "Shift selection", has the measurements
+    and the windows tried). E's factor is the solve's own, read from the
+    ShiftedSystem it passes in, so the source has no state and one source
+    may serve any number of solves. solve runs one when given no shifts.
     """
 
-    def __init__(self, window=None):
-        self.window = None if window is None else positive_int("window", window)
-
     def next_shifts(self, state, problem, batch, system):
-        l = self.window if self.window is not None else 3 * problem.p
-        H = projected_hamiltonian(state, problem, l, system.e_factor)
+        H = projected_hamiltonian(state, problem, 3 * problem.p, system.e_factor)
         return [_best_shift(H)]
 
 

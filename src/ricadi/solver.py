@@ -1,5 +1,6 @@
 """Top-level iteration: pull shifts, expand, absorb, track convergence."""
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ from . import brad, shifted, shifts as shift_sources
 from .errors import ExpansionDegenerateError, ShiftsExhaustedError
 from .kernels import spectral_norm_gram
 from .oracle import residual_defect
-from .shifts import PrecomputedShifts, positive_int
+from .shifts import HamiltonianShifts, PrecomputedShifts
 
 MODES = ("r2adi", "radi", "hybrid")
 
@@ -23,6 +24,17 @@ MODES = ("r2adi", "radi", "hybrid")
 # 1e-7 instead of 5e-14. oracle.residual_defect only detects such an answer
 # (solve then reports it unconverged); the redo turns it into a right one.
 MAX_GRAM_CANCELLATION = 1e6
+
+
+def positive_int(name, value):
+    """Return value as an int; it must be an integer of at least 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 @dataclass
@@ -92,7 +104,8 @@ def solve(problem, options=None, shifts=None, callback=None):
     """Run the Riccati ADI iteration until the residual drops below tol.
 
     shifts is a shift source (PrecomputedShifts / HamiltonianShifts) or a
-    nonempty list of shifts. Each batch is one brad.expand_parallel step; on
+    nonempty list of shifts, used as given; with shifts=None the solve runs
+    HamiltonianShifts(). Each batch is one brad.expand_parallel step; on
     real data a complex shift is its realified conjugate pair, one solve and
     one batch slot, and the state stays real. Hybrid mode switches from the
     open-loop to the closed-loop body once q >= max(p, min(n // 20, 100)).
@@ -108,7 +121,7 @@ def solve(problem, options=None, shifts=None, callback=None):
     """
     options = options or SolverOptions()
     if shifts is None:
-        raise ValueError("a shift source is required")
+        shifts = HamiltonianShifts()
     source = shifts if hasattr(shifts, "next_shifts") else PrecomputedShifts(shifts)
     hybrid_switch = max(problem.p, min(problem.n // 20, 100))
 

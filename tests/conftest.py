@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 import ricadi as rc
 import ricadi.brad as brad
+import ricadi.shifts as shifts_mod
 from invariants import brad_residual_check
 from ricadi.oracle import DENSE_ORACLE_MAX_N
 
@@ -164,6 +165,17 @@ class RecordingShifts:
         self.emitted.extend(out)
         self.batches.append(list(out))
         return out
+
+
+class WindowShifts:
+    """HamiltonianShifts' rule on the last `window` columns of Z, not 3p."""
+
+    def __init__(self, window):
+        self.window = window
+
+    def next_shifts(self, state, problem, batch, system):
+        return [shifts_mod._best_shift(shifts_mod.projected_hamiltonian(
+            state, problem, self.window, system.e_factor))]
 
 
 def one_shift_per_step(problem, shifts):

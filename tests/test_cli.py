@@ -52,26 +52,25 @@ def test_cli_scalar_pipeline(tmp_path, capsys):
 
 
 def test_cli_missing_shifts(tmp_path, capsys):
-    args = scalar_args(tmp_path)
-    idx = args.index("--shifts")
-    del args[idx:idx + 2]
-    code = run(args)
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "usage" in err and "--shifts" in err
+    # without --shifts the residual Hamiltonian strategy picks the shifts:
+    # the RESULT line is that of the library's solve with HamiltonianShifts()
+    prob = random_problem(83, n=40, m=1, p=2)
+    code = run(write_problem(prob, tmp_path) + ["--mode", "hybrid"])
+    lines = capsys.readouterr().out.splitlines()
+    res = rc.solve(prob, rc.SolverOptions(mode="hybrid"), rc.HamiltonianShifts())
+    assert code == 0 and res.converged and len(res.records) > 2
+    assert lines[-1] == (f"RESULT iter={len(res.records)} dim={res.state.q} "
+                         f"relres={res.rel_residual:.17g}")
 
 
-@pytest.mark.parametrize("extra, flag", [
-    (["--shift-strategy", "hamiltonian"], "--shifts"),
-    (["--window", "3"], "--window"),
-])
-def test_cli_rejects_flag_the_strategy_does_not_use(tmp_path, capsys,
-                                                    extra, flag):
-    code = run(scalar_args(tmp_path) + extra)
-    captured = capsys.readouterr()
-    assert code == 1 and "RESULT" not in captured.out
-    line = captured.err.splitlines()[-1]
-    assert line.startswith("ricadi: error:") and flag in line
+@pytest.mark.parametrize("flag, value", [("--shift-strategy", "hamiltonian"),
+                                         ("--window", "3")])
+def test_cli_rejects_removed_shift_flags(tmp_path, capsys, flag, value):
+    # the shift source follows from --shifts, and the window is 3p by rule
+    with pytest.raises(SystemExit) as exc:
+        run(scalar_args(tmp_path) + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_empty_shift_file(tmp_path, capsys):
@@ -89,8 +88,7 @@ def test_cli_empty_shift_file(tmp_path, capsys):
 def test_cli_hamiltonian_strategy_and_verify(tmp_path, capsys):
     prob = random_problem(80, n=60, m=2, p=2)
     args = write_problem(prob, tmp_path)
-    code = run(args + ["--shift-strategy", "hamiltonian", "--tol", "1e-9",
-                       "--verify"])
+    code = run(args + ["--tol", "1e-9", "--verify"])
     out = capsys.readouterr().out
     assert code == 0
     line = next(l for l in out.splitlines() if l.startswith("verify"))
@@ -131,7 +129,7 @@ def test_cli_verify_without_a_stabilizing_solution(tmp_path, capsys):
     prob = rc.ProblemSpec(A=A, B=None,
                           C=np.random.default_rng(0).standard_normal((1, n)))
     code = run(write_problem(prob, tmp_path)
-               + ["--shift-strategy", "hamiltonian", "--max-iter", "5", "--verify"])
+               + ["--max-iter", "5", "--verify"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 2  # not converged
     assert "verify         : no reference (no stabilizing solution found" in "\n".join(lines)
@@ -143,7 +141,7 @@ def test_cli_verify_estimates_the_residual_beyond_the_dense_oracle(tmp_path, cap
     prob = rc.ProblemSpec(A=sp.diags(-np.arange(1.0, n + 1)), B=None,
                           C=np.ones((1, n)))
     code = run(write_problem(prob, tmp_path)
-               + ["--shift-strategy", "hamiltonian", "--verify"])
+               + ["--verify"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     # the library's estimate of the same answer, as solve computed it
@@ -198,21 +196,12 @@ def test_cli_zero_c_is_an_input_error(tmp_path, capsys):
     assert "ricadi: error: C must not be zero" in capsys.readouterr().err
 
 
-def test_cli_window_below_one_is_an_input_error(tmp_path, capsys):
-    prob = random_problem(81, n=20)
-    code = run(write_problem(prob, tmp_path)
-               + ["--shift-strategy", "hamiltonian", "--window", "0"])
-    assert code == 1
-    assert "ricadi: error: window must be at least 1" in capsys.readouterr().err
-
-
 def test_cli_singular_e_is_one_error_with_warnings_as_errors(tmp_path):
     # scipy's lu_factor first warned "Diagonal number 60 is exactly zero",
     # and under -W error the CLI died of that warning with a traceback
     args = write_problem(singular_e_problem(82, 60), tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(rc.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-W", "error", "-m", "ricadi.cli", *args,
-                          "--shift-strategy", "hamiltonian"],
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "ricadi.cli", *args],
                          env=env, capture_output=True, text=True)
     assert out.returncode == 1
     assert out.stderr == "ricadi: error: mass matrix E is singular\n"

@@ -409,3 +409,12 @@ def test_singular_pivots_is_scale_free(scale):
 def test_singular_pivots_all_zero_and_empty():
     assert kn.singular_pivots(np.zeros(3))
     assert not kn.singular_pivots(np.zeros(0))
+
+
+@pytest.mark.parametrize("pivots, singular", [
+    ([1.0, np.nan], True), ([np.nan], True), ([np.nan, 1.0], True),
+    ([0.0, 0.0], True), ([], False), ([2.0, -1.0, 0.5j], False)])
+def test_singular_pivots_nan_is_singular(pivots, singular):
+    # a NaN pivot used to pass as regular: the rule read min |d| <= tol,
+    # and a comparison with NaN is False
+    assert kn.singular_pivots(np.array(pivots)) is singular

@@ -12,7 +12,13 @@ import scipy.sparse.linalg as spla
 import ricadi as rc
 import ricadi.brad as brad
 import ricadi.shifts as shifts_mod
-from conftest import fem1d_pair, random_problem, rotating_problem, scalar_problem
+from conftest import (
+    WindowShifts,
+    fem1d_pair,
+    random_problem,
+    rotating_problem,
+    scalar_problem,
+)
 from ricadi.errors import ShiftsExhaustedError, ShiftStrategyError
 from ricadi.shifted import DENSE_LU_BELOW_N, ShiftedSystem
 from ricadi.shifts import projected_hamiltonian
@@ -29,9 +35,8 @@ def system_of(problem):
 
 
 def residual_hamiltonian_shift(state, problem, l):
-    """The shift HamiltonianShifts picks from the window of the last l columns."""
-    return shifts_mod._best_shift(shifts_mod.projected_hamiltonian(
-        state, problem, l, e_factor_of(problem)))
+    """The shift HamiltonianShifts' rule picks from the last l columns."""
+    return WindowShifts(l).next_shifts(state, problem, 1, system_of(problem))[0]
 
 
 def zu_projected_hamiltonian(state, problem, l, e_factor=None):
@@ -245,12 +250,12 @@ def test_hamiltonian_window_limits_basis():
 
 
 def test_default_window_is_3p_columns(monkeypatch):
-    # the default window is 3p: the same shifts as window=3p, and no
+    # the window is 3p: the same shifts as WindowShifts(3p), and no
     # projected Hamiltonian wider than 2 * 3p = 36 at p = 6
     prob = random_problem(47, n=80, m=1, p=2)
     options = rc.SolverOptions(tol=1e-9)
     default = rc.solve(prob, options, rc.HamiltonianShifts())
-    explicit = rc.solve(prob, options, rc.HamiltonianShifts(window=6))
+    explicit = rc.solve(prob, options, WindowShifts(6))
     assert default.converged
     assert ([r.shifts for r in default.records]
             == [r.shifts for r in explicit.records])
@@ -268,6 +273,13 @@ def test_default_window_is_3p_columns(monkeypatch):
     res = rc.solve(prob, rc.SolverOptions(tol=1e-9), rc.HamiltonianShifts())
     assert res.converged and res.state.q > 36
     assert max(sizes) == (36, 36)
+
+
+def test_hamiltonian_source_takes_no_settings():
+    # the window is 3p by rule, not by option: nothing to set, nothing kept
+    assert vars(rc.HamiltonianShifts()) == {}
+    with pytest.raises(TypeError):
+        rc.HamiltonianShifts(window=6)
 
 
 def test_shift_strategy_error_when_nothing_admissible(monkeypatch):
@@ -305,7 +317,7 @@ def test_hamiltonian_source_factors_e_once_per_e(monkeypatch):
                    [1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
     assert len(res.records) == 6
     assert len(factored) == 3 and all(f() is None for f in factored)
-    assert vars(src) == {"window": None}
+    assert vars(src) == {}
     # without E nothing is factored
     plain = random_problem(62, n=40, m=2, p=2)
     rc.solve(plain, rc.SolverOptions(tol=1e-9, max_iter=60), src)
@@ -477,7 +489,7 @@ def test_shift_selection_reads_only_the_window(generalized):
     H_blind = projected_hamiltonian(blind, prob, l, system.e_factor)
     assert np.all(np.isfinite(H_blind))
     np.testing.assert_array_equal(H_blind, H)
-    src = rc.HamiltonianShifts(window=l)
+    src = WindowShifts(l)
     assert (src.next_shifts(blind, prob, 1, system)
             == src.next_shifts(state, prob, 1, system))
 

@@ -15,6 +15,7 @@ import ricadi.shifts as shifts_mod
 import ricadi.solver as solver_mod
 from conftest import (
     RecordingShifts,
+    WindowShifts,
     assert_invariants,
     dense_defect,
     dense_x,
@@ -53,12 +54,11 @@ def test_options_reject_max_iter_below_one(max_iter):
 
 
 @pytest.mark.parametrize("value", [0, -3, 1.5, 2.0, "2"])
-@pytest.mark.parametrize("name", ["max_iter", "parallel_width", "window"])
+@pytest.mark.parametrize("name", ["max_iter", "parallel_width"])
 def test_counts_must_be_integers_of_at_least_one(name, value):
-    make = rc.HamiltonianShifts if name == "window" else rc.SolverOptions
     with pytest.raises(ValueError, match=name):
-        make(**{name: value})
-    assert getattr(make(**{name: np.int64(3)}), name) == 3
+        rc.SolverOptions(**{name: value})
+    assert getattr(rc.SolverOptions(**{name: np.int64(3)}), name) == 3
 
 
 @pytest.mark.parametrize("C", [np.zeros((2, 3)), np.full((1, 3), 1e-170)])
@@ -69,9 +69,17 @@ def test_solve_rejects_zero_c(C):
         rc.solve(prob, rc.SolverOptions(), [1.0])
 
 
-def test_solve_requires_shift_source():
-    with pytest.raises(ValueError, match="shift source"):
-        rc.solve(scalar_problem(), rc.SolverOptions())
+def test_solve_without_shifts_runs_hamiltonian_shifts():
+    # no shifts given: solve picks them by the residual Hamiltonian strategy
+    options = rc.SolverOptions(tol=1e-9)
+    for generalized in (False, True):
+        prob = random_problem(52, n=40, m=1, p=2, generalized=generalized)
+        default = rc.solve(prob, options)
+        explicit = rc.solve(prob, options, rc.HamiltonianShifts())
+        assert default.converged and len(default.records) > 2
+        for name in ("Z", "R"):
+            assert (getattr(default, name).tobytes()
+                    == getattr(explicit, name).tobytes())
 
 
 @pytest.mark.parametrize("mode", ["r2adi", "radi", "hybrid"])
@@ -616,7 +624,7 @@ def test_open_loop_cancellation_is_redone_small():
     # this input cancels by more than 2e4, so nothing would be redone.
     prob = _fem1d_problem(499, 6, np.random.default_rng(340))
     res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=1e-9),
-                   rc.HamiltonianShifts(window=36))
+                   WindowShifts(36))
     assert res.converged
     assert dense_defect(prob, res) <= 1e-11
     assert any(r.redone for r in res.records)
@@ -635,7 +643,7 @@ def test_open_loop_cancellation_is_redone_fem1d_3000(monkeypatch):
     # the redo that solve is still correct (defect 5.7e-13).
     prob = _fem1d_problem(3000, 6, np.random.default_rng([215, 1, 5]))
     options = rc.SolverOptions(mode="hybrid", tol=1e-9)
-    res = rc.solve(prob, options, rc.HamiltonianShifts(window=36))
+    res = rc.solve(prob, options, WindowShifts(36))
     assert res.converged
     # checked with the benchmark's own residual check, as the workload is
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -647,7 +655,7 @@ def test_open_loop_cancellation_is_redone_fem1d_3000(monkeypatch):
     assert all(r.closed_loop for r in res.records[first - 1:])
 
     monkeypatch.setattr(solver_mod, "MAX_GRAM_CANCELLATION", np.inf)
-    res = rc.solve(prob, options, rc.HamiltonianShifts(window=36))
+    res = rc.solve(prob, options, WindowShifts(36))
     assert res.rel_residual < options.tol and not any(r.redone for r in res.records)
     assert not res.converged
     assert "residual defect" in res.message
