@@ -65,9 +65,9 @@ class HamiltonianShifts:
 
     The batch size is ignored. The shift is the scored Ritz value itself,
     whatever the sign of its Im; on real data brad realifies it with its
-    conjugate. The projection window is the last 3p columns of Z: a step's
+    conjugate. The projection window is the last 2p columns of Z: a step's
     window QR costs O(n l^2) and its eig O(l^3), and on the benchmark's
-    workloads 3p takes about as many steps as 6p at well under half the
+    workloads 2p takes about as many steps as 3p to 6p and the least
     shift-selection time (README, "Shift selection", has the measurements
     and the windows tried). E's factor is the solve's own, read from the
     ShiftedSystem it passes in, so the source has no state and one source
@@ -75,7 +75,7 @@ class HamiltonianShifts:
     """
 
     def next_shifts(self, state, problem, batch, system):
-        H = projected_hamiltonian(state, problem, 3 * problem.p, system.e_factor)
+        H = projected_hamiltonian(state, problem, 2 * problem.p, system.e_factor)
         return [_best_shift(H)]
 
 

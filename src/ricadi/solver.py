@@ -17,12 +17,12 @@ MODES = ("r2adi", "radi", "hybrid")
 # An open-loop step whose correction Ztil - Z Y12 amplifies roundoff by more
 # than this factor (BradState.gram_cancellation) is redone with the
 # closed-loop body, which corrects nothing. Seen (max_cancellation of
-# tests/bitwise_digest.py): at most 0.051 and 1.2e-3 on the small-batch and
-# cd2d inputs, 4e4 on fem1d but for one redone step of 2.4e7 (fem1d/i1);
-# 3.9e8 and 1.6e13 on a step of the two FEM redo tests' inputs at a 6p
-# window, whose converged factors then have a residual defect of 3e-11 and
-# 1e-7 instead of 5e-14. oracle.residual_defect only detects such an answer
-# (solve then reports it unconverged); the redo turns it into a right one.
+# tests/bitwise_digest.py): at most 0.051 and 1.7e-3 on the small-batch and
+# cd2d inputs and 1e5 on fem1d, with no step redone; 3.9e8 and 1.6e13 on a
+# step of the two FEM redo tests' inputs at a 6p window, whose converged
+# factors then have a residual defect of 3e-11 and 1e-7 instead of 5e-14.
+# oracle.residual_defect only detects such an answer (solve then reports it
+# unconverged); the redo turns it into a right one.
 MAX_GRAM_CANCELLATION = 1e6
 
 

@@ -168,7 +168,7 @@ class RecordingShifts:
 
 
 class WindowShifts:
-    """HamiltonianShifts' rule on the last `window` columns of Z, not 3p."""
+    """HamiltonianShifts' rule on the last `window` columns of Z, not 2p."""
 
     def __init__(self, window):
         self.window = window

@@ -66,7 +66,7 @@ def test_cli_missing_shifts(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [("--shift-strategy", "hamiltonian"),
                                          ("--window", "3")])
 def test_cli_rejects_removed_shift_flags(tmp_path, capsys, flag, value):
-    # the shift source follows from --shifts, and the window is 3p by rule
+    # the shift source follows from --shifts, and the window is 2p by rule
     with pytest.raises(SystemExit) as exc:
         run(scalar_args(tmp_path) + [flag, value])
     assert exc.value.code == 2

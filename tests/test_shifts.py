@@ -249,13 +249,13 @@ def test_hamiltonian_window_limits_basis():
     assert mu.real > 0
 
 
-def test_default_window_is_3p_columns(monkeypatch):
-    # the window is 3p: the same shifts as WindowShifts(3p), and no
-    # projected Hamiltonian wider than 2 * 3p = 36 at p = 6
+def test_default_window_is_2p_columns(monkeypatch):
+    # the window is 2p: the same shifts as WindowShifts(2p), and no
+    # projected Hamiltonian wider than 2 * 2p = 24 at p = 6
     prob = random_problem(47, n=80, m=1, p=2)
     options = rc.SolverOptions(tol=1e-9)
     default = rc.solve(prob, options, rc.HamiltonianShifts())
-    explicit = rc.solve(prob, options, WindowShifts(6))
+    explicit = rc.solve(prob, options, WindowShifts(4))
     assert default.converged
     assert ([r.shifts for r in default.records]
             == [r.shifts for r in explicit.records])
@@ -271,12 +271,12 @@ def test_default_window_is_3p_columns(monkeypatch):
     monkeypatch.setattr(shifts_mod, "projected_hamiltonian", spy)
     prob = random_problem(48, n=120, m=1, p=6)
     res = rc.solve(prob, rc.SolverOptions(tol=1e-9), rc.HamiltonianShifts())
-    assert res.converged and res.state.q > 36
-    assert max(sizes) == (36, 36)
+    assert res.converged and res.state.q > 24
+    assert max(sizes) == (24, 24)
 
 
 def test_hamiltonian_source_takes_no_settings():
-    # the window is 3p by rule, not by option: nothing to set, nothing kept
+    # the window is 2p by rule, not by option: nothing to set, nothing kept
     assert vars(rc.HamiltonianShifts()) == {}
     with pytest.raises(TypeError):
         rc.HamiltonianShifts(window=6)

@@ -561,7 +561,8 @@ def test_corrupted_hminus_alone_is_reported_converged():
 
 
 class _TopTwoHamiltonianShifts:
-    """The two best admissible Ritz values of one projection, for real data.
+    """The two best admissible Ritz values of one 3p-window projection, for
+    real data.
 
     Ranked as shifts._best_shift ranks them; a conjugate pair counts once.
     On the input below its trajectory drifts the q-by-q Lyapunov identity
@@ -620,8 +621,9 @@ def test_open_loop_cancellation_is_redone_small():
     # With a window of 36 = 6p columns, one open-loop step of this solve
     # (step 8, q = 42) corrects its block with ||Y12* Y12|| / lambda_min(G) =
     # 3.9e8; absorbed as it is, it leaves the converged factor with a dense
-    # defect of 3e-11 instead of 5e-14. At the default 3p window no step of
-    # this input cancels by more than 2e4, so nothing would be redone.
+    # defect of 3e-11 instead of 5e-14. At the default 2p window the solve
+    # takes 29 steps, no step of this input cancels by more than 3.6e2, and
+    # nothing would be redone.
     prob = _fem1d_problem(499, 6, np.random.default_rng(340))
     res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=1e-9),
                    WindowShifts(36))
@@ -638,9 +640,9 @@ def test_open_loop_cancellation_is_redone_fem1d_3000(monkeypatch):
     # a residual defect of 5.0e-14. Without the redo its Gram residual still
     # drops below tol, but the answer's residual defect reads 9.9e-8: solve
     # reports it unconverged, and only the redo turns it into a right answer.
-    # At the default 3p window step 10 (q = 54, mu = 46.0 +- 9.8i) cancels by
-    # 7.8e6 and is redone (38 steps, q = 252, defect 2.2e-13), but without
-    # the redo that solve is still correct (defect 5.7e-13).
+    # At the default 2p window step 10 (q = 54, mu = 48.2 +- 8.0i) cancels by
+    # 1.8e6 and is redone (36 steps, q = 252, defect 1.4e-13), but without
+    # the redo that solve is still correct (defect 1.6e-13).
     prob = _fem1d_problem(3000, 6, np.random.default_rng([215, 1, 5]))
     options = rc.SolverOptions(mode="hybrid", tol=1e-9)
     res = rc.solve(prob, options, WindowShifts(36))
