@@ -45,7 +45,10 @@ def build_parser():
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's: 0 after --help, 2 for a rejected line
+        return 0 if exc.code == 0 else 1
     try:
         problem = load_problem(args.a, args.c, b_path=args.b, e_path=args.e)
         source = (None if args.shifts is None
@@ -91,7 +94,7 @@ def run(argv=None):
         if args.out_log:
             write_convergence_log(result.records, args.out_log)
         if args.out_z:
-            write_matrix_market(np.asarray(result.Z), args.out_z)
+            write_matrix_market(result.Z, args.out_z)
     except OSError as exc:
         print(f"ricadi: error: {exc}", file=sys.stderr)
         return 1

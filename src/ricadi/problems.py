@@ -102,11 +102,11 @@ def read_matrix_market(path):
     return M
 
 
-def write_matrix_market(M, path, comment=""):
+def write_matrix_market(M, path):
     """Write a matrix (dense or sparse) as a Matrix Market file at path."""
     # scipy's mmwrite of a path fails silently and may append ".mtx" to it
     with open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, M, comment=comment)
+        scipy.io.mmwrite(fh, M)
 
 
 def read_shift_file(path):
@@ -135,20 +135,12 @@ LOG_HEADER = ["iter", "subspace_dim", "rel_residual",
 
 
 def write_convergence_log(records, path):
-    """Write per-step convergence records as CSV with 17 significant digits."""
+    """Write each record's LOG_HEADER fields as CSV, 17 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_HEADER)
         for r in records:
-            writer.writerow([
-                r.iter,
-                r.subspace_dim,
-                f"{r.rel_residual:.17g}",
-                f"{r.expansion_s:.17g}",
-                f"{r.absorb_s:.17g}",
-                f"{r.total_s:.17g}",
-                f"{r.shift_s:.17g}",
-            ])
+            writer.writerow([f"{getattr(r, name):.17g}" for name in LOG_HEADER])
 
 
 def load_problem(a_path, c_path, b_path=None, e_path=None):

@@ -51,10 +51,9 @@ class Factor:
         self.dtype = np.result_type(M.dtype, np.float64)
 
     def solve(self, RHS):
-        """Return W with M W = RHS, in the dtype of RHS promoted with M's."""
-        RHS = np.atleast_2d(np.asarray(RHS))
-        if RHS.shape[0] != self.n:
-            raise ValueError(f"RHS must have {self.n} rows, got {RHS.shape}")
+        """Return W with M W = RHS (2-D, n rows), in RHS's dtype promoted with M's."""
+        if RHS.ndim != 2 or RHS.shape[0] != self.n:
+            raise ValueError(f"RHS must be 2-D, {self.n} rows, got {RHS.shape}")
         RHS = RHS.astype(np.result_type(RHS.dtype, self.dtype), copy=False)
         if RHS.shape[1] == 0:
             return RHS
@@ -146,11 +145,8 @@ def smw_solve(f, K, B, RHS):
     The m-by-m capacitance I - B* N, N = (A* - mu E*)^-1 K, is a Factor
     under the same size rule, so an m >= DENSE_LU_BELOW_N would go to
     SuperLU; no test or workload has m > 2. A singular capacitance raises
-    SMWSingularError carrying f's shift.
+    SMWSingularError carrying f's shift. K, B and RHS are 2-D arrays.
     """
-    K = np.atleast_2d(np.asarray(K))
-    B = np.atleast_2d(np.asarray(B))
-    RHS = np.atleast_2d(np.asarray(RHS))
     m = K.shape[1]
     if m == 0:
         return f.solve(RHS)

@@ -93,10 +93,8 @@ class SolveResult:
     message: str = ""
 
 
-def relative_residual(state, problem, norm_cc=None):
-    """||R R*||_2 / ||C* C||_2 via p-by-p Gram matrices only."""
-    if norm_cc is None:
-        norm_cc = spectral_norm_gram(problem.C.conj().T)
+def relative_residual(state, norm_cc):
+    """||R R*||_2 / norm_cc, norm_cc = ||C* C||_2, via the p-by-p Gram of R."""
     return spectral_norm_gram(state.R) / norm_cc
 
 
@@ -173,7 +171,7 @@ def solve(problem, options=None, shifts=None, callback=None):
         state = new
         t2 = time.perf_counter()
 
-        relres = relative_residual(state, problem, norm_cc)
+        relres = relative_residual(state, norm_cc)
         rec = ConvergenceRecord(
             iter=it, subspace_dim=state.q, rel_residual=relres,
             expansion_s=t1 - t_shift, absorb_s=t2 - t1, total_s=t2 - t0,

@@ -41,6 +41,12 @@ def scalar_args(tmp_path):
     return write_problem(prob, tmp_path, shifts=[1.0, np.sqrt(2.0)])
 
 
+def assert_rejected(capsys, needle):
+    """argparse's usage and error on stderr, and no summary or RESULT line."""
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ricadi") and needle in err
+
+
 def test_cli_scalar_pipeline(tmp_path, capsys):
     code = run(scalar_args(tmp_path) + ["--mode", "radi", "--tol", "1e-9"])
     out = capsys.readouterr().out
@@ -67,10 +73,21 @@ def test_cli_missing_shifts(tmp_path, capsys):
                                          ("--window", "3")])
 def test_cli_rejects_removed_shift_flags(tmp_path, capsys, flag, value):
     # the shift source follows from --shifts, and the window is 2p by rule
-    with pytest.raises(SystemExit) as exc:
-        run(scalar_args(tmp_path) + [flag, value])
-    assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert run(scalar_args(tmp_path) + [flag, value]) == 1
+    assert_rejected(capsys, flag)
+
+
+def test_cli_rejects_a_command_line_without_a(tmp_path, capsys):
+    # exit 1 like any input error, so that 2 means only "not converged"
+    args = scalar_args(tmp_path)
+    i = args.index("--a")
+    assert run(args[:i] + args[i + 2:]) == 1
+    assert_rejected(capsys, "--a")
+
+
+def test_cli_help_exits_zero(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ricadi")
 
 
 def test_cli_empty_shift_file(tmp_path, capsys):
@@ -222,10 +239,8 @@ def test_cli_main_raises_system_exit(tmp_path):
 
 def test_cli_rejects_realify_flag(tmp_path, capsys):
     # realification follows the data; there is no option to switch it
-    with pytest.raises(SystemExit) as exc:
-        run(scalar_args(tmp_path) + ["--realify", "on"])
-    assert exc.value.code == 2
-    assert "--realify" in capsys.readouterr().err
+    assert run(scalar_args(tmp_path) + ["--realify", "on"]) == 1
+    assert_rejected(capsys, "--realify")
 
 
 def test_cli_summary_labels(tmp_path, capsys):

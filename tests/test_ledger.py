@@ -1,4 +1,4 @@
-"""How many LU factorizations and factored solves one solve makes.
+"""How much work of each kind one solve does.
 
 Every LU is made by shifted.Factor's constructor and every factored solve is
 a Factor.solve, so counting the two counts that work of a solve exactly:
@@ -11,54 +11,96 @@ a Factor.solve, so counting the two counts that work of a solve exactly:
 Here expansions = steps + closed-loop steps + redone steps: a redone step
 expands twice, open-loop and then closed-loop. A change that factors a
 shift twice, or solves with E twice a step, breaks the count.
+
+B is viewed as an array that counts the matrix products it takes part in,
+B* included:
+
+- one B* Ztil per absorption, and absorptions = steps + redone steps;
+- two per closed-loop expansion, in the SMW solve (B* N and B* L);
+- two per step when HamiltonianShifts projects (B K* EU and B* U);
+- one more, Z* B, when the loop ends below tol and residual_defect checks.
+
+The absorption kernels are counted as brad calls them: Lyapunov and
+Cholesky once per absorption, Sylvester once per open-loop absorption, that
+is steps - closed-loop steps + redone steps.
 """
 
 import numpy as np
 import pytest
 
 import ricadi as rc
+import ricadi.brad as brad
 import ricadi.shifted as shifted_mod
 import ricadi.solver as solver_mod
 from conftest import fem1d_pair, random_problem
 
 SHIFT_LIST = [float(s) for s in np.geomspace(0.5, 5e4, 12)] * 2
+TOL = 1e-9
+KERNELS = ("cholesky_upper", "solve_lyapunov_small", "solve_sylvester_small")
 
 
-def _problem(n, with_e):
+def _problem(n, with_e, ledger):
+    """The problem, its B viewed as an array that counts products in ledger."""
     if n < shifted_mod.DENSE_LU_BELOW_N:
-        return random_problem(80, n=n, m=1, p=2, generalized=with_e)
-    A, E = fem1d_pair(n)
-    rng = np.random.default_rng(82)
-    return rc.ProblemSpec(A=A, B=rng.standard_normal((n, 1)),
-                          C=rng.standard_normal((2, n)), E=E if with_e else None)
+        prob = random_problem(80, n=n, m=1, p=2, generalized=with_e)
+    else:
+        A, E = fem1d_pair(n)
+        rng = np.random.default_rng(82)
+        prob = rc.ProblemSpec(A=A, B=rng.standard_normal((n, 1)),
+                              C=rng.standard_normal((2, n)),
+                              E=E if with_e else None)
+
+    class CountedB(np.ndarray):
+        # a product is a plain array; B's conjugate is B still
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, CountedB) else x
+                     for x in inputs]
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            if ufunc is np.matmul:
+                ledger["B"] += 1
+            return out.view(CountedB) if ufunc is np.conjugate else out
+
+    prob.B = prob.B.view(CountedB)
+    return prob
+
+
+def _count(monkeypatch, counts, key, owner, name):
+    """Count calls of owner.name in counts[key] while the test runs."""
+    f = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
 
 
 @pytest.fixture
 def ledger(monkeypatch):
-    """Counts of Factor constructions and Factor.solve calls while it is live."""
-    counts = {"lu": 0, "solve": 0}
-    init, solve = shifted_mod.Factor.__init__, shifted_mod.Factor.solve
-
-    def counting_init(self, *args, **kwargs):
-        counts["lu"] += 1
-        init(self, *args, **kwargs)
-
-    def counting_solve(self, RHS):
-        counts["solve"] += 1
-        return solve(self, RHS)
-
-    monkeypatch.setattr(shifted_mod.Factor, "__init__", counting_init)
-    monkeypatch.setattr(shifted_mod.Factor, "solve", counting_solve)
+    """Counts of Factor constructions and solves, B products and the
+    absorption kernels brad calls, while it is live."""
+    counts = dict.fromkeys(("lu", "solve", "B") + KERNELS, 0)
+    _count(monkeypatch, counts, "lu", shifted_mod.Factor, "__init__")
+    _count(monkeypatch, counts, "solve", shifted_mod.Factor, "solve")
+    for name in KERNELS:
+        _count(monkeypatch, counts, name, brad, name)
     return counts
 
 
 def _assert_ledger(ledger, prob, res, hamiltonian):
     steps = len(res.records)
     closed = sum(r.closed_loop for r in res.records)
-    expansions = steps + closed + sum(r.redone for r in res.records)
+    redone = sum(r.redone for r in res.records)
+    expansions = steps + closed + redone
     with_e = prob.E is not None
     assert ledger["lu"] == expansions + with_e
     assert ledger["solve"] == expansions + (steps if hamiltonian and with_e else 0)
+    checked = res.records[-1].rel_residual < TOL
+    assert ledger["B"] == (steps + redone + 2 * closed
+                           + (2 * steps if hamiltonian else 0) + checked)
+    assert (ledger["cholesky_upper"] == ledger["solve_lyapunov_small"]
+            == steps + redone)
+    assert ledger["solve_sylvester_small"] == steps - closed + redone
     return steps, closed
 
 
@@ -67,10 +109,10 @@ def _assert_ledger(ledger, prob, res, hamiltonian):
 @pytest.mark.parametrize("n", [60, 600])
 @pytest.mark.parametrize("source", ["hamiltonian", "precomputed"])
 def test_factorizations_and_solves_per_solve(ledger, source, n, with_e, mode):
-    prob = _problem(n, with_e)
+    prob = _problem(n, with_e, ledger)
     hamiltonian = source == "hamiltonian"
     shifts = rc.HamiltonianShifts() if hamiltonian else SHIFT_LIST
-    res = rc.solve(prob, rc.SolverOptions(mode=mode, tol=1e-9, max_iter=20),
+    res = rc.solve(prob, rc.SolverOptions(mode=mode, tol=TOL, max_iter=20),
                    shifts)
     steps, closed = _assert_ledger(ledger, prob, res, hamiltonian)
     # each body is counted: hybrid runs both
@@ -82,10 +124,12 @@ def test_factorizations_and_solves_per_solve(ledger, source, n, with_e, mode):
 def test_redone_steps_expand_twice(ledger, monkeypatch):
     # with no cancellation allowed every r2adi step is redone closed-loop
     monkeypatch.setattr(solver_mod, "MAX_GRAM_CANCELLATION", -1.0)
-    prob = _problem(60, True)
-    res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=1e-9),
+    prob = _problem(60, True, ledger)
+    res = rc.solve(prob, rc.SolverOptions(mode="r2adi", tol=TOL),
                    rc.HamiltonianShifts())
     assert res.converged and all(r.redone for r in res.records)
     steps, _ = _assert_ledger(ledger, prob, res, True)
     assert (ledger["lu"], ledger["solve"]) == (3 * steps + 1, 4 * steps)
+    assert ledger["B"] == 6 * steps + 1
+    assert [ledger[name] for name in KERNELS] == [2 * steps, 2 * steps, steps]
 

@@ -67,14 +67,14 @@ def test_factorize_generalized():
     A = sp.csr_matrix(np.array([[-2.0]]))
     E = sp.csr_matrix(np.array([[2.0]]))
     f = factorize(A, E, mu=1.0)
-    np.testing.assert_allclose(solve_factored(f, [[1.0]]), [[-0.25]])
+    np.testing.assert_allclose(solve_factored(f, np.array([[1.0]])), [[-0.25]])
 
 
 def test_factorize_conjugates_a():
     A = sp.csr_matrix(np.array([[-1.0 + 1.0j]]))
     f = factorize(A, mu=2.0)
     # A* - 2 = -3 - 1j
-    np.testing.assert_allclose(solve_factored(f, [[1.0]]),
+    np.testing.assert_allclose(solve_factored(f, np.array([[1.0]])),
                                [[1.0 / (-3 - 1j)]], atol=1e-15)
 
 
@@ -149,7 +149,7 @@ def test_real_e_factor_solves_complex_block(producer):
 
 def test_solve_factored_scalar_pipeline():
     f = factorize(sp.csr_matrix(np.array([[-1.0]])), mu=1.0)
-    np.testing.assert_allclose(solve_factored(f, [[1.0]]), [[-0.5]])
+    np.testing.assert_allclose(solve_factored(f, np.array([[1.0]])), [[-0.5]])
 
 
 def test_solve_factored_multi_rhs_is_columnwise():
@@ -227,7 +227,7 @@ def test_smw_empty_b():
 def test_smw_scalar_hand_value():
     # (A* - K B* - mu) w = r with A=-1, B=1, K=0.4, mu=sqrt(2), r=0.2
     f = factorize(sp.csr_matrix(np.array([[-1.0]])), mu=np.sqrt(2))
-    got = smw_solve(f, [[0.4]], [[1.0]], [[0.2]])
+    got = smw_solve(f, np.array([[0.4]]), np.array([[1.0]]), np.array([[0.2]]))
     want = 0.2 / (-1.0 - 0.4 - np.sqrt(2))
     np.testing.assert_allclose(got, [[want]], atol=1e-14)
     assert abs(got[0, 0] - (-0.0710678)) < 1e-7

@@ -35,6 +35,7 @@ from ricadi.errors import (
     ShiftStrategyError,
     SingularShiftError,
 )
+from ricadi.kernels import spectral_norm_gram
 from ricadi.oracle import residual_defect
 
 
@@ -92,24 +93,28 @@ def test_scalar_closed_form_all_modes(mode):
     assert res.rel_residual <= 1e-12
 
 
+def _norm_cc(prob):
+    return spectral_norm_gram(prob.C.conj().T)
+
+
 def test_relative_residual_fresh_state():
     prob = random_problem(50, n=12, m=1, p=2)
-    assert solver_mod.relative_residual(brad.init_state(prob), prob) == 1.0
+    assert solver_mod.relative_residual(brad.init_state(prob), _norm_cc(prob)) == 1.0
 
 
 def test_relative_residual_scalar_step1():
     prob = scalar_problem()
     state = brad.init_state(prob)
     state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
-    np.testing.assert_allclose(solver_mod.relative_residual(state, prob), 0.04,
-                               atol=1e-14)
+    np.testing.assert_allclose(
+        solver_mod.relative_residual(state, _norm_cc(prob)), 0.04, atol=1e-14)
 
 
 def test_relative_residual_scaling_invariance():
     prob = random_problem(51, n=12, m=1, p=1)
     scaled = rc.ProblemSpec(A=prob.A, B=prob.B, C=2.0 * prob.C, E=prob.E)
-    r1 = solver_mod.relative_residual(brad.init_state(prob), prob)
-    r2 = solver_mod.relative_residual(brad.init_state(scaled), scaled)
+    r1 = solver_mod.relative_residual(brad.init_state(prob), _norm_cc(prob))
+    r2 = solver_mod.relative_residual(brad.init_state(scaled), _norm_cc(scaled))
     np.testing.assert_allclose(r1, r2, atol=1e-14)
 
 
@@ -254,7 +259,7 @@ def test_parallel_width_consumes_batches():
     assert res.state.q == 4
 
 
-def test_realify_auto_disabled_for_complex_data():
+def test_complex_data_solves_each_member_of_a_conjugate_pair():
     prob = random_problem(58, n=15, m=1, p=1, complex_data=True)
     res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=2),
                    [1 + 1j, 1 - 1j])
@@ -262,7 +267,7 @@ def test_realify_auto_disabled_for_complex_data():
     assert res.state.q == 2
 
 
-def test_realify_on_real_data_keeps_storage_real():
+def test_real_data_with_a_complex_pair_keeps_storage_real():
     prob = random_problem(59, n=25, m=2, p=1)
     res = rc.solve(prob, rc.SolverOptions(tol=1e-280, max_iter=3),
                    [1 + 1j, 1 - 1j, 2.0])
@@ -272,7 +277,7 @@ def test_realify_on_real_data_keeps_storage_real():
     assert len(res.records) == 2 and res.state.q == 3
 
 
-def test_realify_off_matches_on_sparse():
+def test_realified_pairs_match_complex_storage_on_sparse():
     # n above the dense threshold: in the complex-storage reference, real
     # shifts after a complex pair reach a real sparse factor with a complex
     # residual factor
