@@ -202,7 +202,7 @@ def _absorb(state, problem, block, Zt, U1t, BZt, YY=None):
     Dhat = _right_divide_upper(G22 @ block.D, G22)
     Zhat = _right_divide_upper(Zt, G22)
     SBhat = _right_divide_upper(BZt, G22)
-    EZhat = Zhat if problem.E is None else problem.E.conj().T @ Zhat
+    EZhat = Zhat if problem.E is None else problem.E.conj(copy=False).T @ Zhat
     # filled in place; np.block is over ten times slower at q in the hundreds
     q = state.q
     Hminus = np.zeros((q + Dhat.shape[0],) * 2,

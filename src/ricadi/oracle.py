@@ -94,7 +94,8 @@ def residual_defect(problem, Z, R):
     twice, for 8 columns each time: those passes are most of the cost.
     """
     A, B, C, E = problem.A, problem.B, problem.C, problem.E
-    AH, EH, ZB = A.conj().T, None if E is None else E.conj().T, Z.conj().T @ B
+    AH, ZB = A.conj(copy=False).T, Z.conj().T @ B
+    EH = None if E is None else E.conj(copy=False).T
     rng = np.random.default_rng(0)
     V = rng.standard_normal((problem.n, 4))
     if not problem.is_real:

@@ -1,11 +1,11 @@
 """Factored solves with the large shifted matrices (A* - mu E*).
 
 Every LU factorization is a Factor, whose constructor holds the one
-dense/sparse rule and the one pivot check: factorize makes one per shift,
-from the A* and E* that a ShiftedSystem holds for one solve,
-shifts.factor_e the one of E that it holds too, and smw_solve one of its
-m-by-m capacitance. A factor serves any number of right-hand sides, and the
-Sherman-Morrison-Woodbury formula turns the rank-m feedback correction
+dense/sparse rule, SuperLU's settings and the one pivot check: factorize
+makes one per shift, from the A* and E* that a ShiftedSystem holds for one
+solve, shifts.factor_e the one of E that it holds too, and smw_solve one of
+its m-by-m capacitance. A factor serves any number of right-hand sides, and
+the Sherman-Morrison-Woodbury formula turns the rank-m feedback correction
 (A* - K B* - mu E*) into one solve with the factor plus an m-by-m solve.
 """
 
@@ -22,13 +22,26 @@ from .kernels import singular_pivots
 # Shifted matrices with n below this are factored by dense LU, others by SuperLU.
 DENSE_LU_BELOW_N = 500
 
+# SuperLU's supernode relaxation and panel width for every sparse factor
+# (scipy's defaults are 10 and 20). relax = 1 relaxes no supernode, so no
+# stored entry is zero padding: the 3-D Laplacian 10^3 stores 67,282 entries
+# instead of 170,216. Four-column panels need less fresh workspace: a cd2d
+# factor touches about 710 new pages instead of 1,140. Together they take
+# about 20% off each cd2d and fem1d factor (README, "Factorizations").
+# Keep 1 <= relax <= panel_size <= 20: panel_size 24 and 32 aborted or
+# segfaulted on the cd2d operator, in one run only after the factor had
+# returned (heap corruption, not an error a caller could catch).
+SUPERLU_RELAX = 1
+SUPERLU_PANEL_SIZE = 4
+
 
 class Factor:
     """One LU factorization of an n-by-n matrix M, applied to any number of blocks.
 
     The rule is by size alone: dense LU when n < DENSE_LU_BELOW_N, else
-    splu(M in CSC). Dense LU works in place, so a dense M must be an array
-    made for this factor (a sparse M is copied to a Fortran-ordered array).
+    splu(M in CSC) with SUPERLU_RELAX and SUPERLU_PANEL_SIZE. Dense LU works
+    in place, so a dense M must be an array made for this factor (a sparse M
+    is copied to a Fortran-ordered array).
     A singular or non-finite M raises error(message), the message being
     singular, followed by LAPACK's wrapper's or SuperLU's reason if either
     failed. lu is a dense (lu, piv) pair from dense_lu or a SuperLU object,
@@ -41,7 +54,8 @@ class Factor:
             if n < DENSE_LU_BELOW_N:
                 lu = dense_lu(M.toarray(order="F") if sp.issparse(M) else M)
             else:
-                lu = splu(sp.csc_matrix(M))
+                lu = splu(sp.csc_matrix(M), relax=SUPERLU_RELAX,
+                          panel_size=SUPERLU_PANEL_SIZE)
         except (ValueError, RuntimeError) as exc:
             raise error(f"{singular}: {exc}") from exc
         pivots = np.diag(lu[0]) if isinstance(lu, tuple) else lu.U.diagonal()
@@ -114,8 +128,11 @@ def factorize(A, E=None, mu=0.0, system=None):
     mu * E.conj().T as scipy forms it in CSC, dense for n < DENSE_LU_BELOW_N.
     Dense LU factors it there, in place, SuperLU otherwise; SuperLU orders by
     minimum degree on the pattern of M* + M (MMD_AT_PLUS_A: about 40% less
-    fill than COLAMD on 2-D stencils). Deterministic for fixed input. Returns
-    a Factor; raises SingularShiftError when a pivot is negligible.
+    fill than COLAMD on 2-D stencils), with supernodes relaxed by
+    SUPERLU_RELAX and panels of SUPERLU_PANEL_SIZE columns (no zero padding,
+    less fresh workspace: about 20% off each factor on cd2d and fem1d).
+    Deterministic for fixed input. Returns a Factor; raises
+    SingularShiftError when a pivot is negligible.
     """
     mu = complex(mu)
     if mu.imag == 0.0:

@@ -82,10 +82,12 @@ class HamiltonianShifts:
 def factor_e(E):
     """Return E's Factor, made by the Factor constructor's rule: dense LU of a
     copy below DENSE_LU_BELOW_N, dense or sparse E alike, and from there on
-    SuperLU with its default ordering, called through this module's spla so
-    that a trace of shifts.spla.splu sees E's factors apart from the shifted
-    ones. E itself is never overwritten. solve factors E with this once per
-    solve; a singular E raises ShiftStrategyError.
+    SuperLU with its default ordering and the shifted factors' supernode and
+    panel sizes (shifted.SUPERLU_RELAX, SUPERLU_PANEL_SIZE), called through
+    this module's spla so that a trace of shifts.spla.splu sees E's factors
+    apart from the shifted ones. E itself is never overwritten. solve
+    factors E with this once per solve; a singular E raises
+    ShiftStrategyError.
     """
     return Factor(sp.csr_matrix(E), spla.splu, "mass matrix E is singular",
                   ShiftStrategyError)

@@ -13,9 +13,11 @@ workload's totals of steps, q, redone steps and closed-loop steps go to
 stderr, one line each, so a change that moves iterates shows by how much
 without touching the digest. The same line gives the largest
 gram_cancellation of any open-loop absorption, a redone one included (the
-figures the MAX_GRAM_CANCELLATION comment in solver.py quotes), and the
+figures the MAX_GRAM_CANCELLATION comment in solver.py quotes), the
 largest residual defect ||R(Z Z*) - R R*|| / ||C* C|| of an answer, as
-ricadi.oracle.residual_defect estimates it.
+ricadi.oracle.residual_defect estimates it, and the entries stored by all
+the workload's shifted SuperLU factors (superlu_nnz; 0 where every factor
+is a dense LU), so a change of fill shows as a count.
 It is a script, not a pytest module.
 """
 
@@ -37,6 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import ricadi as rc  # noqa: E402
 import ricadi.brad as brad  # noqa: E402
+import ricadi.shifted as shifted  # noqa: E402
 from ricadi.oracle import residual_defect  # noqa: E402
 from workloads import TOL, WORKLOADS, build_inputs  # noqa: E402
 
@@ -81,28 +84,41 @@ def main():
         return new
 
     brad.absorb_r2adi = recording_absorb_r2adi
-    totals = {}  # workload -> [inputs, steps, q, redone, closed-loop]
+    # every shifted factor: brad reads shifted.factorize
+    superlu_nnz = []
+    factorize = shifted.factorize
+
+    def recording_factorize(*args, **kwargs):
+        f = factorize(*args, **kwargs)
+        if not isinstance(f.lu, tuple):  # a SuperLU factor, not a dense LU
+            superlu_nnz.append(f.lu.nnz)
+        return f
+
+    shifted.factorize = recording_factorize
+    totals = {}  # workload -> [inputs, steps, q, redone, closed-loop, LU nnz]
     worst = {}  # workload -> [max cancellation, max residual defect]
     for workload, entry in inputs():
         cancellations.clear()
+        superlu_nnz.clear()
         problem, res = solve(entry)
         steps, q = len(res.records), res.state.q
         print(f"{workload}/{entry['name']}", sha256(res.Z), sha256(res.R),
               f"steps={steps}", f"q={q}", f"converged={res.converged}", flush=True)
         counts = (1, steps, q, sum(r.redone for r in res.records),
-                  sum(r.closed_loop for r in res.records))
+                  sum(r.closed_loop for r in res.records), sum(superlu_nnz))
         total = totals.setdefault(workload, [0] * len(counts))
         total[:] = map(sum, zip(total, counts))
         peaks = (max(cancellations, default=0.0),
                  residual_defect(problem, res.Z, res.R))
         peak = worst.setdefault(workload, [0.0, 0.0])
         peak[:] = map(max, zip(peak, peaks))
-    for workload, (count, steps, q, redone, closed) in totals.items():
+    for workload, (count, steps, q, redone, closed, nnz) in totals.items():
         cancellation, defect = worst[workload]
         print(f"{workload}: {count} inputs, steps={steps}, q={q}, "
               f"redone={redone}, closed_loop={closed}, "
               f"max_cancellation={cancellation:.2g}, "
-              f"max_residual_defect={defect:.2g}", file=sys.stderr)
+              f"max_residual_defect={defect:.2g}, superlu_nnz={nnz}",
+              file=sys.stderr)
 
 
 if __name__ == "__main__":

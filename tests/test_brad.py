@@ -8,12 +8,13 @@ import scipy.sparse as sp
 
 import ricadi as rc
 import ricadi.brad as brad
-from conftest import assert_invariants, dense_x, one_shift_per_step, \
+from conftest import assert_invariants, dense_x, fem1d_pair, one_shift_per_step, \
     random_problem, rel2, scalar_problem
 from invariants import brad_residual_check
 from ricadi.errors import ExpansionDegenerateError
 from ricadi.kernels import cholesky_upper, solve_lyapunov_small, \
     solve_sylvester_small
+from ricadi.oracle import residual_defect
 
 
 def scalar_state_after_step1():
@@ -430,3 +431,31 @@ def test_residual_check_detects_corruption():
     state = replace(state, Z=state.Z + 0.01)
     checks = brad_residual_check(state, prob)
     assert checks["brad_identity"] > 1e-3
+
+
+class EntryCopyCountingCSR(sp.csr_matrix):
+    """A CSR matrix that counts the arrays of its entries made from it."""
+
+    copies = 0
+
+    def _with_data(self, data, copy=True):
+        # scipy forms every same-pattern result (copy, conj, astype, scaling)
+        # here; one with new entries, or copied ones, counts
+        if copy or data is not self.data:
+            EntryCopyCountingCSR.copies += 1
+        return sp.csr_matrix._with_data(self, data, copy)
+
+
+def test_real_solve_with_e_copies_no_entries_of_a_or_e(monkeypatch):
+    # A* and E* are views for real data: assembled once per solve, never
+    # copied by an absorption step or by the oracle's defect estimate
+    A, E = fem1d_pair(40)
+    rng = np.random.default_rng(5)
+    prob = rc.ProblemSpec(A=A, B=rng.standard_normal((40, 1)),
+                          C=rng.standard_normal((2, 40)), E=E)
+    prob.A, prob.E = EntryCopyCountingCSR(prob.A), EntryCopyCountingCSR(prob.E)
+    monkeypatch.setattr(EntryCopyCountingCSR, "copies", 0)
+    res = rc.solve(prob, rc.SolverOptions(mode="hybrid", tol=1e-10))
+    assert res.converged and len(res.records) > 2
+    assert residual_defect(prob, res.Z, res.R) < 1e-12
+    assert EntryCopyCountingCSR.copies == 0

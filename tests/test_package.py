@@ -79,16 +79,21 @@ def test_invariants_import_no_ricadi_module():
 
 def test_shifted_keeps_no_module_state():
     # a module-level cache in shifted once kept a failed solve's A alive:
-    # shifted binds only imports, functions, classes and its one constant
+    # shifted binds only imports, functions, classes and its three integer
+    # constants
     tree = ast.parse((SRC / "shifted.py").read_text())
+    constants = []
     for node in tree.body:
         if isinstance(node, ast.Assign):
-            assert [ast.unparse(t) for t in node.targets] == ["DENSE_LU_BELOW_N"]
+            constants += [ast.unparse(t) for t in node.targets]
+            assert isinstance(node.value, ast.Constant), ast.unparse(node)
+            assert type(node.value.value) is int, ast.unparse(node)
         else:
             assert isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
                                      ast.ClassDef)) or (
                 isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
             ), ast.unparse(node)
+    assert constants == ["DENSE_LU_BELOW_N", "SUPERLU_RELAX", "SUPERLU_PANEL_SIZE"]
     assert not any(isinstance(n, ast.Global) for n in ast.walk(tree))
 
 

@@ -187,23 +187,72 @@ def _laplacian_2d(grid):
     return (sp.kron(I, T) + sp.kron(T, I)).tocsr()
 
 
+SUPERLU_SETTINGS = {"relax": shifted_mod.SUPERLU_RELAX,
+                    "panel_size": shifted_mod.SUPERLU_PANEL_SIZE}
+
+
 def test_sparse_ordering_is_minimum_degree_on_a_plus_at(monkeypatch):
     # SuperLU orders A* - mu E* by minimum degree on its symmetrized pattern
-    # (less fill than its COLAMD default on stencil operators)
+    # (less fill than its COLAMD default on stencil operators), with the
+    # module's supernode and panel sizes
     A = _laplacian_2d(24)
     seen = []
 
     def spy(M, **kwargs):
-        seen.append(kwargs.get("permc_spec") or "COLAMD")  # splu's default
+        seen.append(kwargs)
         return spla.splu(M, **kwargs)
 
     monkeypatch.setattr(shifted_mod, "spla", SimpleNamespace(splu=spy))
     f = factorize(A, mu=3.0)
-    assert A.shape[0] >= 500 and seen == ["MMD_AT_PLUS_A"]
+    assert A.shape[0] >= 500
+    assert seen == [{"permc_spec": "MMD_AT_PLUS_A", **SUPERLU_SETTINGS}]
     rhs = np.random.default_rng(4).standard_normal((A.shape[0], 2))
     dense = A.toarray().T - 3.0 * np.eye(A.shape[0])
     np.testing.assert_allclose(solve_factored(f, rhs),
                                np.linalg.solve(dense, rhs), atol=1e-9)
+
+
+def test_factor_e_uses_the_same_superlu_settings(monkeypatch):
+    # E's factor keeps SuperLU's default ordering but takes the same
+    # supernode and panel sizes, through shifts' own spla
+    seen = []
+
+    def spy(M, **kwargs):
+        seen.append(kwargs)
+        return spla.splu(M, **kwargs)
+
+    monkeypatch.setattr(shifts_mod, "spla", SimpleNamespace(splu=spy))
+    shifts_mod.factor_e(fem1d_pair(600)[1])
+    assert seen == [SUPERLU_SETTINGS]
+
+
+def test_superlu_settings_stay_in_the_safe_range():
+    # panel_size 24 and 32 aborted or segfaulted on the cd2d operator, for
+    # 16 relax values, one process per pair; with every pair in one process
+    # the crash came only after the last factor had returned (heap
+    # corruption). panel_size <= 20 never crashed, for relax 1 to 24.
+    assert 1 <= shifted_mod.SUPERLU_RELAX <= shifted_mod.SUPERLU_PANEL_SIZE <= 20
+
+
+def _laplacian_3d(grid):
+    T = sp.diags([np.ones(grid - 1), -2.0 * np.ones(grid), np.ones(grid - 1)],
+                 [-1, 0, 1])
+    I = sp.identity(grid)
+    return (sp.kron(sp.kron(I, I), T) + sp.kron(sp.kron(I, T), I)
+            + sp.kron(sp.kron(T, I), I)).tocsr()
+
+
+@pytest.mark.parametrize("A", [_laplacian_3d(10), _laplacian_2d(24)],
+                         ids=["laplacian-3d-10", "laplacian-2d-24"])
+def test_superlu_factor_stores_fewer_entries_than_the_default(A):
+    # scipy's default relax = 10 pads relaxed supernodes with zeros: the
+    # 3-D case stores 170,216 entries by default and 67,282 at relax = 1,
+    # the 2-D case 17,642 and 11,448
+    M = (A.T - 3.0 * sp.identity(A.shape[0])).tocsc()
+    default = spla.splu(M, permc_spec="MMD_AT_PLUS_A")
+    f = factorize(A, mu=3.0)
+    assert A.shape[0] >= shifted_mod.DENSE_LU_BELOW_N
+    assert f.lu.nnz < default.nnz
 
 
 def test_smw_rank_zero_update():
