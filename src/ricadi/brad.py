@@ -9,7 +9,7 @@ normalization.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -41,8 +41,21 @@ class BradState:
     factor by which the correction Ztil - Z Y12 amplified roundoff. The
     state holds no sizes: q is Z's column count, and n, p and m are the
     problem's, which every brad function receives. A state is never
-    modified: absorption returns a new state whose arrays share no memory
-    with the input.
+    modified, and its Z is read-only.
+
+    Z grows in place: an absorbed state's Z is a view of the first q columns
+    of _basis, a Fortran-ordered n-by-capacity buffer whose fill mark counts
+    the columns written. Absorption writes the new columns after the fill
+    mark only if the input's Z starts at the buffer's first column (the same
+    data pointer, so dataclasses.replace(state, Z=other) is never mistaken
+    for the buffer), the fill mark equals q and the dtype matches; otherwise
+    it copies Z into a new buffer. So two absorptions from one state never
+    write into each other's columns, and no column a state can see is ever
+    rewritten. A full buffer grows to max(2 q, 32) columns for the new q:
+    at most twice the columns in use once q >= 16. The other arrays of an
+    absorbed state share no memory with the input. solve returns a state
+    whose Z is an owned, trimmed copy, with no buffer behind it. _basis is
+    left out of == and repr.
     """
 
     Z: np.ndarray
@@ -53,10 +66,54 @@ class BradState:
     K: np.ndarray
     poles: list = field(default_factory=list)
     gram_cancellation: float = 0.0
+    _basis: "_Basis | None" = field(default=None, compare=False, repr=False)
 
     @property
     def q(self):
         return self.Z.shape[1]
+
+
+class _Basis:
+    """A growth buffer for Z: its columns and the fill mark, the count of
+    columns written. States that share it see prefixes of its columns."""
+
+    __slots__ = ("data", "fill")
+
+    def __init__(self, data, fill):
+        self.data, self.fill = data, fill
+
+
+# Columns of the first buffer, so that small bases do not regrow every step.
+MIN_BASIS_COLUMNS = 32
+
+
+def _appended(state, Zhat):
+    """Return (Z, basis): the state's Z with the columns Zhat appended, as a
+    read-only view of the growth buffer basis (BradState's docstring)."""
+    Z, q, t = state.Z, state.q, Zhat.shape[1]
+    dtype = np.result_type(Z, Zhat)
+    basis = state._basis
+    if not (basis is not None and basis.fill == q and basis.data.dtype == dtype
+            and Z.shape[0] == basis.data.shape[0]
+            and Z.strides == basis.data.strides
+            and Z.ctypes.data == basis.data.ctypes.data
+            and q + t <= basis.data.shape[1]):
+        data = np.empty((Z.shape[0], max(2 * (q + t), MIN_BASIS_COLUMNS)),
+                        dtype=dtype, order="F")
+        data[:, :q] = Z
+        basis = _Basis(data, q)
+    basis.data[:, q:q + t] = Zhat
+    basis.fill = q + t
+    Z = basis.data[:, :q + t]
+    Z.flags.writeable = False
+    return Z, basis
+
+
+def trimmed(state):
+    """The state with Z as an owned, trimmed, read-only copy and no buffer."""
+    Z = state.Z.copy(order="F")
+    Z.flags.writeable = False
+    return replace(state, Z=Z, _basis=None)
 
 
 @dataclass(frozen=True)
@@ -78,8 +135,10 @@ class ExpansionBlock:
 def init_state(problem):
     """Fresh empty state: R = C*, K = 0, no basis columns yet."""
     dtype = np.float64 if problem.is_real else np.complex128
+    Z = np.zeros((problem.n, 0), dtype=dtype)
+    Z.flags.writeable = False
     return BradState(
-        Z=np.zeros((problem.n, 0), dtype=dtype),
+        Z=Z,
         h=np.zeros((problem.p, 0), dtype=dtype),
         Hminus=np.zeros((0, 0), dtype=dtype),
         SB=np.zeros((problem.m, 0), dtype=dtype),
@@ -208,8 +267,9 @@ def _absorb(state, problem, block, Zt, U1t, BZt, YY=None):
     Hminus = np.zeros((q + Dhat.shape[0],) * 2,
                       dtype=np.result_type(state.Hminus, Dhat))
     Hminus[:q, :q], Hminus[:q, q:], Hminus[q:, q:] = state.Hminus, U2hat, Dhat
+    Z, basis = _appended(state, Zhat)
     return BradState(
-        Z=np.hstack([state.Z, Zhat]),
+        Z=Z,
         h=np.hstack([state.h, U1hat]),
         Hminus=Hminus,
         SB=np.hstack([state.SB, SBhat]),
@@ -217,6 +277,7 @@ def _absorb(state, problem, block, Zt, U1t, BZt, YY=None):
         K=state.K + EZhat @ SBhat.conj().T,
         poles=state.poles + block.poles,
         gram_cancellation=0.0 if YY is None else _cancellation(YY, gram),
+        _basis=basis,
     )
 
 

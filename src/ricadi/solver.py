@@ -183,6 +183,7 @@ def solve(problem, options=None, shifts=None, callback=None):
         if callback is not None:
             callback(state, rec)
         converged = relres < options.tol
+    state = brad.trimmed(state)
     if converged:
         defect = residual_defect(problem, state.Z, state.R)
         if not defect <= options.tol:

@@ -1,0 +1,51 @@
+"""Checks of the iterates at the benchmark's sizes, past the dense oracle.
+
+ricadi.oracle's dense checks stop at n = 500. The RADI iterate after k
+steps is built from Cayley transforms of one Hamiltonian, which commute
+(Benner, Bujanovic, Kuerschner and Saak, Numer. Math. 2018; Lin and
+Simoncini, NLAA 2015), so it does not depend on the order of its shifts.
+Comparing a solve with a shift list against one with the list reversed
+checks the whole step, the buffered basis included, with no n-by-n matrix.
+"""
+
+import numpy as np
+import pytest
+
+import ricadi as rc
+from conftest import fem1d_pair
+
+# Real shifts across the fem1d pencil's spectrum (about 10 to 1.2e7) and two
+# complex ones, each absorbed as its realified pair: 10 steps, q = 72 at p = 6.
+SHIFTS = [float(s) for s in np.geomspace(10.0, 1e7, 8)] + [300 + 900j,
+                                                           2e4 - 1.5e4j]
+
+# ||Z1 Z1* - Z2 Z2*||_2 / ||Z1 Z1*||_2 read 3.3e-11 and 3.4e-11 (r2adi, radi),
+# and the same for R R* 7.4e-14 and 8.9e-14: the roundoff floor of ten Cayley
+# steps on a pencil whose spectrum spans six decades. Scaling E* Zhat by
+# 1 + 1e-6 in the absorption moved them to 1.9e-5 and 3.4e-7.
+ZZ_BOUND = 1e-9
+RR_BOUND = 1e-11
+
+
+def gram_distance(X1, X2):
+    """||X1 X1* - X2 X2*||_2 / ||X1 X1*||_2 through a QR of [X1 X2]."""
+    T = np.linalg.qr(np.hstack([X1, X2]), mode="r")
+    T1, T2 = T[:, :X1.shape[1]], T[:, X1.shape[1]:]
+    G1 = T1 @ T1.conj().T
+    return np.linalg.norm(G1 - T2 @ T2.conj().T, 2) / np.linalg.norm(G1, 2)
+
+
+@pytest.mark.parametrize("mode", ["r2adi", "radi"])
+def test_reversed_shifts_give_the_same_iterate_fem1d_3000(mode):
+    A, E = fem1d_pair(3000)
+    rng = np.random.default_rng(91)
+    prob = rc.ProblemSpec(A=A, B=rng.standard_normal((3000, 1)),
+                          C=rng.standard_normal((6, 3000)), E=E)
+    options = rc.SolverOptions(mode=mode, tol=1e-300, max_iter=len(SHIFTS))
+    forward = rc.solve(prob, options, SHIFTS)
+    backward = rc.solve(prob, options, SHIFTS[::-1])
+    for res in (forward, backward):
+        assert len(res.records) == len(SHIFTS) and res.Z.shape == (3000, 72)
+        assert all(r.closed_loop == (mode == "radi") for r in res.records)
+    assert gram_distance(forward.Z, backward.Z) <= ZZ_BOUND
+    assert gram_distance(forward.R, backward.R) <= RR_BOUND

@@ -333,6 +333,23 @@ def test_absorb_degenerate_block():
         brad.absorb_r2adi(state, prob, block)
 
 
+STATE_ARRAYS = ("Z", "h", "Hminus", "SB", "R", "K")
+
+
+def fresh_copy(state):
+    """The state with every array copied and no growth buffer behind Z."""
+    return brad.BradState(**{k: getattr(state, k).copy() for k in STATE_ARRAYS},
+                          poles=list(state.poles),
+                          gram_cancellation=state.gram_cancellation)
+
+
+def assert_states_equal(x, y):
+    for k in STATE_ARRAYS:
+        a, b = getattr(x, k), getattr(y, k)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+    assert x.poles == y.poles and x.gram_cancellation == y.gram_cancellation
+
+
 def test_absorb_does_not_mutate_input_state():
     prob = scalar_problem()
     state = brad.init_state(prob)
@@ -340,26 +357,110 @@ def test_absorb_does_not_mutate_input_state():
     brad.absorb_r2adi(state, prob, block)
     assert state.q == 0
     np.testing.assert_array_equal(state.R, [[1.0]])
-    # every field of an empty and of a two-step state survives both
-    # absorption bodies bitwise, and no array of either result shares memory
-    # with the other result or with the input state
+    # From an empty and from a two-step state, both absorption bodies leave
+    # every field of the input bitwise as it was, and each of two absorptions
+    # from one state equals the same absorption from a fresh copy of it: the
+    # second, which finds the first's columns past its q in the buffer,
+    # writes its own elsewhere. The columns each appends overlap neither the
+    # other's nor the input's, every Z is read-only, and the other arrays
+    # share no memory with anything.
     prob = random_problem(37, n=20, m=2, p=2)
-    names = ("Z", "h", "Hminus", "SB", "R", "K")
+    small = ("h", "Hminus", "SB", "R", "K")
     state = brad.init_state(prob)
     for mu in (None, 1.0, 2.0):
         if mu is not None:
             state = brad.absorb_r2adi(state, prob,
                                       brad.expand_simple(state, prob, mu))
-        snapshot = {k: getattr(state, k).tobytes() for k in names}
+        q = state.q
+        snapshot = {k: getattr(state, k).tobytes() for k in STATE_ARRAYS}
         poles = list(state.poles)
-        a = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 3.0))
-        b = brad.absorb_radi(state, prob,
-                             brad.expand_simple(state, prob, 4.0, closed_loop=True))
-        for k in names:
+
+        def absorb_both(state):
+            return (brad.absorb_r2adi(state, prob,
+                                      brad.expand_simple(state, prob, 3.0)),
+                    brad.absorb_radi(state, prob, brad.expand_simple(
+                        state, prob, 4.0, closed_loop=True)))
+
+        a, b = absorb_both(state)
+        for k in STATE_ARRAYS:
             assert getattr(state, k).tobytes() == snapshot[k], k
-            for x, y in ((a, b), (a, state), (b, state)):
-                assert not np.shares_memory(getattr(x, k), getattr(y, k)), k
         assert state.poles == poles
+        fresh = fresh_copy(state)
+        ref_a, ref_b = absorb_both(fresh)
+        assert_states_equal(a, ref_a)
+        assert_states_equal(b, ref_b)
+        assert not np.shares_memory(a.Z[:, q:], b.Z[:, q:])
+        for x in (a, b):
+            assert not np.shares_memory(x.Z[:, q:], state.Z)
+            assert not x.Z.flags.writeable
+            for k in small:
+                for y in (a, b, state):
+                    others = [getattr(y, j) for j in STATE_ARRAYS
+                              if y is not x or j != k]
+                    assert not any(np.shares_memory(getattr(x, k), o)
+                                   for o in others), k
+
+
+def test_absorbing_a_replaced_z_reads_the_replacement():
+    # a state whose Z was replaced keeps the old state's buffer, fill mark
+    # included; absorption must read the new Z, not the buffer's columns
+    prob = random_problem(41, n=20, m=1, p=2)
+    state = brad.init_state(prob)
+    for mu in (1.0, 2.0):
+        state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, mu))
+    delta = 1e-3
+    replaced = replace(state, Z=state.Z + delta)
+    built = replace(fresh_copy(state), Z=state.Z + delta)
+    for absorb, closed_loop in ((brad.absorb_r2adi, False), (brad.absorb_radi, True)):
+        a = absorb(replaced, prob, brad.expand_simple(replaced, prob, 3.0, closed_loop))
+        b = absorb(built, prob, brad.expand_simple(built, prob, 3.0, closed_loop))
+        assert_states_equal(a, b)
+        np.testing.assert_array_equal(a.Z[:, :state.q], state.Z + delta)
+
+
+def test_growing_z_matches_an_hstack_of_its_blocks():
+    # Over three buffer growths (32, then 2q columns each time it fills) the
+    # buffered run is bitwise the run whose every absorption starts from a Z
+    # that np.hstack built from the same blocks, with no buffer behind it.
+    # The reference is Fortran-ordered like the buffer, since Z's layout sets
+    # the BLAS rounding of Z @ Y12.
+    prob = random_problem(42, n=200, m=1, p=4)
+    shifts = [float(s) for s in np.geomspace(0.5, 50.0, 40)]
+    state = ref = brad.init_state(prob)
+    blocks, buffers = [], set()
+    for i, mu in enumerate(shifts):
+        absorb, closed_loop = ((brad.absorb_r2adi, False) if i % 3
+                               else (brad.absorb_radi, True))
+        state = absorb(state, prob, brad.expand_simple(state, prob, mu, closed_loop))
+        new = absorb(ref, prob, brad.expand_simple(ref, prob, mu, closed_loop))
+        blocks.append(new.Z[:, ref.q:])
+        ref = replace(new, Z=np.asfortranarray(np.hstack(blocks)), _basis=None)
+        assert_states_equal(state, ref)
+        buffers.add(state._basis.data.shape[1])
+    assert state.q == 4 * len(shifts)
+    assert sorted(buffers) == [32, 72, 152, 312]
+
+
+def test_result_z_is_owned_and_trimmed():
+    prob = random_problem(43, n=40, m=1, p=2)
+    res = rc.solve(prob, rc.SolverOptions(mode="hybrid", tol=1e-10))
+    assert res.converged
+    assert res.Z is res.state.Z and res.state._basis is None
+    assert res.Z.flags.owndata
+    assert res.Z.shape == (40, res.records[-1].subspace_dim) == (40, res.state.q)
+
+
+def test_no_state_z_can_be_written():
+    prob = random_problem(44, n=30, m=1, p=2)
+    states = [brad.init_state(prob)]
+    res = rc.solve(prob, rc.SolverOptions(mode="hybrid", tol=1e-10),
+                   callback=lambda state, rec: states.append(state))
+    states.append(res.state)
+    assert len(states) > 4
+    for state in states:
+        with pytest.raises(ValueError, match="read-only"):
+            state.Z[...] = 0.0
+        assert state.Z.shape == (30, state.q)
 
 
 def test_state_and_block_fields_cannot_be_rebound():

@@ -23,10 +23,25 @@ B* included:
 The absorption kernels are counted as brad calls them: Lyapunov and
 Cholesky once per absorption, Sylvester once per open-loop absorption, that
 is steps - closed-loop steps + redone steps.
+
+A and E are viewed as CSR matrices that count their products with blocks of
+n rows, their conjugate transposes' included:
+
+- A: one A EU per step when HamiltonianShifts projects;
+- E: one E* Zhat per absorption, when E is given;
+- each: six more, when residual_defect checks (A Q and A* W, E Q and E* W,
+  in each of its three power steps).
+
+A* and E* are assembled once per solve, in its one shifted.ShiftedSystem;
+for real data they are views, so no entry of A or E is ever copied.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ricadi as rc
 import ricadi.brad as brad
@@ -61,7 +76,41 @@ def _problem(n, with_e, ledger):
             return out.view(CountedB) if ufunc is np.conjugate else out
 
     prob.B = prob.B.view(CountedB)
+    prob.A = _counted_sparse(prob.A, ledger, "A")
+    if prob.E is not None:
+        prob.E = _counted_sparse(prob.E, ledger, "E")
     return prob
+
+
+def _counted_sparse(M, ledger, key):
+    """M as a CSR view that counts in ledger[key] its products with blocks of
+    n rows, and the entry arrays made from it in ledger["copies"]; its
+    conjugate and transpose count too."""
+
+    class Counted:
+        def _matmul_dispatch(self, other):
+            if np.ndim(other) and np.shape(other)[0] == self.shape[1]:
+                ledger[key] += 1
+            return super()._matmul_dispatch(other)
+
+        def _with_data(self, data, copy=True):
+            # every same-pattern result (copy, conj, astype, scaling) is
+            # formed here; one with new or copied entries counts
+            if copy or data is not self.data:
+                ledger["copies"] += 1
+            return super()._with_data(data, copy)
+
+        def transpose(self, axes=None, copy=False):
+            return TRANSPOSED[type(self)](super().transpose(axes, copy))
+
+    class CSR(Counted, sp.csr_matrix):
+        pass
+
+    class CSC(Counted, sp.csc_matrix):
+        pass
+
+    TRANSPOSED = {CSR: CSC, CSC: CSR}
+    return CSR(M)
 
 
 def _count(monkeypatch, counts, key, owner, name):
@@ -77,10 +126,13 @@ def _count(monkeypatch, counts, key, owner, name):
 
 @pytest.fixture
 def ledger(monkeypatch):
-    """Counts of Factor constructions and solves, B products and the
-    absorption kernels brad calls, while it is live."""
-    counts = dict.fromkeys(("lu", "solve", "B") + KERNELS, 0)
+    """Counts of Factor constructions and solves, products with B, A and E,
+    copies of A's and E's entries, ShiftedSystems and the absorption kernels
+    brad calls, while it is live."""
+    counts = dict.fromkeys(("lu", "solve", "B", "A", "E", "copies", "systems")
+                           + KERNELS, 0)
     _count(monkeypatch, counts, "lu", shifted_mod.Factor, "__init__")
+    _count(monkeypatch, counts, "systems", shifted_mod.ShiftedSystem, "__init__")
     _count(monkeypatch, counts, "solve", shifted_mod.Factor, "solve")
     for name in KERNELS:
         _count(monkeypatch, counts, name, brad, name)
@@ -101,6 +153,9 @@ def _assert_ledger(ledger, prob, res, hamiltonian):
     assert (ledger["cholesky_upper"] == ledger["solve_lyapunov_small"]
             == steps + redone)
     assert ledger["solve_sylvester_small"] == steps - closed + redone
+    assert ledger["A"] == (steps if hamiltonian else 0) + 6 * checked
+    assert ledger["E"] == (steps + redone + 6 * checked if with_e else 0)
+    assert (ledger["systems"], ledger["copies"]) == (1, 0)
     return steps, closed
 
 
@@ -131,5 +186,41 @@ def test_redone_steps_expand_twice(ledger, monkeypatch):
     steps, _ = _assert_ledger(ledger, prob, res, True)
     assert (ledger["lu"], ledger["solve"]) == (3 * steps + 1, 4 * steps)
     assert ledger["B"] == 6 * steps + 1
+    assert (ledger["A"], ledger["E"]) == (steps + 6, 2 * steps + 6)
     assert [ledger[name] for name in KERNELS] == [2 * steps, 2 * steps, steps]
 
+
+# Peak new allocation of one absorption on the n = 3000 FEM pencil, outside
+# the steps that grow Z's buffer. Measured with p = 6, hybrid, Hamiltonian
+# shifts (36 steps to q = 246): 0.66-1.22 MB, the most at the steps that
+# absorb a realified pair (12 columns) and rising slowly with Hminus's q^2
+# entries (0.48 MB at q = 246). The 4 growth steps read 1.49, 2.36, 4.75 and
+# 8.19 MB. Rebuilding Z with np.hstack every step took 0.90 MB at q = 0 and
+# 6.68 MB at q = 240, about 0.9 MB plus n q 8 bytes.
+ABSORB_PEAK_MB = 1.5
+
+
+def test_absorption_allocates_no_copy_of_z(monkeypatch):
+    A, E = fem1d_pair(3000)
+    rng = np.random.default_rng(90)
+    prob = rc.ProblemSpec(A=A, B=rng.standard_normal((3000, 1)),
+                          C=rng.standard_normal((6, 3000)), E=E)
+    peaks = []
+    for name in ("absorb_r2adi", "absorb_radi"):
+        absorb = getattr(brad, name)
+
+        def traced(state, problem, block, absorb=absorb):
+            tracemalloc.start()
+            try:
+                return absorb(state, problem, block)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+                tracemalloc.stop()
+
+        monkeypatch.setattr(brad, name, traced)
+    res = rc.solve(prob, rc.SolverOptions(mode="hybrid"))
+    assert res.converged and res.state.q > 200
+    assert len(peaks) == len(res.records) > 30
+    growths = math.ceil(math.log2(res.state.q / brad.MIN_BASIS_COLUMNS)) + 1
+    over = [round(p, 2) for p in peaks if p > ABSORB_PEAK_MB]
+    assert len(over) <= growths, over
