@@ -44,18 +44,17 @@ class BradState:
     modified, and its Z is read-only.
 
     Z grows in place: an absorbed state's Z is a view of the first q columns
-    of _basis, a Fortran-ordered n-by-capacity buffer whose fill mark counts
-    the columns written. Absorption writes the new columns after the fill
-    mark only if the input's Z starts at the buffer's first column (the same
-    data pointer, so dataclasses.replace(state, Z=other) is never mistaken
-    for the buffer), the fill mark equals q and the dtype matches; otherwise
-    it copies Z into a new buffer. So two absorptions from one state never
-    write into each other's columns, and no column a state can see is ever
-    rewritten. A full buffer grows to max(2 q, 32) columns for the new q:
-    at most twice the columns in use once q >= 16. The other arrays of an
-    absorbed state share no memory with the input. solve returns a state
-    whose Z is an owned, trimmed copy, with no buffer behind it. _basis is
-    left out of == and repr.
+    of _basis, a Fortran-ordered n-by-capacity buffer that remembers its tip,
+    the Z view it handed out last. Absorption appends the new columns in
+    place only if the input's Z is that tip (an identity test), the dtype
+    matches and the buffer has room; otherwise it copies Z into a new
+    buffer. Every append moves the tip, so a second absorption from one
+    state copies, as does a state made by dataclasses.replace(state, Z=...):
+    no column a state can see is ever rewritten. A full buffer grows to
+    max(2 q, 32) columns for the new q: at most twice the columns in use
+    once q >= 16. The other arrays of an absorbed state share no memory with
+    the input. solve returns a state whose Z is an owned, trimmed copy, with
+    no buffer behind it. _basis is left out of == and repr.
     """
 
     Z: np.ndarray
@@ -74,13 +73,13 @@ class BradState:
 
 
 class _Basis:
-    """A growth buffer for Z: its columns and the fill mark, the count of
-    columns written. States that share it see prefixes of its columns."""
+    """A growth buffer for Z: its columns and its tip, the Z view it handed
+    out last, which alone may append in place (BradState's docstring)."""
 
-    __slots__ = ("data", "fill")
+    __slots__ = ("data", "tip")
 
-    def __init__(self, data, fill):
-        self.data, self.fill = data, fill
+    def __init__(self, data, tip):
+        self.data, self.tip = data, tip
 
 
 # Columns of the first buffer, so that small bases do not regrow every step.
@@ -93,20 +92,16 @@ def _appended(state, Zhat):
     Z, q, t = state.Z, state.q, Zhat.shape[1]
     dtype = np.result_type(Z, Zhat)
     basis = state._basis
-    if not (basis is not None and basis.fill == q and basis.data.dtype == dtype
-            and Z.shape[0] == basis.data.shape[0]
-            and Z.strides == basis.data.strides
-            and Z.ctypes.data == basis.data.ctypes.data
+    if not (getattr(basis, "tip", None) is Z and basis.data.dtype == dtype
             and q + t <= basis.data.shape[1]):
         data = np.empty((Z.shape[0], max(2 * (q + t), MIN_BASIS_COLUMNS)),
                         dtype=dtype, order="F")
         data[:, :q] = Z
-        basis = _Basis(data, q)
+        basis = _Basis(data, None)
     basis.data[:, q:q + t] = Zhat
-    basis.fill = q + t
-    Z = basis.data[:, :q + t]
-    Z.flags.writeable = False
-    return Z, basis
+    basis.tip = basis.data[:, :q + t]
+    basis.tip.flags.writeable = False
+    return basis.tip, basis
 
 
 def trimmed(state):

@@ -23,7 +23,6 @@ def singular_pivots(d):
 
 def hermitian_part(M):
     """Return (M + M*)/2; inputs are expected Hermitian up to roundoff."""
-    M = np.asarray(M)
     return 0.5 * (M + M.conj().T)
 
 
@@ -37,7 +36,7 @@ def cholesky_upper(M):
     diagonal fails pivot 0. Pivots potrf accepted are checked before the one
     it rejected, so the reported index is the first that fails the rule.
     """
-    M = hermitian_part(np.atleast_2d(M))
+    M = hermitian_part(M)
     M = M.astype(np.result_type(M.dtype, np.float64), copy=False)
     potrf, = sla.get_lapack_funcs(("potrf",), (M,))
     G, info = potrf(M, lower=False, clean=True)
@@ -74,7 +73,6 @@ def spectral_norm_gram(R):
 
     Never forms the n-by-n product; returns the largest eigenvalue of R*R.
     """
-    R = np.atleast_2d(np.asarray(R))
     if R.size == 0:
         return 0.0
     g = hermitian_part(R.conj().T @ R)
@@ -91,7 +89,6 @@ def solve_sylvester_small(Hm, D, RHS):
     triangle, so complex data with a 2-by-2 block raises ValueError; such a
     block is a realified pair, which only real data has.
     """
-    Hm, D, RHS = (np.atleast_2d(np.asarray(M)) for M in (Hm, D, RHS))
     real = not any(np.iscomplexobj(M) for M in (Hm, D, RHS))
     dtype = np.float64 if real else np.complex128
     q, t = Hm.shape[0], D.shape[0]

@@ -30,8 +30,9 @@ class ProblemSpec:
     given dense or sparse, and its format is fixed here: A and E are stored
     as CSR (a CSR input's arrays are shared, not copied), B and C as dense
     2-D arrays. So a problem built here and one read by load_problem run the
-    same arithmetic. A complex matrix whose imaginary parts are all zero is
-    stored as its real part, so real data is real-typed.
+    same arithmetic. Each is stored in double precision (lower precision is
+    copied up), and a complex one whose imaginary parts are all zero as its
+    real part, so real data is real-typed. More than 2 dimensions is an error.
     """
 
     A: object
@@ -40,6 +41,9 @@ class ProblemSpec:
     E: object = None
 
     def __post_init__(self):
+        for name in ("A", "B", "C", "E"):
+            if np.ndim(getattr(self, name)) > 2:
+                raise ValueError(f"{name} must have at most 2 dimensions")
         self.A = sp.csr_matrix(self.A)
         self.E = None if self.E is None else sp.csr_matrix(self.E)
         if self.A.shape[0] != self.A.shape[1]:
@@ -62,10 +66,13 @@ class ProblemSpec:
             raise ValueError(f"E must be {n}x{n}, got {self.E.shape}")
         for name in ("A", "B", "C", "E"):
             M = getattr(self, name)
-            if M is not None and not np.all(np.isfinite(_entries(M))):
-                raise ValueError(f"{name} has a non-finite entry")
-            if np.iscomplexobj(M) and not np.any(_entries(M).imag):
-                setattr(self, name, M.real.copy())
+            if M is not None:
+                M = M.astype(np.result_type(M.dtype, np.float64), copy=False)
+                if not np.all(np.isfinite(_entries(M))):
+                    raise ValueError(f"{name} has a non-finite entry")
+                if np.iscomplexobj(M) and not np.any(_entries(M).imag):
+                    M = M.real.copy()
+                setattr(self, name, M)
 
     @property
     def n(self):

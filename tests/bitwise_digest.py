@@ -17,7 +17,9 @@ figures the MAX_GRAM_CANCELLATION comment in solver.py quotes), the
 largest residual defect ||R(Z Z*) - R R*|| / ||C* C|| of an answer, as
 ricadi.oracle.residual_defect estimates it, and the entries stored by all
 the workload's shifted SuperLU factors (superlu_nnz; 0 where every factor
-is a dense LU), so a change of fill shows as a count.
+is a dense LU), so a change of fill shows as a count. Last come the growth
+buffers made for Z (buffers), so a change of when Z is copied shows as a
+count too.
 It is a script, not a pytest module.
 """
 
@@ -95,29 +97,43 @@ def main():
         return f
 
     shifted.factorize = recording_factorize
-    totals = {}  # workload -> [inputs, steps, q, redone, closed-loop, LU nnz]
+    # the capacity of every growth buffer: brad._appended reads brad._Basis
+    buffers = []
+    basis = brad._Basis
+
+    def recording_basis(data, *args):
+        buffers.append(data.shape[1])
+        return basis(data, *args)
+
+    brad._Basis = recording_basis
+    # workload -> [inputs, steps, q, redone, closed-loop, LU nnz, buffers]
+    totals = {}
     worst = {}  # workload -> [max cancellation, max residual defect]
     for workload, entry in inputs():
         cancellations.clear()
         superlu_nnz.clear()
+        buffers.clear()
         problem, res = solve(entry)
         steps, q = len(res.records), res.state.q
         print(f"{workload}/{entry['name']}", sha256(res.Z), sha256(res.R),
               f"steps={steps}", f"q={q}", f"converged={res.converged}", flush=True)
         counts = (1, steps, q, sum(r.redone for r in res.records),
-                  sum(r.closed_loop for r in res.records), sum(superlu_nnz))
+                  sum(r.closed_loop for r in res.records), sum(superlu_nnz),
+                  len(buffers))
         total = totals.setdefault(workload, [0] * len(counts))
         total[:] = map(sum, zip(total, counts))
         peaks = (max(cancellations, default=0.0),
                  residual_defect(problem, res.Z, res.R))
         peak = worst.setdefault(workload, [0.0, 0.0])
         peak[:] = map(max, zip(peak, peaks))
-    for workload, (count, steps, q, redone, closed, nnz) in totals.items():
+    for workload, (count, steps, q, redone, closed, nnz,
+                   made) in totals.items():
         cancellation, defect = worst[workload]
         print(f"{workload}: {count} inputs, steps={steps}, q={q}, "
               f"redone={redone}, closed_loop={closed}, "
               f"max_cancellation={cancellation:.2g}, "
-              f"max_residual_defect={defect:.2g}, superlu_nnz={nnz}",
+              f"max_residual_defect={defect:.2g}, superlu_nnz={nnz}, "
+              f"buffers={made}",
               file=sys.stderr)
 
 

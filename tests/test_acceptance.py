@@ -159,7 +159,8 @@ def test_criterion_01_scalar_closed_form():
     W = shifted_mod.solve_factored(f, prob.C.conj().T)
     ok_w = abs(W[0, 0] - (-0.5)) <= 1e-14
     rhs = (prob.B.conj().T @ W)[0, 0] ** 2 + 1.0
-    Y22 = rc.kernels.solve_lyapunov_small([[1.0]], [[rhs]])
+    Y22 = rc.kernels.solve_lyapunov_small(np.array([[1.0]]),
+                                           np.array([[rhs]]))
     ok_y = abs(Y22[0, 0] - 0.625) <= 1e-14
     state = brad.init_state(prob)
     state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ricadi as rc
-from conftest import fem1d_pair
+from conftest import PERFBENCH, fem1d_pair
 
 # Real shifts across the fem1d pencil's spectrum (about 10 to 1.2e7) and two
 # complex ones, each absorbed as its realified pair: 10 steps, q = 72 at p = 6.
@@ -49,3 +49,46 @@ def test_reversed_shifts_give_the_same_iterate_fem1d_3000(mode):
         assert all(r.closed_loop == (mode == "radi") for r in res.records)
     assert gram_distance(forward.Z, backward.Z) <= ZZ_BOUND
     assert gram_distance(forward.R, backward.R) <= RR_BOUND
+
+
+# The benchmark's cd2d operator (n = 6400): 16 real shifts across its
+# spectrum (about 20 to 5.2e4) and two complex ones, each absorbed as its
+# realified pair: q = 120 at p = 6, so Z's buffer regrows twice on the way
+# and hybrid's last step at width 2 starts past its q >= 100 switch.
+CD2D_SHIFTS = [300 + 900j, 2000 - 1500j] + [float(s)
+                                           for s in np.geomspace(20.0, 5e4, 16)]
+
+# ZZ* read 1.2e-14 (r2adi, width 1, reversed), 5.8e-14 and 5.1e-14 (radi and
+# hybrid, width 2, permuted), and RR* 6.0e-14, 1.0e-12 and 1.0e-12: the
+# roundoff floor of 18 Cayley steps on an operator whose spectrum spans 3.5
+# decades, where the fem1d pencil's six decades leave 3e-11. Each bound sits
+# at least 10 times above its largest reading.
+CD2D_ZZ_BOUND = 1e-12
+CD2D_RR_BOUND = 1e-11
+
+
+@pytest.mark.parametrize("mode, width", [("r2adi", 1), ("radi", 2),
+                                         ("hybrid", 2)])
+def test_permuted_shifts_give_the_same_iterate_cd2d_6400(monkeypatch, mode,
+                                                         width):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import cd2d_operator
+
+    A = cd2d_operator(80, 10.0)
+    rng = np.random.default_rng(92)
+    prob = rc.ProblemSpec(A=A, B=rng.standard_normal((6400, 2)),
+                          C=rng.standard_normal((6, 6400)))
+    order = (np.arange(len(CD2D_SHIFTS))[::-1] if width == 1
+             else rng.permutation(len(CD2D_SHIFTS)))
+    options = rc.SolverOptions(mode=mode, tol=1e-300, max_iter=len(CD2D_SHIFTS),
+                               parallel_width=width)
+    forward = rc.solve(prob, options, CD2D_SHIFTS)
+    permuted = rc.solve(prob, options, [CD2D_SHIFTS[i] for i in order])
+    for res in (forward, permuted):
+        assert len(res.records) == len(CD2D_SHIFTS) // width
+        assert res.Z.shape == (6400, 120)
+        assert not any(r.redone for r in res.records)
+    if mode == "hybrid":
+        assert [r.closed_loop for r in forward.records] == [False] * 8 + [True]
+    assert gram_distance(forward.Z, permuted.Z) <= CD2D_ZZ_BOUND
+    assert gram_distance(forward.R, permuted.R) <= CD2D_RR_BOUND

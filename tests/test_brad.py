@@ -402,8 +402,8 @@ def test_absorb_does_not_mutate_input_state():
 
 
 def test_absorbing_a_replaced_z_reads_the_replacement():
-    # a state whose Z was replaced keeps the old state's buffer, fill mark
-    # included; absorption must read the new Z, not the buffer's columns
+    # a state whose Z was replaced keeps the old state's buffer, whose tip is
+    # the old Z; absorption must read the new Z, not the buffer's columns
     prob = random_problem(41, n=20, m=1, p=2)
     state = brad.init_state(prob)
     for mu in (1.0, 2.0):

@@ -36,7 +36,7 @@ def test_cholesky_identity():
 
 
 def test_cholesky_scalar():
-    np.testing.assert_array_equal(kn.cholesky_upper([[4.0]]), [[2.0]])
+    np.testing.assert_array_equal(kn.cholesky_upper(np.array([[4.0]])), [[2.0]])
 
 
 def test_cholesky_multiply_back():
@@ -249,7 +249,8 @@ def test_gram_norm_random(seed, n, p):
 # ------------------------------------------------------------- sylvester
 
 def test_sylvester_scalar():
-    Y = kn.solve_sylvester_small([[1.0]], [[2.0]], [[3.0]])
+    Y = kn.solve_sylvester_small(np.array([[1.0]]), np.array([[2.0]]),
+                                 np.array([[3.0]]))
     np.testing.assert_allclose(Y, [[1.0]])
 
 
@@ -344,13 +345,14 @@ def test_sylvester_singular_operator_complex_data():
     # Hm* has the eigenvalue 1 - 2i; D = -(1 - 2i) meets it
     Hm = np.array([[1.0 + 2.0j, 0.5], [0.0, 3.0]])
     with pytest.raises(SylvesterSingularError):
-        kn.solve_sylvester_small(Hm, [[-1.0 + 2.0j]], np.ones((2, 1)))
+        kn.solve_sylvester_small(Hm, np.array([[-1.0 + 2.0j]]), np.ones((2, 1)))
 
 
 def test_sylvester_singular_operator():
     # Hc = -D: spectra of -Hc and D coincide
     with pytest.raises(SylvesterSingularError):
-        kn.solve_sylvester_small([[-2.0]], [[2.0]], [[1.0]])
+        kn.solve_sylvester_small(np.array([[-2.0]]), np.array([[2.0]]),
+                                 np.array([[1.0]]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -368,7 +370,7 @@ def test_sylvester_random_property(seed, q, t):
 # -------------------------------------------------------------- lyapunov
 
 def test_lyapunov_scalar_hand_value():
-    Y = kn.solve_lyapunov_small([[1.0]], [[1.25]])
+    Y = kn.solve_lyapunov_small(np.array([[1.0]]), np.array([[1.25]]))
     np.testing.assert_allclose(Y, [[0.625]])
 
 

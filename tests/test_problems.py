@@ -276,6 +276,44 @@ def test_problem_spec_is_real():
     np.testing.assert_array_equal(prob.A.toarray(), -np.eye(2))
 
 
+@pytest.mark.parametrize("n", [30, 600])
+@pytest.mark.parametrize("name", ["A", "E"])
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+def test_single_precision_data_is_solved_in_double(n, name, dtype):
+    # solved in single precision, the residual defect stalls near 7e-8, and
+    # at n = 600 a float32 E's SuperLU factor cannot solve a float64 block
+    rng = np.random.default_rng(7)
+    d = np.linspace(1.0, 50.0, n)
+    mats = {"A": sp.diags(-d).tocsr(), "E": sp.diags(1.0 + d / 50.0).tocsr()}
+    if dtype == np.complex64:
+        mats[name] = mats[name] + sp.diags(1j * np.linspace(0.0, 3.0, n))
+    mats[name] = mats[name].astype(dtype).tocsr()
+    prob = rc.ProblemSpec(B=rng.standard_normal((n, 1)),
+                          C=rng.standard_normal((2, n)), **mats)
+    assert getattr(prob, name).dtype == np.result_type(dtype, np.float64)
+    for mode in ("r2adi", "radi"):
+        res = rc.solve(prob, rc.SolverOptions(mode=mode, tol=1e-9))
+        assert res.converged, (mode, res.message)
+
+
+@pytest.mark.parametrize("name, shape", [("B", (30, 1, 1)), ("C", (1, 30, 1)),
+                                         ("A", (30, 30, 1)), ("E", (1, 30, 30))])
+def test_problem_spec_rejects_more_than_two_dimensions(name, shape):
+    mats = {"A": sp.csr_matrix(-np.eye(30)), "B": np.ones((30, 1)),
+            "C": np.ones((1, 30)), "E": None, name: np.ones(shape)}
+    with pytest.raises(ValueError, match=f"{name} must have at most 2 dimensions"):
+        rc.ProblemSpec(**mats)
+
+
+def test_double_precision_csr_input_is_not_copied():
+    A = random_problem(14, n=40).A
+    assert A.dtype == np.float64 and A.format == "csr"
+    prob = rc.ProblemSpec(A=A, B=np.ones((40, 1)), C=np.ones((1, 40)), E=A)
+    for M in (prob.A, prob.E):
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(M, part), getattr(A, part)), part
+
+
 def test_load_problem(tmp_path):
     prob = random_problem(11, n=8, m=2, p=1, generalized=True)
     paths = {}
