@@ -17,9 +17,11 @@ figures the MAX_GRAM_CANCELLATION comment in solver.py quotes), the
 largest residual defect ||R(Z Z*) - R R*|| / ||C* C|| of an answer, as
 ricadi.oracle.residual_defect estimates it, and the entries stored by all
 the workload's shifted SuperLU factors (superlu_nnz; 0 where every factor
-is a dense LU), so a change of fill shows as a count. Last come the growth
-buffers made for Z (buffers), so a change of when Z is copied shows as a
-count too.
+is a dense LU), so a change of fill shows as a count. Next to it stands
+the number of SuperLU calls that order by minimum degree on M* + M
+(orderings, MMD_AT_PLUS_A): one per sparse solve, whose ShiftedSystem
+orders its pencil's pattern once. Last come the growth buffers made for Z
+(buffers), so a change of when Z is copied shows as a count too.
 It is a script, not a pytest module.
 """
 
@@ -33,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -97,6 +100,19 @@ def main():
         return f
 
     shifted.factorize = recording_factorize
+    # every SuperLU call that orders by minimum degree on M* + M: the
+    # system and the factors call shifted.spla's splu and spilu
+    orderings = []
+    spla = shifted.spla
+
+    def recording_superlu(name):
+        def called(M, **kwargs):
+            orderings.append(kwargs.get("permc_spec") == "MMD_AT_PLUS_A")
+            return getattr(spla, name)(M, **kwargs)
+        return called
+
+    shifted.spla = SimpleNamespace(splu=recording_superlu("splu"),
+                                   spilu=recording_superlu("spilu"))
     # the capacity of every growth buffer: brad._appended reads brad._Basis
     buffers = []
     basis = brad._Basis
@@ -106,12 +122,14 @@ def main():
         return basis(data, *args)
 
     brad._Basis = recording_basis
-    # workload -> [inputs, steps, q, redone, closed-loop, LU nnz, buffers]
+    # workload -> [inputs, steps, q, redone, closed-loop, LU nnz, orderings,
+    # buffers]
     totals = {}
     worst = {}  # workload -> [max cancellation, max residual defect]
     for workload, entry in inputs():
         cancellations.clear()
         superlu_nnz.clear()
+        orderings.clear()
         buffers.clear()
         problem, res = solve(entry)
         steps, q = len(res.records), res.state.q
@@ -119,21 +137,21 @@ def main():
               f"steps={steps}", f"q={q}", f"converged={res.converged}", flush=True)
         counts = (1, steps, q, sum(r.redone for r in res.records),
                   sum(r.closed_loop for r in res.records), sum(superlu_nnz),
-                  len(buffers))
+                  sum(orderings), len(buffers))
         total = totals.setdefault(workload, [0] * len(counts))
         total[:] = map(sum, zip(total, counts))
         peaks = (max(cancellations, default=0.0),
                  residual_defect(problem, res.Z, res.R))
         peak = worst.setdefault(workload, [0.0, 0.0])
         peak[:] = map(max, zip(peak, peaks))
-    for workload, (count, steps, q, redone, closed, nnz,
+    for workload, (count, steps, q, redone, closed, nnz, ordered,
                    made) in totals.items():
         cancellation, defect = worst[workload]
         print(f"{workload}: {count} inputs, steps={steps}, q={q}, "
               f"redone={redone}, closed_loop={closed}, "
               f"max_cancellation={cancellation:.2g}, "
               f"max_residual_defect={defect:.2g}, superlu_nnz={nnz}, "
-              f"buffers={made}",
+              f"orderings={ordered}, buffers={made}",
               file=sys.stderr)
 
 

@@ -32,12 +32,16 @@ n rows, their conjugate transposes' included:
 - each: six more, when residual_defect checks (A Q and A* W, E Q and E* W,
   in each of its three power steps).
 
-A* and E* are assembled once per solve, in its one shifted.ShiftedSystem;
-for real data they are views, so no entry of A or E is ever copied.
+A* and E* are assembled once per solve, in its one shifted.ShiftedSystem.
+From n = 500 on the system orders their joint pattern once, so a solve makes
+one SuperLU MMD_AT_PLUS_A call (orderings), and below none; it places A's
+and E's entries into that pattern once, and no scipy copy of A or E (copy,
+conj, astype, scaling) is ever made.
 """
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,10 +131,21 @@ def _count(monkeypatch, counts, key, owner, name):
 @pytest.fixture
 def ledger(monkeypatch):
     """Counts of Factor constructions and solves, products with B, A and E,
-    copies of A's and E's entries, ShiftedSystems and the absorption kernels
-    brad calls, while it is live."""
-    counts = dict.fromkeys(("lu", "solve", "B", "A", "E", "copies", "systems")
-                           + KERNELS, 0)
+    copies of A's and E's entries, ShiftedSystems, SuperLU orderings by
+    minimum degree on M* + M and the absorption kernels brad calls, while it
+    is live."""
+    counts = dict.fromkeys(("lu", "solve", "B", "A", "E", "copies", "systems",
+                            "orderings") + KERNELS, 0)
+    spla = shifted_mod.spla
+
+    def superlu(name):
+        def called(M, **kwargs):
+            counts["orderings"] += kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
+            return getattr(spla, name)(M, **kwargs)
+        return called
+
+    monkeypatch.setattr(shifted_mod, "spla", SimpleNamespace(
+        splu=superlu("splu"), spilu=superlu("spilu")))
     _count(monkeypatch, counts, "lu", shifted_mod.Factor, "__init__")
     _count(monkeypatch, counts, "systems", shifted_mod.ShiftedSystem, "__init__")
     _count(monkeypatch, counts, "solve", shifted_mod.Factor, "solve")
@@ -156,6 +171,7 @@ def _assert_ledger(ledger, prob, res, hamiltonian):
     assert ledger["A"] == (steps if hamiltonian else 0) + 6 * checked
     assert ledger["E"] == (steps + redone + 6 * checked if with_e else 0)
     assert (ledger["systems"], ledger["copies"]) == (1, 0)
+    assert ledger["orderings"] == (prob.A.shape[0] >= shifted_mod.DENSE_LU_BELOW_N)
     return steps, closed
 
 

@@ -192,24 +192,40 @@ SUPERLU_SETTINGS = {"relax": shifted_mod.SUPERLU_RELAX,
 
 
 def test_sparse_ordering_is_minimum_degree_on_a_plus_at(monkeypatch):
-    # SuperLU orders A* - mu E* by minimum degree on its symmetrized pattern
-    # (less fill than its COLAMD default on stencil operators), with the
-    # module's supernode and panel sizes
+    # The system orders the pencil's pattern once, by SuperLU's minimum
+    # degree on its symmetrized pattern (less fill than its COLAMD default
+    # on stencil operators): the order splu takes of the shifted matrix
+    # itself, whatever the shift. Every factor is then NATURAL on the held
+    # order, with the module's supernode and panel sizes.
     A = _laplacian_2d(24)
-    seen = []
+    calls = []
 
-    def spy(M, **kwargs):
-        seen.append(kwargs)
-        return spla.splu(M, **kwargs)
+    def spy(name):
+        def called(M, **kwargs):
+            calls.append((kwargs, getattr(spla, name)(M, **kwargs)))
+            return calls[-1][1]
+        return called
 
-    monkeypatch.setattr(shifted_mod, "spla", SimpleNamespace(splu=spy))
-    f = factorize(A, mu=3.0)
-    assert A.shape[0] >= 500
-    assert seen == [{"permc_spec": "MMD_AT_PLUS_A", **SUPERLU_SETTINGS}]
+    monkeypatch.setattr(shifted_mod, "spla",
+                        SimpleNamespace(splu=spy("splu"), spilu=spy("spilu")))
+    system = shifted_mod.ShiftedSystem(A)
+    mus = (3.0, 40.0 + 5.0j, 900.0)
+    factors = [factorize(A, None, mu, system) for mu in mus]
+    assert A.shape[0] >= shifted_mod.DENSE_LU_BELOW_N
+    assert [kw.get("permc_spec") for kw, _ in calls].count("MMD_AT_PLUS_A") == 1
+    perm_c = calls[0][1].perm_c
+    for mu in mus:
+        per_shift = spla.splu(_scipy_difference(A, None, mu),
+                              permc_spec="MMD_AT_PLUS_A", **SUPERLU_SETTINGS)
+        assert np.array_equal(per_shift.perm_c, perm_c)
+    np.testing.assert_array_equal(system.perm, np.argsort(perm_c))
+    assert ([kw for kw, _ in calls[1:]]
+            == [{"permc_spec": "NATURAL", **SUPERLU_SETTINGS}] * len(mus))
     rhs = np.random.default_rng(4).standard_normal((A.shape[0], 2))
-    dense = A.toarray().T - 3.0 * np.eye(A.shape[0])
-    np.testing.assert_allclose(solve_factored(f, rhs),
-                               np.linalg.solve(dense, rhs), atol=1e-9)
+    for mu, f in zip(mus, factors):
+        dense = A.toarray().T - mu * np.eye(A.shape[0])
+        np.testing.assert_allclose(solve_factored(f, rhs),
+                                   np.linalg.solve(dense, rhs), atol=1e-9)
 
 
 def test_factor_e_uses_the_same_superlu_settings(monkeypatch):
@@ -339,9 +355,38 @@ PENCIL_CASES = {
 }
 
 
+def _keys(M):
+    """Column-major positions of a CSC matrix's stored entries, zeros included."""
+    cols = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+    return cols * M.shape[0] + M.indices.astype(np.int64)
+
+
+def _assert_held_scipy_difference(M, perm, A, E, mu):
+    """M, formed on a system's held pattern, is scipy's A* - mu E* once
+    un-permuted: bitwise at the difference's entries, and exactly 0 at the
+    rest of pattern(A*) | pattern(E*) (of the identity when E is None)."""
+    n = A.shape[0]
+    want = _scipy_difference(A, E, mu)
+    M = M.tocoo()
+    got = sp.csc_matrix((M.data, (perm[M.row], perm[M.col])), shape=(n, n))
+    Eh = sp.identity(n, format="csc") if E is None else E.conj().T.tocsc()
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(
+        _keys(got), np.union1d(_keys(A.conj().T.tocsc()), _keys(Eh)))
+    at = np.searchsorted(_keys(got), _keys(want))
+    np.testing.assert_array_equal(_keys(got)[at], _keys(want))
+    assert got.data[at].tobytes() == want.data.tobytes()
+    rest = np.ones(got.nnz, dtype=bool)
+    rest[at] = False
+    assert rest.sum() == got.nnz - want.nnz and not got.data[rest].any()
+
+
 @pytest.mark.parametrize("case", sorted(PENCIL_CASES))
 def test_factorize_matrix_is_bitwise_the_scipy_difference(monkeypatch, case):
+    # the dense matrix is bitwise scipy's; the sparse one is on the
+    # system's fixed pattern, permuted, with cancelled and stored zeros kept
     A, E = PENCIL_CASES[case]()
+    system = shifted_mod.ShiftedSystem(A, E)
     seen = []
     dense_lu = shifted_mod.dense_lu
 
@@ -353,17 +398,52 @@ def test_factorize_matrix_is_bitwise_the_scipy_difference(monkeypatch, case):
     monkeypatch.setattr(shifted_mod, "dense_lu", spy)
     mus = (2.5, 1.5 + 0.75j, 2.5)
     for mu in mus:
-        factorize(A, E, mu)
+        factorize(A, E, mu, system)
+    assert len(seen) == len(mus)
     for mu, M in zip(mus, seen):
         mu = mu.real if complex(mu).imag == 0 else mu
-        want = _scipy_difference(A, E, mu)
-        assert M.dtype == want.dtype
-        if sp.issparse(want):
-            for attr in ("data", "indices", "indptr"):
-                assert getattr(M, attr).tobytes() == getattr(want, attr).tobytes()
+        if sp.issparse(M):
+            _assert_held_scipy_difference(M, system.perm, A, E, mu)
         else:
-            assert M.tobytes() == want.tobytes()
-    assert len(seen) == len(mus)
+            want = _scipy_difference(A, E, mu)
+            assert M.dtype == want.dtype and M.tobytes() == want.tobytes()
+
+
+# The per-shift MMD_AT_PLUS_A factor's fill, which the held order must
+# reproduce: on a stencil, a pencil with E and a complex one.
+FILL_CASES = {
+    "laplacian-2d-24": lambda: (_laplacian_2d(24), None),
+    "fem1d-600": lambda: fem1d_pair(600),
+    "complex": PENCIL_CASES["complex"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILL_CASES))
+def test_held_order_fills_as_ordering_each_shift(case):
+    # the held pattern is permuted by the inverse of perm_c; permuting by
+    # perm_c itself stores 3.1M entries instead of 221k on cd2d
+    A, E = FILL_CASES[case]()
+    system = shifted_mod.ShiftedSystem(A, E)
+    for mu in (2.5, 1.5 + 0.75j, 1e3):
+        f = factorize(A, E, mu, system)
+        per_shift = spla.splu(_scipy_difference(A, E, mu),
+                              permc_spec="MMD_AT_PLUS_A", **SUPERLU_SETTINGS)
+        assert f.lu.nnz == per_shift.nnz
+
+
+def test_system_orders_a_pencil_that_is_singular_at_one():
+    # A* - E* = 0: a stand-in with the pencil's values at mu = 1 could not
+    # be ordered; the pattern's is nonsingular, so the system is built and
+    # only that shift's factor fails, with its shift
+    E = fem1d_pair(600)[1]
+    A = E.copy()
+    system = shifted_mod.ShiftedSystem(A, E)
+    with pytest.raises(SingularShiftError) as exc:
+        factorize(A, E, 1.0, system)
+    assert exc.value.shift == 1.0
+    f = factorize(A, E, -1.0, system)
+    rhs = np.ones((600, 1))
+    np.testing.assert_allclose(2.0 * E.toarray() @ f.solve(rhs), rhs, atol=1e-10)
 
 
 def test_parallel_batch_is_factored_in_the_pool(monkeypatch):
@@ -390,6 +470,15 @@ def _snapshot(M):
     return M.tobytes()
 
 
+def _with_duplicate(A):
+    """A in non-canonical CSR: its first stored entry split into two halves."""
+    A = sp.csr_matrix(A)
+    data = np.r_[A.data[:1] / 2, A.data[:1] / 2, A.data[1:]]
+    indptr = A.indptr + (np.arange(A.shape[0] + 1) > 0)
+    return sp.csr_matrix((data, np.r_[A.indices[:1], A.indices], indptr),
+                         shape=A.shape)
+
+
 INPLACE_CASES = {
     "n60": lambda: (random_problem(49, n=60).A, None),
     "n60-E": lambda: _pair(random_problem(49, n=60, generalized=True)),
@@ -397,16 +486,19 @@ INPLACE_CASES = {
                             random_problem(49, n=60, generalized=True).E.toarray()),
     "n600": lambda: (stable_sparse(600, 5, density=0.01), None),
     "n600-E": lambda: fem1d_pair(600),
+    "n600-duplicate": lambda: (_with_duplicate(stable_sparse(600, 5, 0.01)), None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INPLACE_CASES))
 def test_factorize_leaves_the_operators_intact(case):
     # the dense shifted matrix is factored in place, never an input or the
-    # system's held A* and E*
+    # system's held A* and E*; building the system leaves the inputs intact
+    # too (a non-canonical input is summed in a copy)
     A, E = INPLACE_CASES[case]()
+    inputs = [_snapshot(M) for M in (A, E)]
     system = shifted_mod.ShiftedSystem(A, E)
-    before = [_snapshot(M) for M in (A, E, system.Ah, system.Eh)]
+    before = inputs + [_snapshot(M) for M in (system.Ah, system.Eh)]
     rhs = np.random.default_rng(6).standard_normal((A.shape[0], 2))
     for mu in (2.5, 1.5 + 0.75j):
         f = factorize(A, E, mu, system)
@@ -455,7 +547,7 @@ def test_parallel_solve_shares_one_system_between_threads(monkeypatch):
 
     def recording(system, mu):
         M = matrix(system, mu)
-        formed.append((mu, M.copy()))
+        formed.append((mu, M.copy(), system.perm))
         return M
 
     monkeypatch.setattr(shifted_mod.ShiftedSystem, "matrix", recording)
@@ -466,7 +558,5 @@ def test_parallel_solve_shares_one_system_between_threads(monkeypatch):
     again = rc.solve(prob, options, shifts)
     for name in ("Z", "R"):
         assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
-    for mu, M in formed:
-        want = _scipy_difference(A, E, mu)
-        for attr in ("data", "indices", "indptr"):
-            assert getattr(M, attr).tobytes() == getattr(want, attr).tobytes()
+    for mu, M, perm in formed:
+        _assert_held_scipy_difference(M, perm, A, E, mu)
