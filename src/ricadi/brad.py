@@ -19,6 +19,7 @@ from .errors import ExpansionDegenerateError, NotPositiveDefiniteError
 from .kernels import (
     cholesky_upper,
     hermitian_part,
+    lapack_info,
     solve_lyapunov_small,
     solve_sylvester_small,
 )
@@ -196,11 +197,20 @@ def expand_parallel(state, problem, shifts, closed_loop=False, system=None):
     Ztil = Zs[0] if len(Zs) == 1 else np.hstack(Zs)
     dtype = np.result_type(Ztil, *Ds)
     # U1 and D are built in C order: their layout sets the BLAS rounding of
-    # the absorption products, hence the iterates.
+    # the absorption products, hence the iterates. D is sla.block_diag(*Ds)
+    # without its wrapper: each D part is a new C-ordered array.
+    if len(Ds) == 1:
+        D = Ds[0].astype(dtype, copy=False)
+    else:
+        D = np.zeros((Ztil.shape[1],) * 2, dtype=dtype)
+        i = 0
+        for part in Ds:
+            D[i:i + len(part), i:i + len(part)] = part
+            i += len(part)
     return ExpansionBlock(
         Ztil=Ztil,
         U1=np.hstack(U1s).astype(dtype),
-        D=sla.block_diag(*Ds).astype(dtype),
+        D=D,
         kind=("realified" if realify and any(mu.imag for mu in solves)
               else "simple" if len(solves) == 1 else "parallel"),
         poles=[mu for part in poles for mu in part],
@@ -229,8 +239,21 @@ def expand_realified(state, problem, mu, closed_loop=False):
 
 
 def _right_divide_upper(X, G):
-    """X @ inv(G) for upper triangular G."""
-    return sla.solve_triangular(G.T, X.T, lower=True).T
+    """X @ inv(G) for upper triangular G, by one LAPACK trtrs call.
+
+    The call sla.solve_triangular(G.T, X.T, lower=True) makes, branch for
+    branch, so the result is bitwise its, without its wrapper's scans for
+    non-finite entries: G is a Cholesky factor whose pivots passed
+    cholesky_upper's check. A zero on G's diagonal raises
+    numpy.linalg.LinAlgError, as solve_triangular did.
+    """
+    trtrs, = sla.get_lapack_funcs(("trtrs",), (G.T, X.T))
+    if G.T.flags.f_contiguous:
+        W, info = trtrs(G.T, X.T, lower=True, trans=0)
+    else:  # trtrs takes Fortran order, so solve with G's transpose
+        W, info = trtrs(G, X.T, lower=False, trans=1)
+    lapack_info("trtrs", info)
+    return W.T
 
 
 def _absorb(state, problem, block, Zt, U1t, BZt, YY=None):

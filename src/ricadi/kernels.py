@@ -4,7 +4,11 @@ Cholesky factorization in the G*G convention (conjugate transpose first),
 Gram-based spectral norms and orthonormal bases for tall skinny blocks, and
 the small Sylvester and Lyapunov equation solvers that update the low-rank
 state. The factorizations and the solvers are direct LAPACK calls (potrf,
-geqrf and orgqr, trsyl).
+geqrf and orgqr, trsyl), as are the other per-step solves: a dense shifted
+factor's (getrs, shifted.Factor.solve) and the absorption's divisions by the
+Gram's Cholesky factor (trtrs, brad._right_divide_upper). None goes through
+scipy's validating wrappers; lapack_info turns the info those calls return
+into an error.
 """
 
 import numpy as np
@@ -19,6 +23,19 @@ def singular_pivots(d):
     """True unless min |d| > 1e-14 max |d|: all-zero and NaN pivots are singular."""
     d = np.abs(d)
     return bool(d.size and not d.min() > 1e-14 * d.max())
+
+
+def lapack_info(routine, info):
+    """Raise for the nonzero info of a LAPACK call, as scipy's wrappers do.
+
+    info < 0 (an illegal argument) raises ValueError, info > 0 (trtrs's zero
+    on the diagonal) numpy.linalg.LinAlgError.
+    """
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: {routine} found a zero at diagonal {info - 1}")
 
 
 def hermitian_part(M):
@@ -96,7 +113,8 @@ def solve_sylvester_small(Hm, D, RHS):
         return np.zeros((q, t), dtype=dtype)
     if not real and (np.any(np.diag(Hm, -1)) or np.any(np.diag(D, -1))):
         raise ValueError("complex Sylvester data needs upper triangular Hm and D")
-    Hm, D, RHS = Hm.astype(dtype), D.astype(dtype), RHS.astype(dtype)
+    # trsyl's wrapper copies RHS, and never writes Hm or D
+    Hm, D, RHS = (M.astype(dtype, copy=False) for M in (Hm, D, RHS))
     trsyl, = sla.get_lapack_funcs(("trsyl",), (Hm, D, RHS))
     Y, scale, info = trsyl(Hm, D, RHS, trana="T" if real else "C")
     if info != 0:

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SingularShiftError, SMWSingularError
-from .kernels import singular_pivots
+from .kernels import lapack_info, singular_pivots
 
 # Shifted matrices with n below this are factored by dense LU, others by SuperLU.
 DENSE_LU_BELOW_N = 500
@@ -76,14 +76,27 @@ class Factor:
         self.dtype = np.result_type(M.dtype, np.float64)
 
     def solve(self, RHS):
-        """Return W with M W = RHS (2-D, n rows), in RHS's dtype promoted with M's."""
+        """Return W with M W = RHS (2-D, n rows), in RHS's dtype promoted with M's.
+
+        A dense factor solves by one LAPACK getrs call, the one
+        sla.lu_solve makes (zgetrs for a complex RHS on a real factor), so W
+        is bitwise lu_solve's, without its scan of RHS for non-finite
+        entries: both branches solve a block with a NaN or an infinity, and
+        a column holding one gives a non-finite solution column. M was
+        checked when it was factored, and a problem's data when its
+        ProblemSpec was made.
+        """
         if RHS.ndim != 2 or RHS.shape[0] != self.n:
             raise ValueError(f"RHS must be 2-D, {self.n} rows, got {RHS.shape}")
         RHS = RHS.astype(np.result_type(RHS.dtype, self.dtype), copy=False)
-        if RHS.shape[1] == 0:
+        if RHS.size == 0:
             return RHS
         if isinstance(self.lu, tuple):
-            return sla.lu_solve(self.lu, RHS)
+            lu, piv = self.lu
+            getrs, = sla.get_lapack_funcs(("getrs",), (lu, RHS))
+            W, info = getrs(lu, piv, RHS)
+            lapack_info("getrs", info)
+            return W
         if self.perm is not None:
             RHS = _rows(RHS, self.perm)
         if RHS.dtype != self.dtype:  # a real SuperLU factor takes only real RHS

@@ -20,8 +20,14 @@ the workload's shifted SuperLU factors (superlu_nnz; 0 where every factor
 is a dense LU), so a change of fill shows as a count. Next to it stands
 the number of SuperLU calls that order by minimum degree on M* + M
 (orderings, MMD_AT_PLUS_A): one per sparse solve, whose ShiftedSystem
-orders its pencil's pattern once. Last come the growth buffers made for Z
-(buffers), so a change of when Z is copied shows as a count too.
+orders its pencil's pattern once. Then come the growth buffers made for Z
+(buffers), so a change of when Z is copied shows as a count too. Last
+stand the calls of scipy.linalg's lu_solve, solve_triangular and
+block_diag (wrappers): ricadi calls LAPACK's getrs and trtrs itself and
+builds D without block_diag, so each workload reads 0. When a step still
+called them, the four workloads read 366, 360, 765 and 2,703 in the order
+printed: 5 solve_triangular calls and 1 block_diag per absorption, and one
+lu_solve per dense Factor.solve (the SMW capacitance's included).
 It is a script, not a pytest module.
 """
 
@@ -38,6 +44,7 @@ from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
+import scipy.linalg as sla  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -52,6 +59,8 @@ SEED = 302
 SINGLE_INSTANCES = 3
 # As perfbench/worker.py: a cyclic list is replayed far more often than used.
 CYCLE_REPEATS = 25
+# scipy.linalg's validating wrappers of one LAPACK call each
+WRAPPERS = ("lu_solve", "solve_triangular", "block_diag")
 
 
 def sha256(M):
@@ -122,8 +131,19 @@ def main():
         return basis(data, *args)
 
     brad._Basis = recording_basis
+    # every call of a validating scipy wrapper that a step could make
+    wrappers = []
+
+    def recording_wrapper(f):
+        def called(*args, **kwargs):
+            wrappers.append(f.__name__)
+            return f(*args, **kwargs)
+        return called
+
+    for name in WRAPPERS:
+        setattr(sla, name, recording_wrapper(getattr(sla, name)))
     # workload -> [inputs, steps, q, redone, closed-loop, LU nnz, orderings,
-    # buffers]
+    # buffers, wrappers]
     totals = {}
     worst = {}  # workload -> [max cancellation, max residual defect]
     for workload, entry in inputs():
@@ -131,27 +151,28 @@ def main():
         superlu_nnz.clear()
         orderings.clear()
         buffers.clear()
+        wrappers.clear()
         problem, res = solve(entry)
         steps, q = len(res.records), res.state.q
         print(f"{workload}/{entry['name']}", sha256(res.Z), sha256(res.R),
               f"steps={steps}", f"q={q}", f"converged={res.converged}", flush=True)
         counts = (1, steps, q, sum(r.redone for r in res.records),
                   sum(r.closed_loop for r in res.records), sum(superlu_nnz),
-                  sum(orderings), len(buffers))
+                  sum(orderings), len(buffers), len(wrappers))
         total = totals.setdefault(workload, [0] * len(counts))
         total[:] = map(sum, zip(total, counts))
         peaks = (max(cancellations, default=0.0),
                  residual_defect(problem, res.Z, res.R))
         peak = worst.setdefault(workload, [0.0, 0.0])
         peak[:] = map(max, zip(peak, peaks))
-    for workload, (count, steps, q, redone, closed, nnz, ordered,
-                   made) in totals.items():
+    for workload, (count, steps, q, redone, closed, nnz, ordered, made,
+                   wrapped) in totals.items():
         cancellation, defect = worst[workload]
         print(f"{workload}: {count} inputs, steps={steps}, q={q}, "
               f"redone={redone}, closed_loop={closed}, "
               f"max_cancellation={cancellation:.2g}, "
               f"max_residual_defect={defect:.2g}, superlu_nnz={nnz}, "
-              f"orderings={ordered}, buffers={made}",
+              f"orderings={ordered}, buffers={made}, wrappers={wrapped}",
               file=sys.stderr)
 
 

@@ -51,6 +51,34 @@ def test_reversed_shifts_give_the_same_iterate_fem1d_3000(mode):
     assert gram_distance(forward.R, backward.R) <= RR_BOUND
 
 
+# Hybrid at width 2 on the same pencil: the fem1d list's complex pair, then
+# 16 real shifts over the same range, 9 steps to q = 120, so the forward
+# order's last step starts past hybrid's q >= 100 switch.
+HYBRID_SHIFTS = [300 + 900j, 2e4 - 1.5e4j] + [float(s)
+                                             for s in np.geomspace(10.0, 1e7, 16)]
+
+
+def test_permuted_shifts_give_the_same_iterate_fem1d_3000_hybrid():
+    # ZZ* read 9.5e-11 and RR* 2.4e-12, inside the bounds of the ten-shift
+    # test: both orders switch to the closed-loop body at their last step.
+    A, E = fem1d_pair(3000)
+    rng = np.random.default_rng(91)
+    prob = rc.ProblemSpec(A=A, B=rng.standard_normal((3000, 1)),
+                          C=rng.standard_normal((6, 3000)), E=E)
+    order = rng.permutation(len(HYBRID_SHIFTS))
+    options = rc.SolverOptions(mode="hybrid", tol=1e-300,
+                               max_iter=len(HYBRID_SHIFTS), parallel_width=2)
+    forward = rc.solve(prob, options, HYBRID_SHIFTS)
+    permuted = rc.solve(prob, options, [HYBRID_SHIFTS[i] for i in order])
+    for res in (forward, permuted):
+        assert len(res.records) == len(HYBRID_SHIFTS) // 2
+        assert res.Z.shape == (3000, 120)
+        assert [r.closed_loop for r in res.records] == [False] * 8 + [True]
+        assert not any(r.redone for r in res.records)
+    assert gram_distance(forward.Z, permuted.Z) <= ZZ_BOUND
+    assert gram_distance(forward.R, permuted.R) <= RR_BOUND
+
+
 # The benchmark's cd2d operator (n = 6400): 16 real shifts across its
 # spectrum (about 20 to 5.2e4) and two complex ones, each absorbed as its
 # realified pair: q = 120 at p = 6, so Z's buffer regrows twice on the way

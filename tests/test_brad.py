@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import ricadi as rc
@@ -130,6 +131,93 @@ def test_expansion_blocks_are_c_ordered():
                   brad.expand_simple(state, prob, 2.0 + 1.0j)):
         for name in ("U1", "D"):
             assert getattr(block, name).flags["C_CONTIGUOUS"], name
+
+
+# (complex data, shifts of the compared expansion): one block, two blocks,
+# a realified 2-by-2 block alone and beside a real one, and a real D cast to
+# complex Ztil's dtype
+D_CASES = {
+    "one": (False, [2.0]),
+    "two": (False, [2.0, 3.0]),
+    "realified": (False, [2.0 + 1.0j]),
+    "realified-and-real": (False, [2.0 + 1.0j, 3.0]),
+    "complex-data": (True, [2.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(D_CASES))
+def test_expansion_d_is_bitwise_block_diag(monkeypatch, case):
+    # D is built without sla.block_diag: its values and its C order are
+    # block_diag's, cast to the block's dtype as before
+    complex_data, shifts = D_CASES[case]
+    prob = random_problem(35, n=20, m=1, p=2, complex_data=complex_data)
+    state = brad.init_state(prob)
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
+    parts = []
+    block_part = brad._block_part
+
+    def recording_block_part(*args):
+        out = block_part(*args)
+        parts.append(out[2])
+        return out
+
+    monkeypatch.setattr(brad, "_block_part", recording_block_part)
+    block = brad.expand_parallel(state, prob, shifts)
+    ref = sla.block_diag(*parts).astype(block.Ztil.dtype)
+    assert block.D.flags["C_CONTIGUOUS"] and ref.flags["C_CONTIGUOUS"]
+    assert (block.D.dtype, block.D.shape) == (ref.dtype, ref.shape)
+    assert block.D.tobytes() == ref.tobytes()
+
+
+# ------------------------------------------------------- _right_divide_upper
+
+def _upper(t, complex_data, order, seed=36):
+    """An upper triangular Cholesky factor of a well-conditioned t-by-t Gram."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((t, t))
+    if complex_data:
+        M = M + 1j * rng.standard_normal((t, t))
+    return np.asarray(cholesky_upper(M.conj().T @ M + t * np.eye(t)), order=order)
+
+
+@pytest.mark.parametrize("rows", [50, 2, 0])
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_right_divide_upper_is_bitwise_solve_triangular(order, complex_data,
+                                                        rows):
+    # one trtrs call, on the branch solve_triangular takes for each layout of
+    # G; rows = 0 is the coupling at q = 0 and B* Zt at m = 0
+    G = _upper(4, complex_data, order)
+    rng = np.random.default_rng(37)
+    X = rng.standard_normal((rows, 4))
+    if complex_data:
+        X = X + 1j * rng.standard_normal((rows, 4))
+    assert G.flags[f"{order}_CONTIGUOUS"]
+    out = brad._right_divide_upper(X, G)
+    ref = sla.solve_triangular(G.T, X.T, lower=True).T
+    assert (out.dtype, out.shape) == (ref.dtype, ref.shape) == (X.dtype, X.shape)
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_right_divide_upper_zero_diagonal_is_a_linalg_error(order):
+    # as solve_triangular did: trtrs's info > 0 is not turned into garbage
+    G = _upper(4, False, order)
+    G[2, 2] = 0.0
+    X = np.ones((5, 4))
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 2"):
+        brad._right_divide_upper(X, G)
+    with pytest.raises(np.linalg.LinAlgError):
+        sla.solve_triangular(G.T, X.T, lower=True)
+
+
+def test_right_divide_upper_illegal_argument_is_a_value_error(monkeypatch):
+    # a negative info from trtrs names the argument LAPACK rejected
+    G = _upper(4, False, "C")
+    monkeypatch.setattr(brad.sla, "get_lapack_funcs",
+                        lambda names, arrays: (lambda *a, **k: (None, -2),))
+    with pytest.raises(ValueError, match="argument 2 of LAPACK trtrs"):
+        brad._right_divide_upper(np.ones((5, 4)), G)
 
 
 # -------------------------------------------------------- expand_realified

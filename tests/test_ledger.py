@@ -10,7 +10,10 @@ a Factor.solve, so counting the two counts that work of a solve exactly:
 
 Here expansions = steps + closed-loop steps + redone steps: a redone step
 expands twice, open-loop and then closed-loop. A change that factors a
-shift twice, or solves with E twice a step, breaks the count.
+shift twice, or solves with E twice a step, breaks the count. At width 2 a
+step's expansion makes one shifted solve per slot of its batch, a realified
+pair's two poles sharing one, and every count of an expansion above counts
+once per such solve.
 
 B is viewed as an array that counts the matrix products it takes part in,
 B* included:
@@ -37,14 +40,23 @@ From n = 500 on the system orders their joint pattern once, so a solve makes
 one SuperLU MMD_AT_PLUS_A call (orderings), and below none; it places A's
 and E's entries into that pattern once, and no scipy copy of A or E (copy,
 conj, astype, scaling) is ever made.
+
+No step calls scipy.linalg's validating wrappers of a single LAPACK call,
+WRAPPERS: a dense Factor.solve calls getrs itself, brad's right divisions
+by the Gram's Cholesky factor call trtrs, and an expansion builds D without
+block_diag. Before that each read, over a solve, lu_solve once per dense
+Factor.solve, solve_triangular 5 times per absorption and block_diag once
+per expansion; each reads 0 now.
 """
 
 import math
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import ricadi as rc
@@ -54,8 +66,19 @@ import ricadi.solver as solver_mod
 from conftest import fem1d_pair, random_problem
 
 SHIFT_LIST = [float(s) for s in np.geomspace(0.5, 5e4, 12)] * 2
+# at width 2 the pair and 0.5 fill the first batch: one realified solve and
+# one real one
+PAIRED_LIST = [3 + 4j, 3 - 4j] + SHIFT_LIST
 TOL = 1e-9
 KERNELS = ("cholesky_upper", "solve_lyapunov_small", "solve_sylvester_small")
+WRAPPERS = ("lu_solve", "solve_triangular", "block_diag")
+_TALLY = threading.Lock()
+
+
+def _tally(counts, key, k=1):
+    """counts[key] += k, under a lock: a width-2 step counts from its threads."""
+    with _TALLY:
+        counts[key] += k
 
 
 def _problem(n, with_e, ledger):
@@ -76,7 +99,7 @@ def _problem(n, with_e, ledger):
                      for x in inputs]
             out = getattr(ufunc, method)(*plain, **kwargs)
             if ufunc is np.matmul:
-                ledger["B"] += 1
+                _tally(ledger, "B")
             return out.view(CountedB) if ufunc is np.conjugate else out
 
     prob.B = prob.B.view(CountedB)
@@ -94,14 +117,14 @@ def _counted_sparse(M, ledger, key):
     class Counted:
         def _matmul_dispatch(self, other):
             if np.ndim(other) and np.shape(other)[0] == self.shape[1]:
-                ledger[key] += 1
+                _tally(ledger, key)
             return super()._matmul_dispatch(other)
 
         def _with_data(self, data, copy=True):
             # every same-pattern result (copy, conj, astype, scaling) is
             # formed here; one with new or copied entries counts
             if copy or data is not self.data:
-                ledger["copies"] += 1
+                _tally(ledger, "copies")
             return super()._with_data(data, copy)
 
         def transpose(self, axes=None, copy=False):
@@ -122,7 +145,7 @@ def _count(monkeypatch, counts, key, owner, name):
     f = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        counts[key] += 1
+        _tally(counts, key)
         return f(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -132,15 +155,16 @@ def _count(monkeypatch, counts, key, owner, name):
 def ledger(monkeypatch):
     """Counts of Factor constructions and solves, products with B, A and E,
     copies of A's and E's entries, ShiftedSystems, SuperLU orderings by
-    minimum degree on M* + M and the absorption kernels brad calls, while it
-    is live."""
+    minimum degree on M* + M, the absorption kernels brad calls and calls of
+    scipy.linalg's WRAPPERS, while it is live."""
     counts = dict.fromkeys(("lu", "solve", "B", "A", "E", "copies", "systems",
-                            "orderings") + KERNELS, 0)
+                            "orderings") + KERNELS + WRAPPERS, 0)
     spla = shifted_mod.spla
 
     def superlu(name):
         def called(M, **kwargs):
-            counts["orderings"] += kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
+            _tally(counts, "orderings",
+                   kwargs.get("permc_spec") == "MMD_AT_PLUS_A")
             return getattr(spla, name)(M, **kwargs)
         return called
 
@@ -151,19 +175,29 @@ def ledger(monkeypatch):
     _count(monkeypatch, counts, "solve", shifted_mod.Factor, "solve")
     for name in KERNELS:
         _count(monkeypatch, counts, name, brad, name)
+    for name in WRAPPERS:
+        _count(monkeypatch, counts, name, sla, name)
     return counts
+
+
+def _solves(record):
+    """The shifted solves of one expansion of a step on real data: one per
+    batch slot, a realified pair's two poles sharing one."""
+    return len({complex(mu.real, abs(mu.imag)) for mu in record.shifts})
 
 
 def _assert_ledger(ledger, prob, res, hamiltonian):
     steps = len(res.records)
     closed = sum(r.closed_loop for r in res.records)
     redone = sum(r.redone for r in res.records)
-    expansions = steps + closed + redone
+    # shifted solves of the closed-loop expansions, and of all expansions
+    closed_solves = sum(_solves(r) for r in res.records if r.closed_loop)
+    solves = closed_solves + sum(_solves(r) * (1 + r.redone) for r in res.records)
     with_e = prob.E is not None
-    assert ledger["lu"] == expansions + with_e
-    assert ledger["solve"] == expansions + (steps if hamiltonian and with_e else 0)
+    assert ledger["lu"] == solves + with_e
+    assert ledger["solve"] == solves + (steps if hamiltonian and with_e else 0)
     checked = res.records[-1].rel_residual < TOL
-    assert ledger["B"] == (steps + redone + 2 * closed
+    assert ledger["B"] == (steps + redone + 2 * closed_solves
                            + (2 * steps if hamiltonian else 0) + checked)
     assert (ledger["cholesky_upper"] == ledger["solve_lyapunov_small"]
             == steps + redone)
@@ -172,22 +206,30 @@ def _assert_ledger(ledger, prob, res, hamiltonian):
     assert ledger["E"] == (steps + redone + 6 * checked if with_e else 0)
     assert (ledger["systems"], ledger["copies"]) == (1, 0)
     assert ledger["orderings"] == (prob.A.shape[0] >= shifted_mod.DENSE_LU_BELOW_N)
+    assert [ledger[name] for name in WRAPPERS] == [0, 0, 0]
     return steps, closed
 
 
 @pytest.mark.parametrize("mode", ["r2adi", "radi", "hybrid"])
 @pytest.mark.parametrize("with_e", [False, True], ids=["no-E", "E"])
 @pytest.mark.parametrize("n", [60, 600])
-@pytest.mark.parametrize("source", ["hamiltonian", "precomputed"])
+@pytest.mark.parametrize("source", ["hamiltonian", "precomputed", "paired"])
 def test_factorizations_and_solves_per_solve(ledger, source, n, with_e, mode):
     prob = _problem(n, with_e, ledger)
     hamiltonian = source == "hamiltonian"
-    shifts = rc.HamiltonianShifts() if hamiltonian else SHIFT_LIST
-    res = rc.solve(prob, rc.SolverOptions(mode=mode, tol=TOL, max_iter=20),
-                   shifts)
+    shifts = (rc.HamiltonianShifts() if hamiltonian
+              else PAIRED_LIST if source == "paired" else SHIFT_LIST)
+    width = 2 if source == "paired" else 1
+    res = rc.solve(prob, rc.SolverOptions(mode=mode, tol=TOL, max_iter=20,
+                                          parallel_width=width), shifts)
     steps, closed = _assert_ledger(ledger, prob, res, hamiltonian)
-    # each body is counted: hybrid runs both
-    low, high = {"r2adi": (0, 0), "radi": (steps, steps),
+    if source == "paired":
+        assert (res.records[0].kind, _solves(res.records[0])) == ("realified", 2)
+    # each body is counted: hybrid runs both, r2adi the closed-loop one only
+    # for a redone step (the paired list's step 7 at n = 600 with E, whose
+    # batch repeats the pole 0.5)
+    redone = sum(r.redone for r in res.records)
+    low, high = {"r2adi": (redone, redone), "radi": (steps, steps),
                  "hybrid": (1, steps - 1)}[mode]
     assert steps > 1 and low <= closed <= high
 

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -145,6 +146,47 @@ def test_real_e_factor_solves_complex_block(producer):
     rhs = rng.standard_normal((f.n, 3)) + 1j * rng.standard_normal((f.n, 3))
     np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(M, rhs),
                                rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("factor, block", [("real", "real"), ("real", "complex"),
+                                           ("complex", "real")])
+def test_dense_solve_is_bitwise_lu_solve(factor, block):
+    # one getrs call, the one sla.lu_solve makes: zgetrs for a complex block
+    # on a real factor, on the real factor's entries cast to complex
+    f = factorize(random_problem(45, n=40).A,
+                  mu=1.5 if factor == "real" else 1.5 + 0.7j)
+    assert isinstance(f.lu, tuple) and np.iscomplexobj(f.lu[0]) is (factor == "complex")
+    rng = np.random.default_rng(6)
+    RHS = rng.standard_normal((40, 3))
+    if block == "complex":
+        RHS = RHS + 1j * rng.standard_normal((40, 3))
+    W = f.solve(RHS)
+    ref = sla.lu_solve(f.lu, RHS.astype(np.result_type(RHS, f.dtype)))
+    assert (W.dtype, W.shape) == (ref.dtype, ref.shape)
+    assert W.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("producer", sorted(FACTOR_PRODUCERS))
+def test_nan_column_is_solved_alike_on_both_branches(producer):
+    # neither branch scans a block for non-finite entries (its matrix was
+    # checked when it was factored): a NaN stays in its own column
+    f, M = _produce(producer)
+    rng = np.random.default_rng(7)
+    RHS = rng.standard_normal((f.n, 3))
+    RHS[f.n // 2, 1] = np.nan
+    W = f.solve(RHS)
+    assert not np.isfinite(W[:, 1]).all()
+    np.testing.assert_allclose(W[:, [0, 2]], np.linalg.solve(M, RHS[:, [0, 2]]),
+                               rtol=1e-10, atol=1e-12)
+
+
+def test_dense_solve_illegal_argument_is_a_value_error(monkeypatch):
+    # a negative info from getrs names the argument LAPACK rejected
+    f = factorize(random_problem(46, n=12).A, mu=1.5)
+    monkeypatch.setattr(shifted_mod.sla, "get_lapack_funcs",
+                        lambda names, arrays: (lambda *a, **k: (None, -3),))
+    with pytest.raises(ValueError, match="argument 3 of LAPACK getrs"):
+        f.solve(np.ones((12, 1)))
 
 
 def test_solve_factored_scalar_pipeline():
