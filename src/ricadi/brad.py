@@ -197,16 +197,13 @@ def expand_parallel(state, problem, shifts, closed_loop=False, system=None):
     Ztil = Zs[0] if len(Zs) == 1 else np.hstack(Zs)
     dtype = np.result_type(Ztil, *Ds)
     # U1 and D are built in C order: their layout sets the BLAS rounding of
-    # the absorption products, hence the iterates. D is sla.block_diag(*Ds)
-    # without its wrapper: each D part is a new C-ordered array.
-    if len(Ds) == 1:
-        D = Ds[0].astype(dtype, copy=False)
-    else:
-        D = np.zeros((Ztil.shape[1],) * 2, dtype=dtype)
-        i = 0
-        for part in Ds:
-            D[i:i + len(part), i:i + len(part)] = part
-            i += len(part)
+    # the absorption products, hence the iterates. D holds the D parts on
+    # its diagonal, as sla.block_diag(*Ds) would.
+    D = np.zeros((Ztil.shape[1],) * 2, dtype=dtype)
+    i = 0
+    for part in Ds:
+        D[i:i + len(part), i:i + len(part)] = part
+        i += len(part)
     return ExpansionBlock(
         Ztil=Ztil,
         U1=np.hstack(U1s).astype(dtype),

@@ -23,11 +23,9 @@ the number of SuperLU calls that order by minimum degree on M* + M
 orders its pencil's pattern once. Then come the growth buffers made for Z
 (buffers), so a change of when Z is copied shows as a count too. Last
 stand the calls of scipy.linalg's lu_solve, solve_triangular and
-block_diag (wrappers): ricadi calls LAPACK's getrs and trtrs itself and
-builds D without block_diag, so each workload reads 0. When a step still
-called them, the four workloads read 366, 360, 765 and 2,703 in the order
-printed: 5 solve_triangular calls and 1 block_diag per absorption, and one
-lu_solve per dense Factor.solve (the SMW capacitance's included).
+block_diag (wrappers): no step may call them, so each workload reads 0;
+ricadi calls LAPACK's getrs and trtrs itself and builds D without
+block_diag, bitwise equal to the wrappers' results.
 It is a script, not a pytest module.
 """
 
