@@ -144,19 +144,19 @@ def init_state(problem):
     )
 
 
-def _expansion_solve(state, problem, mu, closed_loop, system):
+def _expansion_solve(state, problem, mu, system, closed_loop):
     f = shifted.factorize(problem.A, problem.E, mu, system)
     if closed_loop and problem.m > 0:
         return shifted.smw_solve(f, state.K, problem.B, state.R)
     return shifted.solve_factored(f, state.R)
 
 
-def expand_simple(state, problem, mu, closed_loop=False):
+def expand_simple(state, problem, mu, system, closed_loop=False):
     """Expand by a single shift: one system solve with the residual factor."""
-    return expand_parallel(state, problem, [mu], closed_loop)
+    return expand_parallel(state, problem, [mu], system, closed_loop)
 
 
-def expand_parallel(state, problem, shifts, closed_loop=False, system=None):
+def expand_parallel(state, problem, shifts, system, closed_loop=False):
     """Expand by l >= 1 pairwise distinct shifts.
 
     One system solve with the residual factor per shift, except on a real
@@ -166,8 +166,8 @@ def expand_parallel(state, problem, shifts, closed_loop=False, system=None):
     interleaved per column, so the new diagonal block of the small matrix
     has 2-by-2 rotation-like blocks and the pair adds only real columns.
     Several solves run concurrently, one thread each. system is the
-    problem's shifted.ShiftedSystem, which the threads share; without one
-    each factorization builds its own.
+    solve's shifted.ShiftedSystem of the problem, which forms every
+    shifted matrix and which the threads share.
     """
     shifts = [admissible_shift(mu) for mu in shifts]
     if not shifts:
@@ -179,8 +179,8 @@ def expand_parallel(state, problem, shifts, closed_loop=False, system=None):
     solves = (list(dict.fromkeys(complex(mu.real, abs(mu.imag)) for mu in shifts))
               if realify else shifts)
     if len(solves) == 1:
-        results = [_expansion_solve(state, problem, solves[0], closed_loop,
-                                    system)]
+        results = [_expansion_solve(state, problem, solves[0], system,
+                                    closed_loop)]
     else:
         # Each factor is made and dropped inside its worker. A SuperLU factor
         # dropped on another thread than the one that made it leaves its
@@ -189,8 +189,8 @@ def expand_parallel(state, problem, shifts, closed_loop=False, system=None):
         # E's factor included, is only read here and dropped by the solve.
         with ThreadPoolExecutor(max_workers=len(solves)) as pool:
             results = list(pool.map(
-                lambda mu: _expansion_solve(state, problem, mu, closed_loop,
-                                            system),
+                lambda mu: _expansion_solve(state, problem, mu, system,
+                                            closed_loop),
                 solves))
     Zs, U1s, Ds, poles = zip(*(_block_part(mu, W, problem.p, realify)
                                for mu, W in zip(solves, results)))
@@ -230,25 +230,23 @@ def _block_part(mu, W, p, realify):
     return Z, U1, D, [mu, mu.conjugate()] * p
 
 
-def expand_realified(state, problem, mu, closed_loop=False):
+def expand_realified(state, problem, mu, system, closed_loop=False):
     """Expand by the conjugate pair (mu, conj(mu)); realified on a real state."""
-    return expand_parallel(state, problem, [mu, np.conj(mu)], closed_loop)
+    return expand_parallel(state, problem, [mu, np.conj(mu)], system,
+                           closed_loop)
 
 
 def _right_divide_upper(X, G):
-    """X @ inv(G) for upper triangular G, by one LAPACK trtrs call.
+    """X @ inv(G) for upper triangular G: one LAPACK trtrs call, G.T W = X.T.
 
-    The call sla.solve_triangular(G.T, X.T, lower=True) makes, branch for
-    branch, so the result is bitwise its, without its wrapper's scans for
-    non-finite entries: G is a Cholesky factor whose pivots passed
-    cholesky_upper's check. A zero on G's diagonal raises
-    numpy.linalg.LinAlgError, as solve_triangular did.
+    G is the Fortran-ordered Cholesky factor that cholesky_upper returns,
+    whose pivots passed its check. For it this is the call
+    sla.solve_triangular(G.T, X.T, lower=True) makes, so the result is
+    bitwise its, without its wrapper's scans for non-finite entries. A zero
+    on G's diagonal raises numpy.linalg.LinAlgError, as solve_triangular did.
     """
-    trtrs, = sla.get_lapack_funcs(("trtrs",), (G.T, X.T))
-    if G.T.flags.f_contiguous:
-        W, info = trtrs(G.T, X.T, lower=True, trans=0)
-    else:  # trtrs takes Fortran order, so solve with G's transpose
-        W, info = trtrs(G, X.T, lower=False, trans=1)
+    trtrs, = sla.get_lapack_funcs(("trtrs",), (G, X.T))
+    W, info = trtrs(G, X.T, lower=False, trans=1)
     lapack_info("trtrs", info)
     return W.T
 

@@ -6,9 +6,10 @@ the small Sylvester and Lyapunov equation solvers that update the low-rank
 state. The factorizations and the solvers are direct LAPACK calls (potrf,
 geqrf and orgqr, trsyl), as are the other per-step solves: a dense shifted
 factor's (getrs, shifted.Factor.solve) and the absorption's divisions by the
-Gram's Cholesky factor (trtrs, brad._right_divide_upper). None goes through
-scipy's validating wrappers; lapack_info turns the info those calls return
-into an error.
+Gram's Cholesky factor, which cholesky_upper returns in Fortran order (one
+trtrs form, on the factor's transpose, brad._right_divide_upper). None goes
+through scipy's validating wrappers; lapack_info turns the info those calls
+return into an error.
 """
 
 import numpy as np

@@ -29,10 +29,8 @@ DENSE_LU_BELOW_N = 500
 
 # SuperLU's supernode relaxation and panel width for every sparse factor
 # (scipy's defaults are 10 and 20). relax = 1 relaxes no supernode, so no
-# stored entry is zero padding: the 3-D Laplacian 10^3 stores 67,282 entries
-# instead of 170,216. Four-column panels need less fresh workspace: a cd2d
-# factor touches about 710 new pages instead of 1,140. Together they take
-# about 20% off each cd2d and fem1d factor (README, "Factorizations").
+# stored entry is zero padding, and four-column panels need less fresh
+# workspace (CHANGES.md and BENCH_31.json have the measurements).
 # Keep 1 <= relax <= panel_size <= 20: panel_size 24 and 32 aborted or
 # segfaulted on the cd2d operator, in one run only after the factor had
 # returned (heap corruption, not an error a caller could catch).
@@ -243,28 +241,23 @@ def _minimum_degree_order(pattern):
                       panel_size=SUPERLU_PANEL_SIZE).perm_c
 
 
-def factorize(A, E=None, mu=0.0, system=None):
-    """Factor A* - mu E* (E* omitted when E is None).
+def factorize(A, E, mu, system):
+    """Factor A* - mu E*, the matrix system forms at mu.
 
-    system is the ShiftedSystem of (A, E) that forms the matrix; without one
-    a system is built for this call alone. Below DENSE_LU_BELOW_N the matrix
-    is A.conj().T - mu * E.conj().T as scipy forms it, made dense, and dense
-    LU factors it in place. From there on it is that matrix on the system's
-    fixed pattern, permuted into the one order the system took (SuperLU's
-    minimum degree on the pattern of M* + M, MMD_AT_PLUS_A: about 40% less
-    fill than COLAMD on 2-D stencils), and SuperLU factors it in NATURAL
-    order, so no factor orders anything; with supernodes relaxed by
-    SUPERLU_RELAX and panels of SUPERLU_PANEL_SIZE columns (no zero
-    padding, less fresh workspace: about 20% off each factor on cd2d and
-    fem1d). The factor solves in the caller's order. Deterministic for
-    fixed input. Returns a Factor; raises SingularShiftError when a pivot
-    is negligible.
+    system is the solve's ShiftedSystem of (A, E), which alone forms the
+    matrix. Below DENSE_LU_BELOW_N the matrix is dense, and dense LU
+    factors it in place. From there on it lies on the system's fixed
+    pattern, permuted into the one order the system took, and SuperLU
+    factors it in NATURAL order, so no factor orders anything. The factor
+    solves in the caller's order.
+    Nothing here reads A or E: A stays first and mu third because
+    perfbench's layer tracer keys each factor on (id(A), mu). Deterministic
+    for fixed input. Returns a Factor; raises SingularShiftError when a
+    pivot is negligible.
     """
     mu = complex(mu)
     if mu.imag == 0.0:
         mu = mu.real
-    if system is None:
-        system = ShiftedSystem(A, E)
     return Factor(system.matrix(mu),
                   partial(spla.splu, permc_spec="NATURAL"),
                   f"shifted matrix A* - mu E* is singular for mu = {mu}",

@@ -152,7 +152,7 @@ def solve(problem, options=None, shifts=None, callback=None):
         else:
             closed_loop = stay_closed or state.q >= hybrid_switch
 
-        block = brad.expand_parallel(state, problem, batch, closed_loop, system)
+        block = brad.expand_parallel(state, problem, batch, system, closed_loop)
         t1 = time.perf_counter()
         redone = False
         if closed_loop:
@@ -165,8 +165,8 @@ def solve(problem, options=None, shifts=None, callback=None):
                 redone = True
             if redone:
                 closed_loop = stay_closed = True
-                block = brad.expand_parallel(state, problem, batch, closed_loop,
-                                             system)
+                block = brad.expand_parallel(state, problem, batch, system,
+                                             closed_loop)
                 new = brad.absorb_radi(state, problem, block)
         state = new
         t2 = time.perf_counter()

@@ -11,6 +11,7 @@ import ricadi.brad as brad
 import ricadi.shifts as shifts_mod
 from invariants import brad_residual_check
 from ricadi.oracle import DENSE_ORACLE_MAX_N
+from ricadi.shifted import ShiftedSystem
 
 INVARIANT_TOL = 1e-10
 
@@ -63,6 +64,12 @@ def random_problem(seed, n=30, m=1, p=1, generalized=False, complex_data=False):
         C = C + 1j * rng.standard_normal((p, n))
     E = spd_sparse(n, seed + 1) if generalized else None
     return rc.ProblemSpec(A=A, B=B, C=C, E=E)
+
+
+def system_of(problem, e_factor=None):
+    """The ShiftedSystem of problem's A and E, the one that solve builds once
+    per solve; e_factor is E's Factor, for a shift source that reads it."""
+    return ShiftedSystem(problem.A, problem.E, e_factor)
 
 
 def singular_e_problem(seed, n):
@@ -184,11 +191,12 @@ def one_shift_per_step(problem, shifts):
     The state starts complex-typed, so conjugate pairs are not realified:
     every complex shift costs its own complex solve.
     """
+    system = system_of(problem)
     state = brad.init_state(problem)
     state = replace(state, **{name: getattr(state, name).astype(complex)
                               for name in ("Z", "h", "Hminus", "SB", "R", "K")})
     for mu in shifts:
-        block = brad.expand_parallel(state, problem, [mu])
+        block = brad.expand_parallel(state, problem, [mu], system)
         state = brad.absorb_r2adi(state, problem, block)
     return state
 

@@ -23,6 +23,7 @@ from conftest import (
     rational_residual_factor,
     rel2,
     scalar_problem,
+    system_of,
 )
 from invariants import (
     brad_residual_check,
@@ -106,9 +107,9 @@ def realified_runs():
     counts = {"complex": 0, "real": 0}
     original = shifted_mod.factorize
 
-    def counting(A, E=None, mu=0.0, *args):
+    def counting(A, E, mu, system):
         counts["complex" if complex(mu).imag != 0 else "real"] += 1
-        return original(A, E, mu, *args)
+        return original(A, E, mu, system)
 
     shifted_mod.factorize = counting
     try:
@@ -154,8 +155,9 @@ def lyapunov_runs():
 def test_criterion_01_scalar_closed_form():
     t0 = time.perf_counter()
     prob = scalar_problem()
+    system = system_of(prob)
     # step-1 intermediates of the hand-checked pipeline
-    f = shifted_mod.factorize(prob.A, mu=1.0)
+    f = shifted_mod.factorize(prob.A, None, 1.0, system)
     W = shifted_mod.solve_factored(f, prob.C.conj().T)
     ok_w = abs(W[0, 0] - (-0.5)) <= 1e-14
     rhs = (prob.B.conj().T @ W)[0, 0] ** 2 + 1.0
@@ -163,7 +165,7 @@ def test_criterion_01_scalar_closed_form():
                                            np.array([[rhs]]))
     ok_y = abs(Y22[0, 0] - 0.625) <= 1e-14
     state = brad.init_state(prob)
-    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0, system))
     ok_x1 = abs(dense_x(state)[0, 0] - 0.4) <= 1e-14
     ok_r1 = abs(state.R[0, 0] - 0.2) <= 1e-14
 

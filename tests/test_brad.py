@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import ricadi as rc
 import ricadi.brad as brad
 from conftest import assert_invariants, dense_x, fem1d_pair, one_shift_per_step, \
-    random_problem, rel2, scalar_problem
+    random_problem, rel2, scalar_problem, system_of
 from invariants import brad_residual_check
 from ricadi.errors import ExpansionDegenerateError
 from ricadi.kernels import cholesky_upper, solve_lyapunov_small, \
@@ -20,8 +20,9 @@ from ricadi.oracle import residual_defect
 
 def scalar_state_after_step1():
     prob = scalar_problem()
+    system = system_of(prob)
     state = brad.init_state(prob)
-    block = brad.expand_simple(state, prob, 1.0)
+    block = brad.expand_simple(state, prob, 1.0, system)
     return prob, brad.absorb_r2adi(state, prob, block)
 
 
@@ -52,7 +53,8 @@ def test_init_state_invariants_vacuous():
 
 def test_expand_simple_scalar():
     prob = scalar_problem()
-    block = brad.expand_simple(brad.init_state(prob), prob, 1.0)
+    system = system_of(prob)
+    block = brad.expand_simple(brad.init_state(prob), prob, 1.0, system)
     np.testing.assert_allclose(block.Ztil, [[-0.5]])
     np.testing.assert_array_equal(block.U1, [[1.0]])
     np.testing.assert_array_equal(block.D, [[1.0]])
@@ -61,8 +63,9 @@ def test_expand_simple_scalar():
 
 def test_expand_simple_converged_residual():
     prob = scalar_problem()
+    system = system_of(prob)
     state = replace(brad.init_state(prob), R=np.zeros((1, 1)))
-    block = brad.expand_simple(state, prob, 1.0)
+    block = brad.expand_simple(state, prob, 1.0, system)
     np.testing.assert_array_equal(block.Ztil, [[0.0]])
 
 
@@ -71,39 +74,55 @@ def test_expand_simple_generalized():
     E = sp.csr_matrix(np.array([[2.0]]))
     prob = rc.ProblemSpec(A=A, B=np.array([[1.0]]), C=np.array([[1.0]]),
                           E=E)
-    block = brad.expand_simple(brad.init_state(prob), prob, 1.0)
+    system = system_of(prob)
+    block = brad.expand_simple(brad.init_state(prob), prob, 1.0, system)
     np.testing.assert_allclose(block.Ztil, [[-0.25]])
 
 
 def test_expand_simple_rejects_left_half_plane_shift():
     prob = scalar_problem()
+    system = system_of(prob)
     for bad, match in ((-1.0, "real part must be positive"),
                        (np.inf, "must be finite"),
                        (complex(1.0, np.nan), "must be finite")):
         with pytest.raises(ValueError, match=match):
-            brad.expand_simple(brad.init_state(prob), prob, bad)
+            brad.expand_simple(brad.init_state(prob), prob, bad, system)
 
 
 # --------------------------------------------------------- expand_parallel
 
+@pytest.mark.parametrize("expand, shift", [
+    (brad.expand_simple, 1.0), (brad.expand_parallel, [1.0, 2.0]),
+    (brad.expand_realified, 1.0 + 1.0j)])
+def test_expansion_needs_the_solves_system(expand, shift):
+    # every shifted matrix comes from the solve's one ShiftedSystem: no
+    # expansion builds a system of its own
+    prob = scalar_problem()
+    with pytest.raises(TypeError, match="system"):
+        expand(brad.init_state(prob), prob, shift)
+
+
 def test_expand_parallel_degenerate_batch():
     prob = scalar_problem()
+    system = system_of(prob)
     state = brad.init_state(prob)
-    a = brad.expand_parallel(state, prob, [1.0])
-    b = brad.expand_simple(state, prob, 1.0)
+    a = brad.expand_parallel(state, prob, [1.0], system)
+    b = brad.expand_simple(state, prob, 1.0, system)
     np.testing.assert_array_equal(a.Ztil, b.Ztil)
     np.testing.assert_array_equal(a.D, b.D)
 
 
 def test_expand_parallel_duplicate_shifts():
     prob = scalar_problem()
+    system = system_of(prob)
     with pytest.raises(ValueError, match="pairwise distinct"):
-        brad.expand_parallel(brad.init_state(prob), prob, [1.0, 1.0])
+        brad.expand_parallel(brad.init_state(prob), prob, [1.0, 1.0], system)
 
 
 def test_expand_parallel_scalar_two_shifts():
     prob = scalar_problem()
-    block = brad.expand_parallel(brad.init_state(prob), prob, [1.0, 2.0])
+    system = system_of(prob)
+    block = brad.expand_parallel(brad.init_state(prob), prob, [1.0, 2.0], system)
     np.testing.assert_allclose(block.Ztil, [[-0.5, -1.0 / 3.0]])
     np.testing.assert_allclose(block.D, np.diag([1.0, 2.0]))
     assert block.poles == [1 + 0j, 2 + 0j]
@@ -111,11 +130,12 @@ def test_expand_parallel_scalar_two_shifts():
 
 def test_expand_parallel_matches_serial_solves():
     prob = random_problem(32, n=20, m=2, p=2)
+    system = system_of(prob)
     state = brad.init_state(prob)
     shifts = [1.0, 2.5, 4.0]
-    block = brad.expand_parallel(state, prob, shifts)
+    block = brad.expand_parallel(state, prob, shifts, system)
     for i, mu in enumerate(shifts):
-        simple = brad.expand_simple(state, prob, mu)
+        simple = brad.expand_simple(state, prob, mu, system)
         np.testing.assert_allclose(block.Ztil[:, 2 * i:2 * i + 2],
                                    simple.Ztil, atol=1e-14)
 
@@ -124,11 +144,12 @@ def test_expansion_blocks_are_c_ordered():
     # the layout of U1 and D sets the rounding of the absorption products
     # and with it the iterates
     prob = random_problem(33, n=20, m=2, p=2)
+    system = system_of(prob)
     state = brad.init_state(prob)
-    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
-    for block in (brad.expand_simple(state, prob, 2.0),
-                  brad.expand_parallel(state, prob, [2.0, 3.0]),
-                  brad.expand_simple(state, prob, 2.0 + 1.0j)):
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0, system))
+    for block in (brad.expand_simple(state, prob, 2.0, system),
+                  brad.expand_parallel(state, prob, [2.0, 3.0], system),
+                  brad.expand_simple(state, prob, 2.0 + 1.0j, system)):
         for name in ("U1", "D"):
             assert getattr(block, name).flags["C_CONTIGUOUS"], name
 
@@ -151,8 +172,9 @@ def test_expansion_d_is_bitwise_block_diag(monkeypatch, case):
     # block_diag's, cast to the block's dtype as before
     complex_data, shifts = D_CASES[case]
     prob = random_problem(35, n=20, m=1, p=2, complex_data=complex_data)
+    system = system_of(prob)
     state = brad.init_state(prob)
-    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0, system))
     parts = []
     block_part = brad._block_part
 
@@ -162,7 +184,7 @@ def test_expansion_d_is_bitwise_block_diag(monkeypatch, case):
         return out
 
     monkeypatch.setattr(brad, "_block_part", recording_block_part)
-    block = brad.expand_parallel(state, prob, shifts)
+    block = brad.expand_parallel(state, prob, shifts, system)
     ref = sla.block_diag(*parts).astype(block.Ztil.dtype)
     assert block.D.flags["C_CONTIGUOUS"] and ref.flags["C_CONTIGUOUS"]
     assert (block.D.dtype, block.D.shape) == (ref.dtype, ref.shape)
@@ -185,8 +207,10 @@ def _upper(t, complex_data, order, seed=36):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_right_divide_upper_is_bitwise_solve_triangular(order, complex_data,
                                                         rows):
-    # one trtrs call, on the branch solve_triangular takes for each layout of
-    # G; rows = 0 is the coupling at q = 0 and B* Zt at m = 0
+    # one trtrs form, G.T W = X.T: on the Fortran-ordered G that
+    # cholesky_upper returns it is the call solve_triangular makes, and a
+    # C-ordered G gives the same bits; rows = 0 is the coupling at q = 0
+    # and B* Zt at m = 0
     G = _upper(4, complex_data, order)
     rng = np.random.default_rng(37)
     X = rng.standard_normal((rows, 4))
@@ -224,11 +248,12 @@ def test_right_divide_upper_illegal_argument_is_a_value_error(monkeypatch):
 
 def test_expand_realified_mapping(monkeypatch):
     prob = scalar_problem()
+    system = system_of(prob)
     state = brad.init_state(prob)
     monkeypatch.setattr(
         brad, "_expansion_solve",
         lambda state, problem, mu, *args: np.array([[0.3 - 0.4j]]))
-    block = brad.expand_realified(state, prob, 1 + 1j)
+    block = brad.expand_realified(state, prob, 1 + 1j, system)
     np.testing.assert_allclose(block.Ztil, [[0.3, -0.4]])
     np.testing.assert_array_equal(block.U1, [[1.0, 0.0]])
     np.testing.assert_array_equal(block.D, [[1.0, 1.0], [-1.0, 1.0]])
@@ -239,15 +264,17 @@ def test_expand_realified_mapping(monkeypatch):
 def test_expand_realified_requires_complex_shift():
     # a real shift is its own conjugate: the pair is one shift twice
     prob = scalar_problem()
+    system = system_of(prob)
     with pytest.raises(ValueError, match="pairwise distinct"):
-        brad.expand_realified(brad.init_state(prob), prob, 1.0)
+        brad.expand_realified(brad.init_state(prob), prob, 1.0, system)
 
 
 def test_expand_realified_on_complex_data_expands_in_parallel():
     prob = random_problem(33, n=6, m=1, p=1, complex_data=True)
+    system = system_of(prob)
     state = brad.init_state(prob)
-    block = brad.expand_realified(state, prob, 1 + 1j)
-    ref = brad.expand_parallel(state, prob, [1 + 1j, 1 - 1j])
+    block = brad.expand_realified(state, prob, 1 + 1j, system)
+    ref = brad.expand_parallel(state, prob, [1 + 1j, 1 - 1j], system)
     assert block.kind == ref.kind == "parallel"
     assert block.poles == ref.poles == [1 + 1j, 1 - 1j]
     for name in ("Ztil", "U1", "D"):
@@ -256,10 +283,11 @@ def test_expand_realified_on_complex_data_expands_in_parallel():
 
 def test_expand_realified_equals_complex_pair():
     prob = random_problem(34, n=25, m=2, p=2)
+    system = system_of(prob)
     mu = 1.5 + 0.8j
     state = brad.init_state(prob)
     real_state = brad.absorb_r2adi(
-        state, prob, brad.expand_realified(state, prob, mu))
+        state, prob, brad.expand_realified(state, prob, mu, system))
     cplx_state = one_shift_per_step(prob, [mu, mu.conjugate()])
     assert not np.iscomplexobj(real_state.Z) and np.iscomplexobj(cplx_state.Z)
     assert rel2(dense_x(real_state), dense_x(cplx_state)) <= 1e-10
@@ -284,8 +312,9 @@ def test_absorb_r2adi_scalar_step():
 
 def test_absorb_radi_scalar_step2():
     prob, state = scalar_state_after_step1()
+    system = system_of(prob)
     mu = np.sqrt(2.0)
-    block = brad.expand_simple(state, prob, mu, closed_loop=True)
+    block = brad.expand_simple(state, prob, mu, system, closed_loop=True)
     state = brad.absorb_radi(state, prob, block)
     np.testing.assert_allclose(dense_x(state), [[np.sqrt(2.0) - 1.0]],
                                atol=1e-12)
@@ -294,7 +323,8 @@ def test_absorb_radi_scalar_step2():
 
 def test_absorb_radi_rejects_open_loop_block():
     prob, state = scalar_state_after_step1()
-    block = brad.expand_simple(state, prob, 2.0, closed_loop=False)
+    system = system_of(prob)
+    block = brad.expand_simple(state, prob, 2.0, system, closed_loop=False)
     with pytest.raises(ValueError, match="closed-loop"):
         brad.absorb_radi(state, prob, block)
 
@@ -302,11 +332,12 @@ def test_absorb_radi_rejects_open_loop_block():
 def test_absorbs_agree_for_lyapunov():
     A = sp.csr_matrix(np.diag([-1.0, -2.0, -3.0]))
     prob = rc.ProblemSpec(A=A, B=None, C=np.ones((1, 3)))
+    system = system_of(prob)
     s1 = brad.init_state(prob)
     s2 = brad.init_state(prob)
     for mu in (1.0, 2.0):
-        b1 = brad.expand_simple(s1, prob, mu, closed_loop=False)
-        b2 = brad.expand_simple(s2, prob, mu, closed_loop=True)
+        b1 = brad.expand_simple(s1, prob, mu, system, closed_loop=False)
+        b2 = brad.expand_simple(s2, prob, mu, system, closed_loop=True)
         s1 = brad.absorb_r2adi(s1, prob, b1)
         s2 = brad.absorb_radi(s2, prob, b2)
         for name in ("Z", "h", "Hminus", "SB", "R", "K"):
@@ -364,10 +395,12 @@ ABSORB_CASES = [
 def absorb_case(seed, complex_data, generalized, before, batch):
     prob = random_problem(seed, n=30, m=2, p=2, generalized=generalized,
                           complex_data=complex_data)
+    system = system_of(prob)
     state = brad.init_state(prob)
     for mu in before:
-        state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, mu))
-    return prob, state, brad.expand_parallel(state, prob, batch)
+        state = brad.absorb_r2adi(state, prob,
+                                  brad.expand_simple(state, prob, mu, system))
+    return prob, state, brad.expand_parallel(state, prob, batch, system)
 
 
 @pytest.mark.parametrize("i", range(len(ABSORB_CASES)))
@@ -390,8 +423,9 @@ def test_absorbed_block_is_a_closed_loop_block(monkeypatch, i, closed_loop):
     # Both bodies hand the tail a block with (A* - K B*) Zt - E* Zt D = R U1t
     # for the absorbing state's K and R, and BZt = B* Zt.
     prob, state, block = absorb_case(40 + i, *ABSORB_CASES[i])
+    system = system_of(prob)
     if closed_loop:
-        block = brad.expand_parallel(state, prob, ABSORB_CASES[i][3], True)
+        block = brad.expand_parallel(state, prob, ABSORB_CASES[i][3], system, True)
     seen = []
     tail = brad._absorb
 
@@ -440,8 +474,9 @@ def assert_states_equal(x, y):
 
 def test_absorb_does_not_mutate_input_state():
     prob = scalar_problem()
+    system = system_of(prob)
     state = brad.init_state(prob)
-    block = brad.expand_simple(state, prob, 1.0)
+    block = brad.expand_simple(state, prob, 1.0, system)
     brad.absorb_r2adi(state, prob, block)
     assert state.q == 0
     np.testing.assert_array_equal(state.R, [[1.0]])
@@ -453,21 +488,22 @@ def test_absorb_does_not_mutate_input_state():
     # other's nor the input's, every Z is read-only, and the other arrays
     # share no memory with anything.
     prob = random_problem(37, n=20, m=2, p=2)
+    system = system_of(prob)
     small = ("h", "Hminus", "SB", "R", "K")
     state = brad.init_state(prob)
     for mu in (None, 1.0, 2.0):
         if mu is not None:
             state = brad.absorb_r2adi(state, prob,
-                                      brad.expand_simple(state, prob, mu))
+                                      brad.expand_simple(state, prob, mu, system))
         q = state.q
         snapshot = {k: getattr(state, k).tobytes() for k in STATE_ARRAYS}
         poles = list(state.poles)
 
         def absorb_both(state):
             return (brad.absorb_r2adi(state, prob,
-                                      brad.expand_simple(state, prob, 3.0)),
+                                      brad.expand_simple(state, prob, 3.0, system)),
                     brad.absorb_radi(state, prob, brad.expand_simple(
-                        state, prob, 4.0, closed_loop=True)))
+                        state, prob, 4.0, system, closed_loop=True)))
 
         a, b = absorb_both(state)
         for k in STATE_ARRAYS:
@@ -493,15 +529,19 @@ def test_absorbing_a_replaced_z_reads_the_replacement():
     # a state whose Z was replaced keeps the old state's buffer, whose tip is
     # the old Z; absorption must read the new Z, not the buffer's columns
     prob = random_problem(41, n=20, m=1, p=2)
+    system = system_of(prob)
     state = brad.init_state(prob)
     for mu in (1.0, 2.0):
-        state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, mu))
+        state = brad.absorb_r2adi(state, prob,
+                                  brad.expand_simple(state, prob, mu, system))
     delta = 1e-3
     replaced = replace(state, Z=state.Z + delta)
     built = replace(fresh_copy(state), Z=state.Z + delta)
     for absorb, closed_loop in ((brad.absorb_r2adi, False), (brad.absorb_radi, True)):
-        a = absorb(replaced, prob, brad.expand_simple(replaced, prob, 3.0, closed_loop))
-        b = absorb(built, prob, brad.expand_simple(built, prob, 3.0, closed_loop))
+        a = absorb(replaced, prob,
+                   brad.expand_simple(replaced, prob, 3.0, system, closed_loop))
+        b = absorb(built, prob,
+                   brad.expand_simple(built, prob, 3.0, system, closed_loop))
         assert_states_equal(a, b)
         np.testing.assert_array_equal(a.Z[:, :state.q], state.Z + delta)
 
@@ -513,14 +553,16 @@ def test_growing_z_matches_an_hstack_of_its_blocks():
     # The reference is Fortran-ordered like the buffer, since Z's layout sets
     # the BLAS rounding of Z @ Y12.
     prob = random_problem(42, n=200, m=1, p=4)
+    system = system_of(prob)
     shifts = [float(s) for s in np.geomspace(0.5, 50.0, 40)]
     state = ref = brad.init_state(prob)
     blocks, buffers = [], set()
     for i, mu in enumerate(shifts):
         absorb, closed_loop = ((brad.absorb_r2adi, False) if i % 3
                                else (brad.absorb_radi, True))
-        state = absorb(state, prob, brad.expand_simple(state, prob, mu, closed_loop))
-        new = absorb(ref, prob, brad.expand_simple(ref, prob, mu, closed_loop))
+        state = absorb(state, prob,
+                       brad.expand_simple(state, prob, mu, system, closed_loop))
+        new = absorb(ref, prob, brad.expand_simple(ref, prob, mu, system, closed_loop))
         blocks.append(new.Z[:, ref.q:])
         ref = replace(new, Z=np.asfortranarray(np.hstack(blocks)), _basis=None)
         assert_states_equal(state, ref)
@@ -553,7 +595,8 @@ def test_no_state_z_can_be_written():
 
 def test_state_and_block_fields_cannot_be_rebound():
     prob, state = scalar_state_after_step1()
-    block = brad.expand_simple(state, prob, 2.0)
+    system = system_of(prob)
+    block = brad.expand_simple(state, prob, 2.0, system)
     for obj, name in ((state, "R"), (state, "gram_cancellation"),
                       (block, "Ztil"), (block, "poles")):
         with pytest.raises(FrozenInstanceError):
@@ -562,9 +605,10 @@ def test_state_and_block_fields_cannot_be_rebound():
 
 def test_invariants_random_complex_three_steps():
     prob = random_problem(35, n=30, m=2, p=2, complex_data=True)
+    system = system_of(prob)
     state = brad.init_state(prob)
     for mu in (1.0 + 0.5j, 2.0, 3.0 - 1.0j):
-        block = brad.expand_simple(state, prob, mu)
+        block = brad.expand_simple(state, prob, mu, system)
         state = brad.absorb_r2adi(state, prob, block)
         assert_invariants(state, prob)
 
@@ -573,10 +617,11 @@ def test_unpaired_complex_shift_after_realified_pair():
     # On a real state an unpaired complex shift is its pair too: every block
     # is realified, the state stays real and Hminus keeps its 2-by-2 blocks.
     prob = random_problem(38, n=30, m=1, p=1)
+    system = system_of(prob)
     batches = [[1.5 + 0.8j, 1.5 - 0.8j], [2.0 + 1.0j], [3.0 - 0.5j]]
     state = brad.init_state(prob)
     for batch in batches:
-        block = brad.expand_parallel(state, prob, batch)
+        block = brad.expand_parallel(state, prob, batch, system)
         assert block.kind == "realified"
         state = brad.absorb_r2adi(state, prob, block)
         assert_invariants(state, prob)
@@ -591,14 +636,17 @@ def test_mixed_batch_on_real_state_absorbs_open_loop():
     # Both complex shifts are realified, the pair listed twice in one solve:
     # the block's D is real with two 2-by-2 blocks on its diagonal.
     prob = random_problem(39, n=30, m=1, p=2)
+    system = system_of(prob)
     state = brad.init_state(prob)
-    block = brad.expand_parallel(state, prob, [1.5 + 0.8j, 2.0 + 1.0j, 1.5 - 0.8j])
+    block = brad.expand_parallel(state, prob,
+                                 [1.5 + 0.8j, 2.0 + 1.0j, 1.5 - 0.8j], system)
     assert not np.iscomplexobj(block.D) and block.D.shape == (8, 8)
     assert np.count_nonzero(np.diag(block.D, -1)) == 4
     assert block.poles == [1.5 + 0.8j, 1.5 - 0.8j] * 2 + [2 + 1j, 2 - 1j] * 2
     state = brad.absorb_r2adi(state, prob, block)
     assert_invariants(state, prob)
-    state = brad.absorb_r2adi(state, prob, brad.expand_parallel(state, prob, [3.0]))
+    state = brad.absorb_r2adi(state, prob,
+                              brad.expand_parallel(state, prob, [3.0], system))
     assert_invariants(state, prob)
     ref = one_shift_per_step(prob, [1.5 + 0.8j, 1.5 - 0.8j, 2 + 1j, 2 - 1j, 3.0])
     assert rel2(dense_x(state), dense_x(ref)) <= 1e-12
@@ -606,17 +654,19 @@ def test_mixed_batch_on_real_state_absorbs_open_loop():
 
 def test_invariants_generalized_radi():
     prob = random_problem(36, n=30, m=2, p=1, generalized=True)
+    system = system_of(prob)
     state = brad.init_state(prob)
     for mu in (1.0, 2.0, 4.0):
-        block = brad.expand_simple(state, prob, mu, closed_loop=True)
+        block = brad.expand_simple(state, prob, mu, system, closed_loop=True)
         state = brad.absorb_radi(state, prob, block)
         assert_invariants(state, prob)
 
 
 def test_residual_check_detects_corruption():
     prob = random_problem(37, n=20, m=1, p=1)
+    system = system_of(prob)
     state = brad.init_state(prob)
-    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0, system))
     state = replace(state, Z=state.Z + 0.01)
     checks = brad_residual_check(state, prob)
     assert checks["brad_identity"] > 1e-3

@@ -14,6 +14,7 @@ from conftest import (
     random_problem,
     rational_residual_factor,
     scalar_problem,
+    system_of,
 )
 from invariants import closed_loop_pole_check, eigenvalue_match_distance
 
@@ -164,8 +165,9 @@ def test_rational_factor_pole_on_spectrum():
 
 def test_projected_zeros_and_pole_check_scalar():
     prob = scalar_problem()
+    system = system_of(prob)
     state = brad.init_state(prob)
-    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0, system))
     # the state normalization forces Hm + Hm* = SB*SB + h*h = 2 for s = 1
     gram = state.SB.conj().T @ state.SB + state.h.conj().T @ state.h
     np.testing.assert_allclose(gram, [[2.0]], atol=1e-13)
@@ -177,8 +179,9 @@ def test_projected_zeros_and_pole_check_scalar():
 
 def test_pole_check_detects_corruption():
     prob = random_problem(76, n=20, m=1, p=1)
+    system = system_of(prob)
     state = brad.init_state(prob)
-    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0, system))
     state = replace(state, h=state.h + 0.1)
     assert closed_loop_pole_check(state, prob) > 1e-3
 

@@ -14,11 +14,25 @@ import ricadi.shifted as shifted_mod
 import ricadi.shifts as shifts_mod
 from conftest import fem1d_pair, random_problem, stable_sparse
 from ricadi.errors import ShiftStrategyError, SingularShiftError, SMWSingularError
-from ricadi.shifted import factorize, smw_solve, solve_factored
+from ricadi.shifted import ShiftedSystem, factorize, smw_solve, solve_factored
+
+
+def factorize_alone(A, E=None, mu=0.0):
+    """factorize(A, E, mu, system) with a ShiftedSystem of (A, E) built for
+    this one factor."""
+    return factorize(A, E, mu, ShiftedSystem(A, E))
+
+
+def test_factorize_needs_a_system():
+    # the matrix comes from the solve's ShiftedSystem: factorize builds none
+    A = sp.csr_matrix(-np.eye(3))
+    for args in ((A,), (A, None, 1.0)):
+        with pytest.raises(TypeError, match="system"):
+            factorize(*args)
 
 
 def test_factorize_minus_identity():
-    f = factorize(sp.csr_matrix(-np.eye(3)), mu=1.0)
+    f = factorize_alone(sp.csr_matrix(-np.eye(3)), mu=1.0)
     e1 = np.zeros((3, 1))
     e1[0, 0] = 1.0
     np.testing.assert_allclose(solve_factored(f, e1), -0.5 * e1,
@@ -26,7 +40,7 @@ def test_factorize_minus_identity():
 
 
 def test_factorize_diagonal():
-    f = factorize(sp.csr_matrix(np.diag([-1.0, -2.0])), mu=1.0)
+    f = factorize_alone(sp.csr_matrix(np.diag([-1.0, -2.0])), mu=1.0)
     got = solve_factored(f, np.array([[1.0], [1.0]]))
     np.testing.assert_allclose(got, [[-0.5], [-1.0 / 3.0]], atol=1e-15)
 
@@ -37,7 +51,7 @@ def test_factorize_singular_shift():
     for n in (2, shifted_mod.DENSE_LU_BELOW_N + 100):
         A = sp.diags(np.r_[1.0, -2.0 * np.ones(n - 1)], format="csr")
         with pytest.raises(SingularShiftError) as exc:
-            factorize(A, mu=1.0)
+            factorize_alone(A, mu=1.0)
         assert exc.value.shift == 1.0
 
 
@@ -50,7 +64,7 @@ def test_factorize_non_finite_matrix_is_a_singular_shift(n):
     mu = 1.5 + 0.5j
     with pytest.raises(SingularShiftError,
                        match=r"singular for mu = \(1\.5\+0\.5j\): ") as exc:
-        factorize(A.tocsr(), mu=mu)
+        factorize_alone(A.tocsr(), mu=mu)
     assert exc.value.shift == mu
 
 
@@ -67,13 +81,13 @@ def test_factor_e_non_finite_is_a_singular_e(n):
 def test_factorize_generalized():
     A = sp.csr_matrix(np.array([[-2.0]]))
     E = sp.csr_matrix(np.array([[2.0]]))
-    f = factorize(A, E, mu=1.0)
+    f = factorize_alone(A, E, mu=1.0)
     np.testing.assert_allclose(solve_factored(f, np.array([[1.0]])), [[-0.25]])
 
 
 def test_factorize_conjugates_a():
     A = sp.csr_matrix(np.array([[-1.0 + 1.0j]]))
-    f = factorize(A, mu=2.0)
+    f = factorize_alone(A, mu=2.0)
     # A* - 2 = -3 - 1j
     np.testing.assert_allclose(solve_factored(f, np.array([[1.0]])),
                                [[1.0 / (-3 - 1j)]], atol=1e-15)
@@ -81,29 +95,24 @@ def test_factorize_conjugates_a():
 
 def _shifted_pair(A, E, mu):
     M = A.toarray().T - mu * (np.eye(A.shape[0]) if E is None else E.toarray().T)
-    return factorize(A, E, mu), M
+    return factorize_alone(A, E, mu), M
 
 
 def _e_pair(E):
     return shifts_mod.factor_e(E), (E.toarray() if sp.issparse(E) else E)
 
 
-def _system_pair(A, E, mu):
-    _, M = _shifted_pair(A, E, mu)
-    return factorize(A, E, mu, shifted_mod.ShiftedSystem(A, E)), M
-
-
 # Every producer of a Factor, each with the real matrix its factor solves with:
 # factorize and factor_e each on their dense (n < 500) and SuperLU branches,
-# factorize also from a system made beforehand, factor_e also on a dense E.
+# factorize on two inputs per branch, factor_e also on a dense E.
 FACTOR_PRODUCERS = {
     "factorize-n40": lambda: _shifted_pair(
         *_pair(random_problem(44, n=40, generalized=True)), 1.5),
     "factorize-n600": lambda: _shifted_pair(
         stable_sparse(600, 5, density=0.01), None, 2.5),
-    "system-n40": lambda: _system_pair(
+    "system-n40": lambda: _shifted_pair(
         *_pair(random_problem(43, n=40, generalized=True)), 1.5),
-    "system-n600": lambda: _system_pair(*fem1d_pair(600), 2.5),
+    "system-n600": lambda: _shifted_pair(*fem1d_pair(600), 2.5),
     "factor_e-sparse": lambda: _e_pair(random_problem(44, n=30, generalized=True).E),
     "factor_e-dense": lambda: _e_pair(
         random_problem(44, n=30, generalized=True).E.toarray()),
@@ -153,8 +162,8 @@ def test_real_e_factor_solves_complex_block(producer):
 def test_dense_solve_is_bitwise_lu_solve(factor, block):
     # one getrs call, the one sla.lu_solve makes: zgetrs for a complex block
     # on a real factor, on the real factor's entries cast to complex
-    f = factorize(random_problem(45, n=40).A,
-                  mu=1.5 if factor == "real" else 1.5 + 0.7j)
+    f = factorize_alone(random_problem(45, n=40).A,
+                        mu=1.5 if factor == "real" else 1.5 + 0.7j)
     assert isinstance(f.lu, tuple) and np.iscomplexobj(f.lu[0]) is (factor == "complex")
     rng = np.random.default_rng(6)
     RHS = rng.standard_normal((40, 3))
@@ -182,7 +191,7 @@ def test_nan_column_is_solved_alike_on_both_branches(producer):
 
 def test_dense_solve_illegal_argument_is_a_value_error(monkeypatch):
     # a negative info from getrs names the argument LAPACK rejected
-    f = factorize(random_problem(46, n=12).A, mu=1.5)
+    f = factorize_alone(random_problem(46, n=12).A, mu=1.5)
     monkeypatch.setattr(shifted_mod.sla, "get_lapack_funcs",
                         lambda names, arrays: (lambda *a, **k: (None, -3),))
     with pytest.raises(ValueError, match="argument 3 of LAPACK getrs"):
@@ -190,13 +199,13 @@ def test_dense_solve_illegal_argument_is_a_value_error(monkeypatch):
 
 
 def test_solve_factored_scalar_pipeline():
-    f = factorize(sp.csr_matrix(np.array([[-1.0]])), mu=1.0)
+    f = factorize_alone(sp.csr_matrix(np.array([[-1.0]])), mu=1.0)
     np.testing.assert_allclose(solve_factored(f, np.array([[1.0]])), [[-0.5]])
 
 
 def test_solve_factored_multi_rhs_is_columnwise():
     prob = random_problem(20, n=12, m=2, p=3)
-    f = factorize(prob.A, mu=1.5)
+    f = factorize_alone(prob.A, mu=1.5)
     rng = np.random.default_rng(0)
     RHS = rng.standard_normal((12, 4))
     full = solve_factored(f, RHS)
@@ -213,7 +222,7 @@ def test_factorize_sparse_path_matches_dense():
     n = 600
     A = stable_sparse(n, 5, density=0.01)
     mu = 2.5
-    f = factorize(A, mu=mu)
+    f = factorize_alone(A, mu=mu)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal((n, 2))
     dense = A.toarray().conj().T - mu * np.eye(n)
@@ -308,14 +317,14 @@ def test_superlu_factor_stores_fewer_entries_than_the_default(A):
     # the 2-D case 17,642 and 11,448
     M = (A.T - 3.0 * sp.identity(A.shape[0])).tocsc()
     default = spla.splu(M, permc_spec="MMD_AT_PLUS_A")
-    f = factorize(A, mu=3.0)
+    f = factorize_alone(A, mu=3.0)
     assert A.shape[0] >= shifted_mod.DENSE_LU_BELOW_N
     assert f.lu.nnz < default.nnz
 
 
 def test_smw_rank_zero_update():
     prob = random_problem(21, n=10, m=2, p=1)
-    f = factorize(prob.A, mu=1.0)
+    f = factorize_alone(prob.A, mu=1.0)
     rng = np.random.default_rng(2)
     RHS = rng.standard_normal((10, 1))
     np.testing.assert_allclose(
@@ -324,7 +333,7 @@ def test_smw_rank_zero_update():
 
 
 def test_smw_empty_b():
-    f = factorize(sp.csr_matrix(-np.eye(4)), mu=1.0)
+    f = factorize_alone(sp.csr_matrix(-np.eye(4)), mu=1.0)
     RHS = np.ones((4, 1))
     np.testing.assert_allclose(
         smw_solve(f, np.zeros((4, 0)), np.zeros((4, 0)), RHS),
@@ -333,7 +342,7 @@ def test_smw_empty_b():
 
 def test_smw_scalar_hand_value():
     # (A* - K B* - mu) w = r with A=-1, B=1, K=0.4, mu=sqrt(2), r=0.2
-    f = factorize(sp.csr_matrix(np.array([[-1.0]])), mu=np.sqrt(2))
+    f = factorize_alone(sp.csr_matrix(np.array([[-1.0]])), mu=np.sqrt(2))
     got = smw_solve(f, np.array([[0.4]]), np.array([[1.0]]), np.array([[0.2]]))
     want = 0.2 / (-1.0 - 0.4 - np.sqrt(2))
     np.testing.assert_allclose(got, [[want]], atol=1e-14)
@@ -346,7 +355,7 @@ def test_smw_matches_dense_solve():
     K = rng.standard_normal((40, 3))
     RHS = rng.standard_normal((40, 2))
     mu = 1.7
-    f = factorize(prob.A, mu=mu)
+    f = factorize_alone(prob.A, mu=mu)
     got = smw_solve(f, K, prob.B, RHS)
     M = prob.A.toarray().conj().T - K @ prob.B.conj().T - mu * np.eye(40)
     np.testing.assert_allclose(got, np.linalg.solve(M, RHS), atol=1e-9)
@@ -356,7 +365,7 @@ def test_smw_singular_capacitance():
     # A* - mu = -2 I; with K = -2 e1, B = e1 the capacitance 1 - B*N
     # vanishes, whether A* - mu is factored densely or by SuperLU
     for n in (1, shifted_mod.DENSE_LU_BELOW_N + 100):
-        f = factorize(-sp.identity(n, format="csr"), mu=1.0)
+        f = factorize_alone(-sp.identity(n, format="csr"), mu=1.0)
         e1 = np.eye(n, 1)
         with pytest.raises(SMWSingularError) as exc:
             smw_solve(f, -2.0 * e1, e1, np.ones((n, 1)))
@@ -547,7 +556,6 @@ def test_factorize_leaves_the_operators_intact(case):
         M = _scipy_difference(sp.csr_matrix(A),
                               None if E is None else sp.csr_matrix(E), mu)
         np.testing.assert_allclose(M @ f.solve(rhs), rhs, atol=1e-8)
-        factorize(A, E, mu)  # a throwaway system
     assert [_snapshot(M) for M in (A, E, system.Ah, system.Eh)] == before
 
 

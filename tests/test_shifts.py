@@ -18,9 +18,10 @@ from conftest import (
     random_problem,
     rotating_problem,
     scalar_problem,
+    system_of,
 )
 from ricadi.errors import ShiftsExhaustedError, ShiftStrategyError
-from ricadi.shifted import DENSE_LU_BELOW_N, ShiftedSystem
+from ricadi.shifted import DENSE_LU_BELOW_N
 from ricadi.shifts import projected_hamiltonian
 
 
@@ -29,14 +30,10 @@ def e_factor_of(problem):
     return None if problem.E is None else shifts_mod.factor_e(problem.E)
 
 
-def system_of(problem):
-    """The ShiftedSystem that a solve of problem hands its shift source."""
-    return ShiftedSystem(problem.A, problem.E, e_factor_of(problem))
-
-
 def residual_hamiltonian_shift(state, problem, l):
     """The shift HamiltonianShifts' rule picks from the last l columns."""
-    return WindowShifts(l).next_shifts(state, problem, 1, system_of(problem))[0]
+    system = system_of(problem, e_factor_of(problem))
+    return WindowShifts(l).next_shifts(state, problem, 1, system)[0]
 
 
 def zu_projected_hamiltonian(state, problem, l, e_factor=None):
@@ -95,9 +92,10 @@ def hamiltonian_defect(H):
 
 def scalar_state_after_step1():
     prob = scalar_problem()
+    system = system_of(prob)
     state = brad.init_state(prob)
     return prob, brad.absorb_r2adi(state, prob,
-                                 brad.expand_simple(state, prob, 1.0))
+                                 brad.expand_simple(state, prob, 1.0, system))
 
 
 # ------------------------------------------------------- PrecomputedShifts
@@ -133,11 +131,12 @@ def test_precomputed_pair_puts_positive_imaginary_first():
     # member with Im > 0 and records it first
     src = rc.PrecomputedShifts([2 - 1j, 2 + 1j, 3 - 1j, 4.0])
     prob = random_problem(5, n=6)
+    system = system_of(prob)
     state = brad.init_state(prob)
     batch = src.next_shifts(state, prob, batch=2, system=None)
     assert batch == [2 - 1j, 3 - 1j]
     assert src.next_shifts(state, prob, batch=2, system=None) == [4 + 0j]
-    block = brad.expand_parallel(state, prob, batch)
+    block = brad.expand_parallel(state, prob, batch, system)
     assert block.kind == "realified" and not np.iscomplexobj(block.Ztil)
     assert block.poles == [2 + 1j, 2 - 1j, 3 + 1j, 3 - 1j]
 
@@ -187,8 +186,9 @@ def test_hamiltonian_scalar_pipeline_step2():
 
 def test_hamiltonian_source_emits_sqrt2():
     prob, state = scalar_state_after_step1()
+    system = system_of(prob)
     src = rc.HamiltonianShifts()
-    assert abs(src.next_shifts(state, prob, 1, system_of(prob))[0]
+    assert abs(src.next_shifts(state, prob, 1, system)[0]
                - np.sqrt(2)) < 1e-12
 
 
@@ -200,10 +200,11 @@ def test_hamiltonian_bootstrap_admissible():
 
 def test_hamiltonian_structure():
     prob = random_problem(41, n=25, m=2, p=2)
+    system = system_of(prob)
     state = brad.init_state(prob)
     for mu in (1.0, 2.0):
         state = brad.absorb_r2adi(state, prob,
-                                brad.expand_simple(state, prob, mu))
+                                brad.expand_simple(state, prob, mu, system))
     H = projected_hamiltonian(state, prob, l=12, e_factor=None)
     assert hamiltonian_defect(H) <= 1e-12 * np.linalg.norm(H)
 
@@ -219,13 +220,14 @@ def test_hamiltonian_converged_state_still_admissible():
 def test_hamiltonian_pairs_on_real_problems():
     # the strategy returns one shift, and the expansion realifies its pair
     prob = rotating_problem(30, seed=42)
+    system = system_of(prob)
     src = rc.HamiltonianShifts()
     state = brad.init_state(prob)
     saw_pair = False
     for _ in range(8):
-        batch = src.next_shifts(state, prob, 1, system_of(prob))
+        batch = src.next_shifts(state, prob, 1, system)
         assert len(batch) == 1
-        block = brad.expand_parallel(state, prob, batch)
+        block = brad.expand_parallel(state, prob, batch, system)
         if batch[0].imag:
             # either member may be emitted; the block starts with Im > 0
             saw_pair = True
@@ -239,10 +241,11 @@ def test_hamiltonian_pairs_on_real_problems():
 
 def test_hamiltonian_window_limits_basis():
     prob = random_problem(43, n=30, m=1, p=1)
+    system = system_of(prob)
     state = brad.init_state(prob)
     for mu in (1.0, 2.0, 3.0, 4.0):
         state = brad.absorb_r2adi(state, prob,
-                                brad.expand_simple(state, prob, mu))
+                                brad.expand_simple(state, prob, mu, system))
     H = projected_hamiltonian(state, prob, l=2, e_factor=None)
     assert H.shape == (4, 4)  # 2u with u = min(l, q) = 2
     mu = residual_hamiltonian_shift(state, prob, l=2)
@@ -484,7 +487,7 @@ def test_shift_selection_reads_only_the_window(generalized):
     blind = replace(state, Z=state.Z.copy(), SB=state.SB.copy())
     blind.Z[:, :-l] = np.nan
     blind.SB[:, :-l] = np.nan
-    system = system_of(prob)
+    system = system_of(prob, e_factor_of(prob))
     H = projected_hamiltonian(state, prob, l, system.e_factor)
     H_blind = projected_hamiltonian(blind, prob, l, system.e_factor)
     assert np.all(np.isfinite(H_blind))

@@ -28,6 +28,7 @@ from conftest import (
     rotating_problem,
     scalar_problem,
     singular_e_problem,
+    system_of,
 )
 from invariants import brad_residual_check
 from ricadi.errors import (
@@ -104,8 +105,9 @@ def test_relative_residual_fresh_state():
 
 def test_relative_residual_scalar_step1():
     prob = scalar_problem()
+    system = system_of(prob)
     state = brad.init_state(prob)
-    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0))
+    state = brad.absorb_r2adi(state, prob, brad.expand_simple(state, prob, 1.0, system))
     np.testing.assert_allclose(
         solver_mod.relative_residual(state, _norm_cc(prob)), 0.04, atol=1e-14)
 
@@ -306,9 +308,9 @@ def spy_factorize(monkeypatch):
     factored = []
     factorize = shifted_mod.factorize
 
-    def spy(A, E=None, mu=0.0, *args):
+    def spy(A, E, mu, system):
         factored.append(complex(mu))
-        return factorize(A, E, mu, *args)
+        return factorize(A, E, mu, system)
 
     monkeypatch.setattr(shifted_mod, "factorize", spy)
     return factored
